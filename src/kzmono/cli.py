@@ -25,7 +25,6 @@ from .invariants import invariant_basis, omega_pair, restrict, tensor_system
 from .kz import braid_monodromy, flatness_residual, kz_system
 from .liealg import build_algebra, level_weights, orthonormal_basis
 from .numerics import rat_zeros
-from .parallel import map_ordered
 from .reps import casimir, irrep, rep_matrix
 from .sugawara import (
     affine_bracket_check,
@@ -72,11 +71,6 @@ def _parse_weight_tuples(text, rank):
             f"weight list length {len(flat)} is not a multiple of rank {rank}"
         )
     return [tuple(flat[i : i + rank]) for i in range(0, len(flat), rank)]
-
-
-_KAPPA_RE = re.compile(
-    r"^\s*(?P<re>[+-]?[\d./]+)?\s*(?:(?P<im>[+-]\s*[\d./]*)\s*i)?\s*$"
-)
 
 
 def _parse_kappa(text):
@@ -535,6 +529,15 @@ def _selftest_checks(seed):
         ("verlinde-consistency", check_verlinde),
         ("sugawara-identities", check_sugawara),
     ]
+
+
+def map_ordered(fn, items):
+    """Apply fn to each item in turn, in one thread; returns the results in order.
+
+    A named function rather than an inline loop so that bench/spans.py can
+    time the selftest checks as one span.
+    """
+    return [fn(x) for x in items]
 
 
 def _cmd_selftest(args):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConfigurationError, DomainError, ShapeError
-from .numerics import QuadExt, rat_zeros, solve_exact
+from .numerics import QuadExt, rat_identity, rat_zeros, solve_exact
 
 
 @dataclass(eq=False)
@@ -150,7 +150,7 @@ def build_algebra(series, rank):
                 for k in range(n)
             )
             gram[a][b] = gram[b][a] = v
-    gram_inv = solve_exact(gram, [row[:] for row in rat_identity_like(dim)])
+    gram_inv = solve_exact(gram, rat_identity(dim))
 
     cartan = [
         [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(rank)]
@@ -158,7 +158,7 @@ def build_algebra(series, rank):
     ]
     weight_gram = solve_exact(
         [[Fraction(x) for x in row] for row in cartan],
-        rat_identity_like(rank),
+        rat_identity(rank),
     )
 
     pos_roots = []
@@ -196,13 +196,6 @@ def simple_count_to_highest(rank):
     for span in range(1, rank):
         count += rank + 1 - span
     return count
-
-
-def rat_identity_like(k):
-    m = rat_zeros(k, k)
-    for i in range(k):
-        m[i][i] = Fraction(1)
-    return m
 
 
 def killing_form(alg, x, y):

@@ -1,6 +1,10 @@
 """Shared arithmetic substrate: exact rational linear algebra, a quadratic
-extension field for exact orthonormal bases, sparse operators, a small
-complex Hermitian eigensolver, and an embedded Runge-Kutta 5(4) integrator.
+extension field for exact orthonormal bases, sparse operators, and an
+embedded Runge-Kutta 5(4) integrator.
+
+Every exact elimination (ranks, null spaces, solves, basis selection from a
+Gram matrix) runs on one routine, :func:`sparse_eliminate`, which returns the
+reduced row echelon form as pivot rows.
 
 Dense rational matrices are plain lists of lists of ``Fraction``; rationals
 are arbitrary precision by construction, never fixed width. Complex numerics
@@ -34,10 +38,6 @@ def rat_identity(n):
     return m
 
 
-def rat_copy(m):
-    return [row[:] for row in m]
-
-
 def rat_mul(a, b):
     if not a or not b:
         return []
@@ -64,10 +64,6 @@ def rat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def rat_scale(a, s):
-    return [[s * x for x in row] for row in a]
-
-
 def rat_max_abs(a):
     best = ZERO
     for row in a:
@@ -87,113 +83,9 @@ def rat_commutator(a, b):
     return rat_sub(rat_mul(a, b), rat_mul(b, a))
 
 
-def solve_exact(a, b):
-    """Solve the square system a.x = b by rational Gaussian elimination.
-
-    ``b`` may be a vector or a matrix of right-hand sides.
-    """
-    n = len(a)
-    vec = b and not isinstance(b[0], list)
-    rhs = [[x] for x in b] if vec else rat_copy(b)
-    m = [row[:] + rhs[i] for i, row in enumerate(a)]
-    w = len(m[0])
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise ShapeError("singular system in solve_exact")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    sol = [row[n:w] for row in m]
-    return [row[0] for row in sol] if vec else sol
-
-
 # ---------------------------------------------------------------------------
-# row echelon forms: naive rational and fraction-free (Bareiss)
-# ---------------------------------------------------------------------------
-
-def row_echelon_naive(mat):
-    """Plain rational RREF. Returns (rref, pivot_columns)."""
-    m = rat_copy(mat)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def row_echelon_fraction_free(mat):
-    """Bareiss fraction-free elimination over integer-scaled rows.
-
-    Returns (echelon, pivot_columns) with integer entries; all divisions
-    performed are exact. Normalize with :func:`rref_from_echelon` when a
-    comparable canonical form is needed.
-    """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    m = []
-    for row in mat:
-        den = 1
-        for x in row:
-            den = den * Fraction(x).denominator // math.gcd(den, Fraction(x).denominator)
-        m.append([int(Fraction(x) * den) for x in row])
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, rows):
-            if any(m[i][j] for j in range(c, cols)):
-                m[i] = [
-                    (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-                    for j in range(cols)
-                ]
-        prev = m[r][c]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def rref_from_echelon(ech, pivots):
-    """Back-substitute an echelon form into rational RREF."""
-    m = [[Fraction(x) for x in row] for row in ech]
-    for r in reversed(range(len(pivots))):
-        c = pivots[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(r):
-            if m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-    return m
-
-
-# ---------------------------------------------------------------------------
-# sparse exact elimination and null spaces
+# exact elimination: one sparse RREF routine for ranks, null spaces, solves
+# and Gram-matrix basis selection
 # ---------------------------------------------------------------------------
 
 def _reduce_row(row, pivots):
@@ -264,59 +156,43 @@ def nullspace_exact_sparse(rows, ncols):
     return basis, free
 
 
-def nullspace_exact(mat):
-    """Kernel basis of a dense rational matrix, M.B = 0 exactly.
+def _sparse_rows(mat):
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
 
-    Columns are returned as dense lists of Fractions.
+
+def solve_exact(a, b):
+    """Solve the square system a.x = b exactly, as the RREF of [a | b].
+
+    ``b`` may be a vector or a matrix of right-hand sides. Raises ShapeError
+    when ``a`` is singular.
     """
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in mat]
-    cols, _ = nullspace_exact_sparse(rows, ncols)
-    out = []
-    for col in cols:
-        v = [ZERO] * ncols
-        for i, x in col.items():
-            v[i] = x
-        out.append(v)
-    return out
+    n = len(a)
+    vec = b and not isinstance(b[0], list)
+    rhs = [[x] for x in b] if vec else b
+    w = len(rhs[0])
+    pivots = sparse_eliminate(_sparse_rows(a[i] + rhs[i] for i in range(n)), n + w)
+    if sorted(pivots) != list(range(n)):
+        raise ShapeError("singular system in solve_exact")
+    sol = [[pivots[i].get(n + k, ZERO) for k in range(w)] for i in range(n)]
+    return [row[0] for row in sol] if vec else sol
 
 
 def gram_select(gram):
-    """Greedy basis selection inside a positive semidefinite exact Gram matrix.
+    """Basis selection from the exact Gram matrix of a spanning list.
 
-    Returns (selected, expand) where ``selected`` indexes a maximal set with
-    nonsingular Gram submatrix and ``expand[j]`` expresses spanning vector j
-    over the selected ones. Relies on the PSD property: a zero residual
-    diagonal entry means the vector already lies in the selected span.
+    Returns (selected, expand): ``selected`` is the leftmost maximal set of
+    vectors that stay independent modulo the radical of the form (so their
+    Gram submatrix is nonsingular), and ``expand[j]`` expresses spanning
+    vector j over them. Both come from the RREF of the Gram matrix. G.x = 0
+    exactly when sum x_i b_i lies in the radical, so the columns of G obey
+    the same linear relations as the vectors: the pivot columns are the
+    selection and the pivot rows hold the coefficients. Valid for any
+    symmetric form, definite or not.
     """
     s = len(gram)
-    work = [row[:] for row in gram]
-    selected = []
-    for j in range(s):
-        d = work[j][j]
-        if d == 0:
-            continue
-        selected.append(j)
-        # eliminate direction j from the residual form (Schur complement)
-        wj = work[j][:]
-        for i in range(s):
-            if i == j:
-                continue
-            ci = work[i][j]
-            if ci:
-                f = ci / d
-                wi = work[i]
-                for k in range(s):
-                    if wj[k]:
-                        wi[k] -= f * wj[k]
-    sub = [[gram[a][b] for b in selected] for a in selected]
-    if not selected:
-        return [], [[] for _ in range(s)]
-    rhs = [[gram[a][j] for j in range(s)] for a in selected]
-    coeffs = solve_exact(sub, rhs)  # len(selected) x s
-    expand = [[coeffs[r][j] for r in range(len(selected))] for j in range(s)]
+    pivots = sparse_eliminate(_sparse_rows(gram), s)
+    selected = sorted(pivots)
+    expand = [[pivots[c].get(j, ZERO) for c in selected] for j in range(s)]
     return selected, expand
 
 
@@ -476,15 +352,6 @@ class SparseOperator:
                 out[i] = s
         return out
 
-    def transpose_apply_dict(self, vec):
-        out = {}
-        for i, x in vec.items():
-            row = self.rows.get(i)
-            if row and x:
-                for j, v in row.items():
-                    out[j] = out.get(j, ZERO) + v * x
-        return {k: v for k, v in out.items() if v}
-
     def to_dense_rat(self):
         m = rat_zeros(*self.shape)
         for i, row in self.rows.items():
@@ -501,63 +368,6 @@ class SparseOperator:
 
     def equals(self, other):
         return self.shape == other.shape and self.rows == other.rows
-
-
-# ---------------------------------------------------------------------------
-# small complex Hermitian eigensolver (cyclic Jacobi)
-# ---------------------------------------------------------------------------
-
-def eig_hermitian_small(mat, herm_tol=1e-10):
-    """Eigen-decomposition of a small complex Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvector columns). Input must be
-    Hermitian within ``herm_tol`` relative to its scale and at most 512x512.
-    """
-    a = np.array(mat, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n > 512:
-        raise DomainError(f"eig_hermitian_small caps at 512, got {n}")
-    scale = max(np.max(np.abs(a)), 1.0)
-    if np.max(np.abs(a - a.conj().T)) > herm_tol * scale:
-        raise DomainError("matrix is not Hermitian within tolerance")
-    a = (a + a.conj().T) / 2
-    v = np.eye(n, dtype=complex)
-    for _ in range(100):
-        off = math.sqrt(max(0.0, float(np.sum(np.abs(a) ** 2) - np.sum(np.abs(np.diag(a)) ** 2))))
-        if off <= 1e-14 * scale * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                m = abs(a[p, q])
-                if m <= 1e-16 * scale:
-                    continue
-                phase = a[p, q] / m
-                tau = (a[p, p].real - a[q, q].real) / (2 * m)
-                if tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # unitary plane rotation U: U[p,p]=c, U[p,q]=-s*phase,
-                # U[q,p]=s*conj(phase), U[q,q]=c ; apply A <- U* A U
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + s * np.conj(phase) * col_q
-                a[:, q] = -s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p + s * phase * row_q
-                a[q, :] = -s * np.conj(phase) * row_p + c * row_q
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp + s * np.conj(phase) * vq
-                v[:, q] = -s * phase * vp + c * vq
-    w = np.real(np.diag(a))
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
 
 
 # ---------------------------------------------------------------------------

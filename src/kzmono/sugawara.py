@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .liealg import LieAlgebra, build_algebra
-from .numerics import gram_select, rat_mul, rat_zeros
+from .numerics import gram_select, rat_max_abs, rat_mul, rat_zeros
 from .reps import casimir_value, irrep
 
 ZERO = Fraction(0)
@@ -392,17 +392,6 @@ def ln_operator(mod, n):
     return op
 
 
-def _max_abs(mat):
-    worst = ZERO
-    for row in mat:
-        for x in row:
-            if x < 0:
-                x = -x
-            if x > worst:
-                worst = x
-    return worst
-
-
 def _dim(mod, deg):
     return mod.graded_dims[deg] if 0 <= deg <= mod.depth else 0
 
@@ -472,7 +461,7 @@ def virasoro_bracket_check(mod, p, q):
                 if p + q == 0 and r == c:
                     val -= Fraction(p**3 - p, 12) * cv
                 resid[r][c] = val
-        worst = max(worst, _max_abs(resid))
+        worst = max(worst, rat_max_abs(resid))
     return worst
 
 
@@ -502,7 +491,7 @@ def lx_commutator_check(mod, n, gen, k):
         for r in range(dim_t):
             for c in range(dim_s):
                 resid[r][c] = lhs1[r][c] - lhs2[r][c] + k * parts[4][r][c]
-        worst = max(worst, _max_abs(resid))
+        worst = max(worst, rat_max_abs(resid))
     return worst
 
 
@@ -541,5 +530,5 @@ def affine_bracket_check(mod, x, p, y, q):
         for r in range(dim_t):
             for c in range(dim_s):
                 resid[r][c] = lhs1[r][c] - lhs2[r][c] - rhs[r][c]
-        worst = max(worst, _max_abs(resid))
+        worst = max(worst, rat_max_abs(resid))
     return worst

@@ -211,26 +211,3 @@ class TestPretty:
         )
         assert pretty != plain
         assert json.loads(pretty) == json.loads(plain)
-
-
-class TestWorkerPolicy:
-    def test_env_caps_workers(self, monkeypatch):
-        from kzmono.parallel import map_ordered, worker_count
-
-        monkeypatch.setenv("KZM_THREADS", "1")
-        assert worker_count() == 1
-        monkeypatch.setenv("KZM_THREADS", "not-a-number")
-        assert worker_count() >= 1
-        monkeypatch.delenv("KZM_THREADS")
-        assert worker_count() >= 1
-        # ordered semantics regardless of pool size
-        monkeypatch.setenv("KZM_THREADS", "4")
-        assert map_ordered(lambda x: x * x, range(6)) == [0, 1, 4, 9, 16, 25]
-
-    def test_serial_and_parallel_selftest_agree(self, monkeypatch, capsys):
-        monkeypatch.setenv("KZM_THREADS", "1")
-        code1, out1, _ = capture(capsys, ["selftest", "--seed", "5"])
-        monkeypatch.setenv("KZM_THREADS", "8")
-        code2, out2, _ = capture(capsys, ["selftest", "--seed", "5"])
-        assert code1 == code2 == 0
-        assert out1 == out2

@@ -5,21 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kzmono.errors import DomainError, SingularityError
+from kzmono.errors import ShapeError, SingularityError
 from kzmono.numerics import (
     QuadExt,
     SparseOperator,
-    eig_hermitian_small,
+    exact_rank,
     frac_sqrt,
     gram_select,
-    nullspace_exact,
     nullspace_exact_sparse,
     ode_transport,
     rat_mul,
     rat_zeros,
-    rref_from_echelon,
-    row_echelon_fraction_free,
-    row_echelon_naive,
     solve_exact,
 )
 
@@ -31,41 +27,29 @@ def rand_matrix(rng, rows, cols, bound=4):
     ]
 
 
-class TestEchelon:
-    def test_fraction_free_matches_naive_oracle(self):
-        rng = random.Random(8)
-        for _ in range(25):
-            m = rand_matrix(rng, 8, 8)
-            ech, piv = row_echelon_fraction_free(m)
-            naive, piv2 = row_echelon_naive(m)
-            assert piv == piv2
-            assert rref_from_echelon(ech, piv) == naive
-
-    def test_fraction_free_stays_integral(self):
-        rng = random.Random(3)
-        m = rand_matrix(rng, 6, 9)
-        ech, _ = row_echelon_fraction_free(m)
-        assert all(isinstance(x, int) for row in ech for x in row)
+def sparse_rows(m):
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
 
 
 class TestNullspace:
     def test_identity_has_empty_kernel(self):
         m = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-        assert nullspace_exact(m) == []
+        assert nullspace_exact_sparse(sparse_rows(m), 4) == ([], [])
 
     def test_zero_matrix_kernel_is_everything(self):
-        basis = nullspace_exact(rat_zeros(3, 3))
-        assert len(basis) == 3
+        basis, free = nullspace_exact_sparse(sparse_rows(rat_zeros(3, 3)), 3)
+        assert free == [0, 1, 2]
+        assert basis == [{0: 1}, {1: 1}, {2: 1}]
 
     def test_seeded_rank_two_product(self):
         rng = random.Random(5)
         a = rand_matrix(rng, 4, 2, bound=3)
         b = rand_matrix(rng, 2, 4, bound=3)
         m = rat_mul(a, b)
-        basis = nullspace_exact(m)
+        basis, _ = nullspace_exact_sparse(sparse_rows(m), 4)
         assert len(basis) == 2
         for col in basis:
-            out = [sum(row[j] * col[j] for j in range(4)) for row in m]
+            out = [sum(row[j] * v for j, v in col.items()) for row in m]
             assert all(x == 0 for x in out)
 
     def test_sparse_agrees_with_numpy_rank(self):
@@ -76,8 +60,7 @@ class TestNullspace:
                 [Fraction(rng.randint(-2, 2)) for _ in range(cols_n)]
                 for _ in range(rows_n)
             ]
-            rows = [{j: x for j, x in enumerate(r) if x} for r in m]
-            cols, _ = nullspace_exact_sparse(rows, cols_n)
+            cols, _ = nullspace_exact_sparse(sparse_rows(m), cols_n)
             a = np.array([[float(x) for x in r] for r in m])
             assert len(cols) == cols_n - np.linalg.matrix_rank(a)
             for col in cols:
@@ -103,16 +86,46 @@ class TestGramSelect:
                 ]
                 assert recon == [b[i][j] for i in range(k)]
 
+    def test_leftmost_selection_skips_zero_and_dependent_vectors(self):
+        # b3 = b0 - 3/2 b2 sits between independent vectors, b1 is zero
+        b0, b2, b4 = [1, 2, 0], [0, 1, 1], [1, 0, 1]
+        b3 = [x - Fraction(3, 2) * y for x, y in zip(b0, b2)]
+        vecs = [b0, [0, 0, 0], b2, b3, b4]
+        gram = [[Fraction(sum(x * y for x, y in zip(u, v))) for v in vecs] for u in vecs]
+        selected, expand = gram_select(gram)
+        assert selected == [0, 2, 4]
+        assert expand == [
+            [1, 0, 0],
+            [0, 0, 0],
+            [0, 1, 0],
+            [1, Fraction(-3, 2), 0],
+            [0, 0, 1],
+        ]
+        assert all(isinstance(x, Fraction) for row in expand for x in row)
+
+    def test_indefinite_form_keeps_isotropic_vectors(self):
+        # form diag(1, -1): (1, 1) and (1, -1) are isotropic but independent
+        gram = [[Fraction(0), Fraction(2)], [Fraction(2), Fraction(0)]]
+        selected, expand = gram_select(gram)
+        assert selected == [0, 1]
+        assert expand == [[1, 0], [0, 1]]
+
 
 class TestSolve:
     def test_solve_round_trip(self):
         rng = random.Random(9)
         a = rand_matrix(rng, 5, 5)
-        while row_echelon_naive(a)[1] != [0, 1, 2, 3, 4]:
+        while exact_rank(sparse_rows(a), 5) != 5:
             a = rand_matrix(rng, 5, 5)
         x = [Fraction(rng.randint(-5, 5)) for _ in range(5)]
         b = [sum(a[i][j] * x[j] for j in range(5)) for i in range(5)]
         assert solve_exact(a, b) == x
+
+    def test_singular_system_raises(self):
+        a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+        for b in ([Fraction(1), Fraction(2)], [Fraction(1), Fraction(0)]):
+            with pytest.raises(ShapeError):
+                solve_exact(a, b)
 
 
 class TestQuadExt:
@@ -162,29 +175,6 @@ class TestSparseOperator:
                 if s:
                     expect[i] = s
             assert out == expect
-
-
-class TestEig:
-    def test_diagonal_is_fixed(self):
-        w, v = eig_hermitian_small(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [1.0, 2.0, 3.0])
-
-    def test_two_by_two_swap(self):
-        w, _ = eig_hermitian_small(np.array([[0, 1], [1, 0]], dtype=float))
-        assert np.allclose(w, [-1.0, 1.0])
-
-    def test_reconstruction_random_hermitian(self):
-        rng = np.random.default_rng(21)
-        for n in (3, 8, 17):
-            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            a = (a + a.conj().T) / 2
-            w, v = eig_hermitian_small(a)
-            recon = v @ np.diag(w) @ v.conj().T
-            assert np.max(np.abs(a - recon)) <= 1e-10 * max(1.0, np.max(np.abs(a)))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(DomainError):
-            eig_hermitian_small(np.array([[0, 1], [0, 0]], dtype=float))
 
 
 class TestTransport:
