@@ -23,8 +23,8 @@ from . import verlinde
 from .errors import KzmonoError, DomainError
 from .invariants import invariant_basis, omega_pair, restrict, tensor_system
 from .kz import braid_monodromy, flatness_residual, kz_system
-from .liealg import build_algebra, level_weights, orthonormal_basis
-from .numerics import rat_zeros
+from .liealg import build_algebra, level_weights, orthonormal_basis, weight_form
+from .numerics import rat_add, rat_zeros
 from .reps import casimir, irrep, rep_matrix
 from .sugawara import (
     affine_bracket_check,
@@ -256,8 +256,6 @@ def _cmd_invariants(args):
     alg = build_algebra("A", args.rank)
     weights = _parse_weight_tuples(args.weights, args.rank)
     if args.level is not None:
-        from .liealg import weight_form
-
         for w in weights:
             if weight_form(alg, w, alg.highest_root) > args.level:
                 print(
@@ -276,10 +274,7 @@ def _cmd_invariants(args):
     if inv.dim and len(weights) >= 2:
         total = rat_zeros(inv.dim, inv.dim)
         for i, j in itertools.combinations(range(len(weights)), 2):
-            r = restrict(omega_pair(sys_, i, j), inv)
-            for a in range(inv.dim):
-                for b in range(inv.dim):
-                    total[a][b] += r[a][b]
+            total = rat_add(total, restrict(omega_pair(sys_, i, j), inv))
         scalar = total[0][0]
         is_scalar = all(
             total[a][b] == (scalar if a == b else 0)
@@ -440,8 +435,6 @@ def _cmd_verlinde(args):
 def _selftest_checks(seed):
     def check_algebra():
         alg = build_algebra("A", 1)
-        from .liealg import weight_form
-
         ok = weight_form(alg, alg.highest_root, alg.highest_root) == 2
         alg2 = build_algebra("A", 2)
         ok = ok and alg2.dim == 8 and alg2.dual_coxeter == 3

@@ -126,6 +126,16 @@ class LineSegment:
     def revolutions(self):
         return 0.0
 
+    def pair_distance(self, a, b):
+        """Closest approach of z_a and z_b: min over t in [0, 1] of
+        |w0 + t dw|, in closed form."""
+        w0 = self.start[a] - self.start[b]
+        dw = self.end[a] - self.end[b] - w0
+        t = 0.0
+        if dw:
+            t = min(max(-(w0 * dw.conjugate()).real / abs(dw) ** 2, 0.0), 1.0)
+        return abs(w0 + t * dw)
+
 
 @dataclass
 class ArcSegment:
@@ -166,6 +176,20 @@ class ArcSegment:
     def revolutions(self):
         return abs(self.sweep) / (2 * math.pi)
 
+    def pair_distance(self, a, b):
+        """Closest approach of z_a and z_b over the sweep. A pair without
+        the moving point keeps its distance; with it, the distance to the
+        circle when the nearest circle point lies on the arc, else the
+        nearer arc endpoint."""
+        if self.moving not in (a, b):
+            return abs(self.fixed[a] - self.fixed[b])
+        p = self.fixed[b if a == self.moving else a]
+        off = p - self.center
+        lo = self.angle0 + min(self.sweep, 0.0)
+        if (cmath.phase(off) - lo) % (2 * math.pi) <= abs(self.sweep):
+            return abs(abs(off) - self.radius)
+        return min(abs(self.at(t)[self.moving] - p) for t in (0.0, 1.0))
+
 
 def min_pair_distance(z):
     return min(
@@ -185,17 +209,12 @@ class ConfigPath:
             if gap > 1e-9:
                 raise DomainError(f"path segments do not chain (gap {gap:.3e})")
         for seg in self.segments:
-            for t in [k / 32 for k in range(33)]:
-                z = seg.at(t)
-                d = min_pair_distance(z)
-                if d <= 1e-12:
-                    pair = min(
-                        itertools.combinations(range(len(z)), 2),
-                        key=lambda p: abs(z[p[0]] - z[p[1]]),
-                    )
-                    raise SingularityError(
-                        f"path touches the diagonal z_{pair[0]+1} = z_{pair[1]+1}"
-                    )
+            d, (a, b) = min(
+                (seg.pair_distance(a, b), (a, b))
+                for a, b in itertools.combinations(range(len(seg.startpoint)), 2)
+            )
+            if d <= 1e-12:
+                raise SingularityError(f"path touches the diagonal z_{a+1} = z_{b+1}")
 
     @property
     def start(self):

@@ -1,20 +1,30 @@
 """Graded truncations of integrable level-l highest-weight sl2-hat modules,
 and the quadratic Virasoro operators built from current modes.
 
-A truncation is grown degree by degree: at degree D the vectors X(-k).b with
-b from lower degrees span everything, their contravariant pairings reduce
-recursively to data one degree down, and a maximal subset with nonsingular
-Gram is kept. The central element acts by the level throughout, and the
-quotient by the form's radical is what makes the module integrable rather
-than a generalized Verma module. Mode operators are stored as exact matrices
-per source degree; blocks whose target exceeds the truncation are absent,
+A truncation is grown degree by degree. At degree D the vectors X(-k).b
+with b from lower degrees span everything, and one commutation rule,
+
+    x(n) y(-k) b = y(-k) x(n) b + [x, y](n-k) b + n d_{n,k} kappa(x, y) l b,
+
+gives the columns of every positive mode x(n) on that spanning list from
+data of lower degrees. The Gram and the positive-mode tables come from the
+same mode columns: the Gram rows of X(-k).b are <b, tauX(k) v>, the degree
+D - k Gram times the columns of tauX(k), and after a maximal subset with
+nonsingular Gram is kept, the positive-mode tables out of degree D are the
+kept columns. Negative modes into D express the spanning vectors over that
+subset, and zero modes on D follow from the same rule with n = 0. The
+central element acts by the level throughout, and the quotient by the
+form's radical is what makes the module integrable rather than a
+generalized Verma module. Mode operators are stored as exact matrices per
+source degree; blocks whose target exceeds the truncation are absent,
 never silently zero.
 
 The quadratic operators use the dual-basis contraction sum_ab Ginv_ab
 x_a(p) x_b(q), which equals the orthonormal-basis sum and keeps every entry
 rational. Only the p + q = 0 diagonal needs an ordering convention: the
 zero-index operator is assembled as (1/2) sum_a J^a J^a plus the
-annihilation-right tail sum_{k>=1} J^a(-k) J^a(k).
+annihilation-right tail sum_{k>=1} J^a(-k) J^a(k). The Virasoro, [L_n, X(k)]
+and affine bracket identities are all checked by one residual loop.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .liealg import LieAlgebra, build_algebra
-from .numerics import gram_select, rat_max_abs, rat_mul, rat_zeros
+from .numerics import gram_select, rat_max_abs, rat_mul, rat_sub, rat_zeros
 from .reps import casimir_value, irrep
 
 ZERO = Fraction(0)
@@ -83,12 +93,7 @@ class TruncatedModule:
             raise DomainError(f"unknown sl2 generator {gen!r}")
         if not (0 <= src <= self.depth):
             raise DomainError(f"source degree {src} outside truncation")
-        tgt = src - n
-        if tgt > self.depth:
-            return None
-        if tgt < 0:
-            return rat_zeros(0, self.graded_dims[src])
-        return self._tables[(gen, n, src)]
+        return _block(self, _mode(self, gen, n), src)
 
 
 def truncated_module(level, m, depth, depth_guard=6):
@@ -174,148 +179,68 @@ def graded_character(mod):
     return char
 
 
-def _apply(mod, gen, n, src, vec):
-    """Apply gen(n) to a coordinate vector at degree src; None when the
-    target block is absent, zero-length vector when annihilated below 0."""
-    tgt = src - n
-    if tgt < 0:
-        return []
-    t = mod._tables[(gen, n, src)]
-    out = [ZERO] * len(t)
-    for c, x in enumerate(vec):
-        if x:
-            for r in range(len(t)):
-                if t[r][c]:
-                    out[r] += t[r][c] * x
+def _commute(mod, x, n, label, deg, ell):
+    """x(n) applied to the spanning label (k, y, b) of degree deg, as a
+    coordinate vector of degree deg - n, by the commutation rule
+
+        x(n) y(-k) b = y(-k) x(n) b + [x, y](n-k) b + n d_{n,k} kappa(x, y) l b.
+
+    Every table it reads maps out of a degree below deg, except y(-k) and
+    [x, y](-k) into deg itself when n = 0; those must be stored first.
+    """
+    k, y, b = label
+    src = deg - k
+    out = [ZERO] * mod.graded_dims[deg - n]
+    if src >= n:
+        xn = mod._tables[(x, n, src)]
+        ymk = mod._tables[(y, -k, src - n)]
+        for c, xrow in enumerate(xn):
+            if xrow[b]:
+                for r, yrow in enumerate(ymk):
+                    if yrow[c]:
+                        out[r] += yrow[c] * xrow[b]
+    for g, coeff in _BRACKET.get((x, y), ()):
+        for r, row in enumerate(mod._tables[(g, n - k, src)]):
+            if row[b]:
+                out[r] += coeff * row[b]
+    if n == k and (x, y) in _KAPPA:
+        out[b] += n * _KAPPA[(x, y)] * ell
     return out
 
 
 def _grow_one_degree(mod, deg, ell):
     dims = mod.graded_dims
-    spanning = [
-        (k, gen, b)
-        for k in range(deg, 0, -1)
-        for gen in GENS
-        for b in range(dims[deg - k])
-    ]
-    s = len(spanning)
+    blocks = [(k, gen) for k in range(deg, 0, -1) for gen in GENS]
+    spanning = [(k, gen, b) for k, gen in blocks for b in range(dims[deg - k])]
 
-    def pair(p, q):
-        # <X(-k) b, Y(-kp) bp> = <b, tauX(k) Y(-kp) bp>
-        k, x, b = spanning[p]
-        kp, y, bp = spanning[q]
-        tx = _TAU[x]
-        src = deg - kp
-        total = [ZERO] * dims[deg - k]
-        # route 1: Y(-kp) (tauX(k) bp)
-        mid = deg - kp - k
-        if mid >= 0:
-            unit = [ZERO] * dims[src]
-            unit[bp] = Fraction(1)
-            v1 = _apply(mod, tx, k, src, unit)
-            if v1:
-                v2 = _apply(mod, y, -kp, mid, v1)
-                for r, val in enumerate(v2):
-                    total[r] += val
-        # route 2: [tauX, Y](k - kp) bp
-        for g, coeff in _BRACKET.get((tx, y), ()):
-            unit = [ZERO] * dims[src]
-            unit[bp] = coeff
-            v = _apply(mod, g, k - kp, src, unit)
-            for r, val in enumerate(v):
-                total[r] += val
-        # route 3: central term k delta_{k,kp} kappa(tauX, Y) level
-        if k == kp:
-            kap = _KAPPA.get((tx, y), ZERO)
-            if kap:
-                total[bp] += k * kap * ell
-        g0 = mod.shapovalov_gram[deg - k]
-        return sum(
-            g0[b][r] * val for r, val in enumerate(total) if val
-        )
-
-    gram = rat_zeros(s, s)
-    for p in range(s):
-        for q in range(p, s):
-            v = pair(p, q)
-            gram[p][q] = gram[q][p] = v
-    selected, expand = gram_select(gram)
-    dim_new = len(selected)
-    mod.graded_dims.append(dim_new)
-    mod.graded_bases.append([spanning[j] for j in selected])
-    mod.shapovalov_gram.append(
-        [[gram[a][b] for b in selected] for a in selected]
-    )
-
-    # negative-mode tables into the new degree, from the spanning expansions
-    for k in range(1, deg + 1):
-        for gen in GENS:
-            src = deg - k
-            cols = []
-            for b in range(mod.graded_dims[src] if src >= 0 else 0):
-                j = spanning.index((k, gen, b))
-                cols.append(expand[j])
-            t = rat_zeros(dim_new, len(cols))
-            for c, col in enumerate(cols):
-                for r, v in enumerate(col):
-                    t[r][c] = v
-            mod._tables[(gen, -k, src)] = t
-
-    # zero-mode tables on the new degree:
-    #   X(0) (Y(-k) b) = Y(-k) X(0) b + [X, Y](-k) b
-    for x in GENS:
-        t = rat_zeros(dim_new, dim_new)
-        for c, (k, y, b) in enumerate(mod.graded_bases[deg]):
-            src = deg - k
-            unit = [ZERO] * mod.graded_dims[src]
-            unit[b] = Fraction(1)
-            acc = [ZERO] * dim_new
-            v0 = _apply(mod, x, 0, src, unit)
-            for r, val in enumerate(_apply(mod, y, -k, src, v0)):
-                acc[r] += val
-            for g, coeff in _BRACKET.get((x, y), ()):
-                unit2 = [ZERO] * mod.graded_dims[src]
-                unit2[b] = coeff
-                for r, val in enumerate(_apply(mod, g, -k, src, unit2)):
-                    acc[r] += val
-            for r, val in enumerate(acc):
-                t[r][c] = val
-        mod._tables[(x, 0, deg)] = t
-
-    # positive-mode tables from the new degree:
-    #   X(n) Y(-k) b = Y(-k) X(n) b + [X, Y](n-k) b + n d_{n,k} kappa(X,Y) l b
+    # x(n) on the whole spanning list, one column per label
+    modes = {}
     for n in range(1, deg + 1):
         for x in GENS:
-            tgt = deg - n
-            t = rat_zeros(mod.graded_dims[tgt], dim_new)
-            for c, (k, y, b) in enumerate(mod.graded_bases[deg]):
-                src = deg - k
-                unit = [ZERO] * mod.graded_dims[src]
-                unit[b] = Fraction(1)
-                acc = [ZERO] * mod.graded_dims[tgt]
-                mid = src - n
-                if mid >= 0:
-                    v0 = _apply(mod, x, n, src, unit)
-                    for r, val in enumerate(_apply(mod, y, -k, mid, v0)):
-                        acc[r] += val
-                for g, coeff in _BRACKET.get((x, y), ()):
-                    unit2 = [ZERO] * mod.graded_dims[src]
-                    unit2[b] = coeff
-                    v = _apply(mod, g, n - k, src, unit2)
-                    if v and len(v) == len(acc):
-                        for r, val in enumerate(v):
-                            acc[r] += val
-                if n == k:
-                    kap = _KAPPA.get((x, y), ZERO)
-                    if kap:
-                        scaled = n * kap * ell
-                        # b sits at degree src == tgt here
-                        for r, val in enumerate(unit):
-                            if val:
-                                acc[r] += scaled * val
-                for r, val in enumerate(acc):
-                    t[r][c] = val
-            mod._tables[(x, n, deg)] = t
+            cols = [_commute(mod, x, n, label, deg, ell) for label in spanning]
+            modes[(x, n)] = [list(row) for row in zip(*cols)]
+    # <X(-k) b, v> = <b, tauX(k) v>: one row block per (k, X)
+    gram = []
+    for k, gen in blocks:
+        gram += rat_mul(mod.shapovalov_gram[deg - k], modes[(_TAU[gen], k)])
+    selected, expand = gram_select(gram)
+    dims.append(len(selected))
+    mod.graded_bases.append([spanning[j] for j in selected])
+    mod.shapovalov_gram.append([[gram[a][b] for b in selected] for a in selected])
+
+    # negative modes into the new degree, from the spanning expansions
+    j = 0
+    for k, gen in blocks:
+        cols = expand[j:j + dims[deg - k]]
+        j += len(cols)
+        mod._tables[(gen, -k, deg - k)] = [list(row) for row in zip(*cols)]
+    # zero modes on the new degree, which need the negative modes above
+    for x in GENS:
+        cols = [_commute(mod, x, 0, label, deg, ell) for label in mod.graded_bases[deg]]
+        mod._tables[(x, 0, deg)] = [list(row) for row in zip(*cols)]
+    # positive modes out of the new degree: the selected mode columns
+    for (x, n), mat in modes.items():
+        mod._tables[(x, n, deg)] = [[row[j] for j in selected] for row in mat]
 
 
 # ---------------------------------------------------------------------------
@@ -330,26 +255,6 @@ class VirasoroOperator:
 
     def block(self, src):
         return self.blocks.get(src)
-
-
-def _pair_mode_product(mod, p, q, src):
-    """sum_ab Ginv_ab x_a(p) x_b(q) from degree src (q acts first)."""
-    mid = src - q
-    tgt = src - q - p
-    out = rat_zeros(mod.graded_dims[tgt], mod.graded_dims[src])
-    if mid < 0 or q > src:
-        return out
-    for x, y, coeff in _DUAL_TERMS:
-        right = mod._tables[(y, q, src)] if q <= src else None
-        if right is None:
-            continue
-        left = mod._tables[(x, p, mid)]
-        prod = rat_mul(left, right)
-        for r in range(len(out)):
-            for c in range(len(out[0]) if out else 0):
-                if prod[r][c]:
-                    out[r][c] += coeff * prod[r][c]
-    return out
 
 
 def ln_operator(mod, n):
@@ -371,22 +276,17 @@ def ln_operator(mod, n):
         if not (0 <= tgt <= mod.depth):
             continue
         acc = rat_zeros(mod.graded_dims[tgt], mod.graded_dims[src])
-        qmin = n // 2 + 1
-        for q in range(qmin, src + 1):
-            term = _pair_mode_product(mod, n - q, q, src)
-            for r in range(len(acc)):
-                for c in range(len(acc[0]) if acc else 0):
-                    if term[r][c]:
-                        acc[r][c] += 2 * term[r][c]
-        if n % 2 == 0:
-            q = n // 2
-            if q <= src:
-                term = _pair_mode_product(mod, q, q, src)
-                for r in range(len(acc)):
-                    for c in range(len(acc[0]) if acc else 0):
-                        if term[r][c]:
-                            acc[r][c] += term[r][c]
-        blocks[src] = [[norm * x for x in row] for row in acc]
+        # sum_ab Ginv_ab x_a(n-q) x_b(q) with q >= n - q acting first; the
+        # pair q = n - q is counted once, every other pair twice
+        for q in range(-(-n // 2), src + 1):
+            weight = norm if 2 * q == n else 2 * norm
+            for x, y, coeff in _DUAL_TERMS:
+                prod = rat_mul(mod._tables[(x, n - q, src - q)], mod._tables[(y, q, src)])
+                for row, prow in zip(acc, prod):
+                    for c, val in enumerate(prow):
+                        if val:
+                            row[c] += weight * coeff * val
+        blocks[src] = acc
     op = VirasoroOperator(module=mod, index=n, blocks=blocks)
     cache[n] = op
     return op
@@ -396,25 +296,24 @@ def _dim(mod, deg):
     return mod.graded_dims[deg] if 0 <= deg <= mod.depth else 0
 
 
-def _mode_block(mod, gen, n, src):
-    """gen(n): degree src -> src - n. None = absent (beyond the truncation);
-    a zero matrix with collapsed dimensions = annihilation below degree 0."""
+def _mode(mod, gen, n):
+    """gen(n) as an operator (index, block getter) for _block."""
+    return n, lambda src: mod._tables[(gen, n, src)]
+
+
+def _block(mod, op, src):
+    """Block of op = (index n, block getter) from degree src to src - n.
+
+    None = absent (beyond the truncation); a zero matrix with collapsed
+    dimensions = annihilation below degree 0.
+    """
+    n, get = op
     tgt = src - n
     if src > mod.depth or tgt > mod.depth:
         return None
     if src < 0 or tgt < 0:
         return rat_zeros(_dim(mod, tgt), _dim(mod, src))
-    return mod._tables[(gen, n, src)]
-
-
-def _vir_block(op, src):
-    mod = op.module
-    tgt = src - op.index
-    if src > mod.depth or tgt > mod.depth:
-        return None
-    if src < 0 or tgt < 0:
-        return rat_zeros(_dim(mod, tgt), _dim(mod, src))
-    return op.blocks[src]
+    return get(src)
 
 
 def _safe_mul(a, b, rows, cols):
@@ -424,45 +323,48 @@ def _safe_mul(a, b, rows, cols):
     return rat_mul(a, b)
 
 
-def virasoro_bracket_check(mod, p, q):
-    """Max residual of [L_p, L_q] = (p-q) L_{p+q} + d_{p+q,0} (p^3-p)/12 c_v.
+def _bracket_residual(mod, a, b, rhs, central):
+    """Max residual of [A, B] - sum coeff C - central 1 over every source
+    degree where all the blocks exist.
 
-    Exact rational; quantifies over source degrees where every block in the
-    identity exists. Returns 0 when the relation holds on all of them.
+    A, B and each C of rhs = ((coeff, C), ...) are (index, block getter)
+    operators; the central term only enters when [A, B] preserves degree.
+    Exact rational; 0 when the relation holds on all of those degrees.
     """
-    for idx in (p, q, p + q):
-        if abs(idx) > mod.depth:
-            raise DomainError(f"index {idx} exceeds the truncation depth")
-    lp = ln_operator(mod, p)
-    lq = ln_operator(mod, q)
-    lpq = ln_operator(mod, p + q)
-    cv = central_charge(mod.level)
+    p, q = a[0], b[0]
     worst = ZERO
     for src in range(mod.depth + 1):
         tgt = src - p - q
         if not (0 <= tgt <= mod.depth):
             continue
-        parts = (
-            _vir_block(lq, src),
-            _vir_block(lp, src - q),
-            _vir_block(lp, src),
-            _vir_block(lq, src - p),
-            _vir_block(lpq, src),
-        )
-        if any(b is None for b in parts):
+        parts = [_block(mod, b, src), _block(mod, a, src - q),
+                 _block(mod, a, src), _block(mod, b, src - p)]
+        parts += [_block(mod, c, src) for _, c in rhs]
+        if any(blk is None for blk in parts):
             continue
         dim_t, dim_s = mod.graded_dims[tgt], mod.graded_dims[src]
-        lhs1 = _safe_mul(parts[1], parts[0], dim_t, dim_s)
-        lhs2 = _safe_mul(parts[3], parts[2], dim_t, dim_s)
-        resid = rat_zeros(dim_t, dim_s)
-        for r in range(dim_t):
-            for c in range(dim_s):
-                val = lhs1[r][c] - lhs2[r][c] - (p - q) * parts[4][r][c]
-                if p + q == 0 and r == c:
-                    val -= Fraction(p**3 - p, 12) * cv
-                resid[r][c] = val
+        resid = rat_sub(_safe_mul(parts[1], parts[0], dim_t, dim_s),
+                        _safe_mul(parts[3], parts[2], dim_t, dim_s))
+        for (coeff, _), blk in zip(rhs, parts[4:]):
+            for row, crow in zip(resid, blk):
+                for c, val in enumerate(crow):
+                    if val:
+                        row[c] -= coeff * val
+        if tgt == src and central:
+            for r in range(dim_s):
+                resid[r][r] -= central
         worst = max(worst, rat_max_abs(resid))
     return worst
+
+
+def virasoro_bracket_check(mod, p, q):
+    """Max residual of [L_p, L_q] = (p-q) L_{p+q} + d_{p+q,0} (p^3-p)/12 c_v."""
+    for idx in (p, q, p + q):
+        if abs(idx) > mod.depth:
+            raise DomainError(f"index {idx} exceeds the truncation depth")
+    lp, lq, lpq = ((i, ln_operator(mod, i).block) for i in (p, q, p + q))
+    central = Fraction(p**3 - p, 12) * central_charge(mod.level)
+    return _bracket_residual(mod, lp, lq, [(p - q, lpq)], central)
 
 
 def lx_commutator_check(mod, n, gen, k):
@@ -470,65 +372,12 @@ def lx_commutator_check(mod, n, gen, k):
     if gen not in _TAU:
         raise DomainError(f"unknown sl2 generator {gen!r}")
     ln = ln_operator(mod, n)
-    worst = ZERO
-    for src in range(mod.depth + 1):
-        tgt = src - n - k
-        if not (0 <= tgt <= mod.depth):
-            continue
-        parts = (
-            _mode_block(mod, gen, k, src),
-            _vir_block(ln, src - k),
-            _vir_block(ln, src),
-            _mode_block(mod, gen, k, src - n),
-            _mode_block(mod, gen, n + k, src),
-        )
-        if any(b is None for b in parts):
-            continue
-        dim_t, dim_s = mod.graded_dims[tgt], mod.graded_dims[src]
-        lhs1 = _safe_mul(parts[1], parts[0], dim_t, dim_s)
-        lhs2 = _safe_mul(parts[3], parts[2], dim_t, dim_s)
-        resid = rat_zeros(dim_t, dim_s)
-        for r in range(dim_t):
-            for c in range(dim_s):
-                resid[r][c] = lhs1[r][c] - lhs2[r][c] + k * parts[4][r][c]
-        worst = max(worst, rat_max_abs(resid))
-    return worst
+    return _bracket_residual(mod, (n, ln.block), _mode(mod, gen, k),
+                             [(-k, _mode(mod, gen, n + k))], ZERO)
 
 
 def affine_bracket_check(mod, x, p, y, q):
     """Max residual of [X(p), Y(q)] = [X,Y](p+q) + p d_{p+q,0} kappa(X,Y) l."""
-    worst = ZERO
-    for src in range(mod.depth + 1):
-        tgt = src - p - q
-        if not (0 <= tgt <= mod.depth):
-            continue
-        parts = (
-            _mode_block(mod, y, q, src),
-            _mode_block(mod, x, p, src - q),
-            _mode_block(mod, x, p, src),
-            _mode_block(mod, y, q, src - p),
-        )
-        if any(b is None for b in parts):
-            continue
-        dim_t, dim_s = mod.graded_dims[tgt], mod.graded_dims[src]
-        lhs1 = _safe_mul(parts[1], parts[0], dim_t, dim_s)
-        lhs2 = _safe_mul(parts[3], parts[2], dim_t, dim_s)
-        rhs = rat_zeros(dim_t, dim_s)
-        for g, coeff in _BRACKET.get((x, y), ()):
-            m = _mode_block(mod, g, p + q, src)
-            if m is None:
-                continue
-            for r in range(dim_t):
-                for c in range(dim_s):
-                    rhs[r][c] += coeff * m[r][c]
-        if p + q == 0:
-            kap = _KAPPA.get((x, y), ZERO)
-            if kap:
-                for r in range(min(dim_t, dim_s)):
-                    rhs[r][r] += p * kap * mod.level
-        resid = rat_zeros(dim_t, dim_s)
-        for r in range(dim_t):
-            for c in range(dim_s):
-                resid[r][c] = lhs1[r][c] - lhs2[r][c] - rhs[r][c]
-        worst = max(worst, rat_max_abs(resid))
-    return worst
+    rhs = [(coeff, _mode(mod, g, p + q)) for g, coeff in _BRACKET.get((x, y), ())]
+    central = p * _KAPPA.get((x, y), ZERO) * mod.level
+    return _bracket_residual(mod, _mode(mod, x, p), _mode(mod, y, q), rhs, central)

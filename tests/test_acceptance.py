@@ -6,13 +6,16 @@ lines. Tolerances are pinned here, not configurable.
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import kzmono
 from kzmono.invariants import invariant_basis, tensor_system
 from kzmono.kz import (
     default_basepoint,
@@ -47,6 +50,10 @@ from oracles import CATALAN, brute_invariant_dim_a1
 
 A1 = build_algebra("A", 1)
 A2 = build_algebra("A", 2)
+# a child `python -m kzmono` imports kzmono from where this process did
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (str(Path(kzmono.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+))
 
 
 def report(number, label, ok, elapsed, budget):
@@ -219,8 +226,8 @@ def test_criterion_7_representation_layer():
 def test_criterion_8_determinism():
     t0 = time.time()
     cmd = [sys.executable, "-m", "kzmono", "selftest", "--seed", "7"]
-    first = subprocess.run(cmd, capture_output=True, timeout=580)
-    second = subprocess.run(cmd, capture_output=True, timeout=580)
+    first = subprocess.run(cmd, capture_output=True, timeout=580, env=CHILD_ENV)
+    second = subprocess.run(cmd, capture_output=True, timeout=580, env=CHILD_ENV)
     ok = (
         first.returncode == 0
         and first.stdout == second.stdout

@@ -1,8 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import kzmono
 from kzmono.cli import run
+
+# a child `python -m kzmono` imports kzmono from where this process did
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (str(Path(kzmono.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+))
 
 
 def capture(capsys, argv):
@@ -183,8 +191,8 @@ class TestOtherCommands:
 class TestDeterminism:
     def test_selftest_byte_identical(self):
         cmd = [sys.executable, "-m", "kzmono", "selftest", "--seed", "7"]
-        first = subprocess.run(cmd, capture_output=True, timeout=600)
-        second = subprocess.run(cmd, capture_output=True, timeout=600)
+        first = subprocess.run(cmd, capture_output=True, timeout=600, env=CHILD_ENV)
+        second = subprocess.run(cmd, capture_output=True, timeout=600, env=CHILD_ENV)
         assert first.returncode == 0
         assert first.stdout == second.stdout
         report = json.loads(first.stdout)

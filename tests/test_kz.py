@@ -103,8 +103,23 @@ class TestPaths:
             )
 
     def test_diagonal_touch_rejected(self):
-        with pytest.raises(SingularityError):
-            ConfigPath([LineSegment((0j, 1 + 0j), (0j, -1 + 0j))])
+        segments = [
+            LineSegment((0j, 1 + 0j), (0j, -1 + 0j)),
+            # z_1 meets z_2 at t = 1/3, between evenly spaced samples
+            LineSegment((0j, 1 + 0j), (3 + 0j, 1 + 0j)),
+            # a full turn of radius 1 through the fixed point exp(2 pi i / 3)
+            ArcSegment(
+                fixed=(1 + 0j, cmath.exp(2j * math.pi / 3)),
+                moving=0,
+                center=0j,
+                radius=1.0,
+                angle0=0.0,
+                sweep=2 * math.pi,
+            ),
+        ]
+        for seg in segments:
+            with pytest.raises(SingularityError):
+                ConfigPath([seg])
 
     def test_reverse_roundtrip(self):
         seg = ArcSegment(

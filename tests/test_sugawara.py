@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from kzmono.errors import DomainError
+from kzmono.numerics import rat_mul
 from kzmono.sugawara import (
     affine_bracket_check,
     central_charge,
@@ -91,6 +92,32 @@ class TestModeOperators:
                 for p in range(-d, d + 1):
                     for q in range(-d, d + 1):
                         assert affine_bracket_check(vacuum, x, p, y, q) == 0
+
+    def test_modes_are_contravariant_and_exact(self):
+        # <x(-n) u, v> = <u, tau x(n) v>: T(x,-n,D-n)^T G_D = G_{D-n} T(tau x,n,D)
+        tau = {"e": "f", "f": "e", "h": "h"}
+        for level, m, depth in [(1, 0, 4), (2, 1, 4), (2, 2, 3)]:
+            mod = truncated_module(level, m, depth)
+            gram = mod.shapovalov_gram
+            for deg in range(depth + 1):
+                for n in range(deg + 1):
+                    for x in ("e", "f", "h"):
+                        left = mod.action_matrix(x, -n, deg - n)
+                        right = mod.action_matrix(tau[x], n, deg)
+                        lhs = rat_mul([list(col) for col in zip(*left)], gram[deg])
+                        assert lhs == rat_mul(gram[deg - n], right)
+            entries = [x for g in gram for row in g for x in row]
+            entries += [x for t in mod._tables.values() for row in t for x in row]
+            assert all(type(x) is Fraction for x in entries)
+
+    def test_checks_see_a_broken_table(self):
+        # every other test asserts residual 0; pin the nonzero residuals one
+        # wrong entry of e(-1) on degree 1 produces
+        mod = truncated_module(1, 0, 3)
+        mod._tables[("e", -1, 1)][0][0] += 1
+        assert affine_bracket_check(mod, "f", 1, "e", -1) == 2
+        assert lx_commutator_check(mod, 1, "e", -1) == 2
+        assert virasoro_bracket_check(mod, 1, -1) == Fraction(4, 3)
 
     def test_central_term_level_dependence(self):
         # [e(1), f(-1)] = h(0) + level on the vacuum vector
