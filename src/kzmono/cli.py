@@ -558,8 +558,16 @@ def run(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        try:
+            return _run_command(args)
+        except argparse.ArgumentTypeError as exc:
+            # --weights is split by --rank in the handler, after parse_args
+            parser.error(f"argument --weights: {exc}")
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_EXIT
+
+
+def _run_command(args):
     try:
         if args.command == "algebra":
             payload = _cmd_algebra_info(args)

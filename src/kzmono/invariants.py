@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .liealg import dual_pairs
-from .numerics import SparseOperator, nullspace_exact_sparse, rat_zeros
+from .numerics import ONE, SparseOperator, nullspace_exact_sparse, rat_zeros
 from .reps import rep_matrix, rep_matrix_combo
 
 ZERO = Fraction(0)
@@ -101,37 +101,30 @@ def _other_bases(sys, skip):
         yield sum(k * st for k, st in zip(combo, sys.strides))
 
 
-def slot_operator(sys, slot, mat):
-    """Sparse ambient operator acting by ``mat`` in one tensor slot."""
-    st = sys.strides[slot]
-    nnz = [
-        (r, c, v)
-        for r, row in enumerate(mat)
-        for c, v in enumerate(row)
-        if v
-    ]
-    entries = []
-    for base in _other_bases(sys, {slot}):
-        for r, c, v in nnz:
-            entries.append((base + st * r, base + st * c, v))
-    return SparseOperator((sys.dim, sys.dim), entries)
-
-
-def diagonal_action(sys, label):
-    """Sparse operator of sum_slots 1 (x) ... rho_s(label) ... (x) 1."""
-    entries = []
-    for slot, rep in enumerate(sys.factors):
+def _slot_entries(sys, mats):
+    """Ambient (row, col, value) entries of the operator that acts by
+    ``mats[slot]`` in each given slot and by the identity in every other."""
+    local = [(0, 0, ONE)]
+    for slot, mat in mats.items():
         st = sys.strides[slot]
-        mat = rep_matrix(rep, label)
         nnz = [
-            (r, c, v)
+            (st * r, st * c, v)
             for r, row in enumerate(mat)
             for c, v in enumerate(row)
             if v
         ]
-        for base in _other_bases(sys, {slot}):
-            for r, c, v in nnz:
-                entries.append((base + st * r, base + st * c, v))
+        local = [(ro + r, co + c, w * v) for ro, co, w in local for r, c, v in nnz]
+    for base in _other_bases(sys, mats):
+        for ro, co, v in local:
+            yield base + ro, base + co, v
+
+
+def diagonal_action(sys, label):
+    """Sparse operator of sum_slots 1 (x) ... rho_s(label) ... (x) 1."""
+    entries = itertools.chain.from_iterable(
+        _slot_entries(sys, {slot: rep_matrix(rep, label)})
+        for slot, rep in enumerate(sys.factors)
+    )
     return SparseOperator((sys.dim, sys.dim), entries)
 
 
@@ -144,35 +137,13 @@ def omega_pair(sys, i, j):
     if not (0 <= i < n and 0 <= j < n):
         raise DomainError(f"slot indices out of range for an {n}-factor system")
     alg = sys.factors[0].algebra
-    sti, stj = sys.strides[i], sys.strides[j]
-    entries = []
-    for a, dual in dual_pairs(alg):
-        mi = rep_matrix(sys.factors[i], alg.basis_labels[a])
-        mj = rep_matrix_combo(sys.factors[j], dual)
-        nnzi = [
-            (r, c, v)
-            for r, row in enumerate(mi)
-            for c, v in enumerate(row)
-            if v
-        ]
-        nnzj = [
-            (r, c, v)
-            for r, row in enumerate(mj)
-            for c, v in enumerate(row)
-            if v
-        ]
-        if not nnzi or not nnzj:
-            continue
-        for base in _other_bases(sys, {i, j}):
-            for ra, ca, va in nnzi:
-                for rb, cb, vb in nnzj:
-                    entries.append(
-                        (
-                            base + sti * ra + stj * rb,
-                            base + sti * ca + stj * cb,
-                            va * vb,
-                        )
-                    )
+    entries = itertools.chain.from_iterable(
+        _slot_entries(sys, {
+            i: rep_matrix(sys.factors[i], alg.basis_labels[a]),
+            j: rep_matrix_combo(sys.factors[j], dual),
+        })
+        for a, dual in dual_pairs(alg)
+    )
     return TwoSiteOperator(i=i, j=j, system=sys, matrix=SparseOperator((sys.dim, sys.dim), entries))
 
 
@@ -202,7 +173,7 @@ def invariant_basis(sys, mode="exact"):
     for i in range(1, alg.rank + 1):
         op = diagonal_action(sys, ("e", i, i + 1))
         for idx in zw:
-            col = op.apply_dict({idx: Fraction(1)})
+            col = op.apply_dict({idx: ONE})
             for tgt, v in col.items():
                 rows.setdefault((i, tgt), {})[pos[idx]] = v
     row_list = [rows[k] for k in sorted(rows)]

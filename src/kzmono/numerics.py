@@ -2,6 +2,9 @@
 extension field for exact orthonormal bases, sparse operators, and an
 embedded Runge-Kutta 5(4) integrator.
 
+Sparse operators are stored compressed by column, so applying one to a
+sparse vector reads only the columns that vector touches.
+
 Every exact elimination (ranks, null spaces, solves, basis selection from a
 Gram matrix) runs on one routine, :func:`sparse_eliminate`, which returns the
 reduced row echelon form as pivot rows.
@@ -308,66 +311,62 @@ class QuadExt:
 
 
 # ---------------------------------------------------------------------------
-# sparse operators (coordinate assembly, then compressed rows)
+# sparse operators (compressed by column)
 # ---------------------------------------------------------------------------
 
 class SparseOperator:
     """Sparse linear operator with exact rational entries.
 
-    Assembled from coordinate triples, stored compressed by row. Supports
-    exact application to {index: Fraction} vectors and densification to a
-    complex numpy array.
+    Assembled in one pass from coordinate triples, whose repeated positions
+    add up, and stored compressed by column as ``cols[j][i]``; entries that
+    cancel to zero are dropped. Supports exact application to
+    {index: Fraction} vectors, which reads only the columns the vector
+    touches, and densification to a rational or complex matrix.
     """
 
     def __init__(self, shape, entries):
         self.shape = shape
-        acc = {}
+        cols = {}
         for i, j, v in entries:
-            if v:
-                acc[(i, j)] = acc.get((i, j), ZERO) + v
-        rows = {}
-        for (i, j), v in acc.items():
-            if v:
-                rows.setdefault(i, {})[j] = v
-        self.rows = rows
+            col = cols.setdefault(j, {})
+            col[i] = col.get(i, ZERO) + v
+        for j, col in list(cols.items()):
+            for i in [i for i, v in col.items() if not v]:
+                del col[i]
+            if not col:
+                del cols[j]
+        self.cols = cols
 
     @property
     def nnz(self):
-        return sum(len(r) for r in self.rows.values())
+        return sum(len(c) for c in self.cols.values())
 
     def apply_dict(self, vec):
         """Exact product with a sparse column vector {index: Fraction}."""
-        cols = {}
-        for j, x in vec.items():
-            if x:
-                cols.setdefault(j, x)
         out = {}
-        for i, row in self.rows.items():
-            s = ZERO
-            for j, v in row.items():
-                x = cols.get(j)
-                if x is not None:
-                    s += v * x
-            if s:
-                out[i] = s
-        return out
+        for j, x in vec.items():
+            col = self.cols.get(j)
+            if col and x:
+                for i, v in col.items():
+                    out[i] = out.get(i, ZERO) + v * x
+        return {i: s for i, s in out.items() if s}
 
     def to_dense_rat(self):
         m = rat_zeros(*self.shape)
-        for i, row in self.rows.items():
-            for j, v in row.items():
+        for j, col in self.cols.items():
+            for i, v in col.items():
                 m[i][j] = v
         return m
 
     def to_complex(self):
         m = np.zeros(self.shape, dtype=complex)
-        for i, row in self.rows.items():
-            for j, v in row.items():
+        for j, col in self.cols.items():
+            for i, v in col.items():
                 m[i, j] = complex(v)
         return m
 
     def equals(self, other):
-        return self.shape == other.shape and self.rows == other.rows
+        return self.shape == other.shape and self.cols == other.cols
 
 
 # ---------------------------------------------------------------------------

@@ -89,8 +89,6 @@ class TruncatedModule:
         block); a genuine zero map (annihilation below degree 0) is an
         all-zero matrix.
         """
-        if gen not in _TAU:
-            raise DomainError(f"unknown sl2 generator {gen!r}")
         if not (0 <= src <= self.depth):
             raise DomainError(f"source degree {src} outside truncation")
         return _block(self, _mode(self, gen, n), src)
@@ -298,6 +296,8 @@ def _dim(mod, deg):
 
 def _mode(mod, gen, n):
     """gen(n) as an operator (index, block getter) for _block."""
+    if gen not in _TAU:
+        raise DomainError(f"unknown sl2 generator {gen!r}")
     return n, lambda src: mod._tables[(gen, n, src)]
 
 
@@ -369,8 +369,6 @@ def virasoro_bracket_check(mod, p, q):
 
 def lx_commutator_check(mod, n, gen, k):
     """Max residual of [L_n, X(k)] = -k X(n+k) over fully defined blocks."""
-    if gen not in _TAU:
-        raise DomainError(f"unknown sl2 generator {gen!r}")
     ln = ln_operator(mod, n)
     return _bracket_residual(mod, (n, ln.block), _mode(mod, gen, k),
                              [(-k, _mode(mod, gen, n + k))], ZERO)

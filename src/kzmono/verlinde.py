@@ -140,23 +140,18 @@ def invariant_dimension_nullspace(weights):
     return invariant_basis(tensor_system(reps), "exact").dim
 
 
-def compare_invariants(level, weights, scan_limit=None, dim_mode="character"):
+def compare_invariants(level, weights, scan_limit=None):
     """Rank vs classical invariant dimension, with the stabilization scan.
 
     Returns {rank, dim_invariants, equal, stabilization_level}, where the
     stabilization level is the smallest one at which the rank equals the
-    invariant dimension. ``dim_mode`` selects the character convolution
-    (fast) or the exact null-space construction; they agree, and tests pin
-    that. A rank exceeding the invariant dimension would falsify the
+    invariant dimension. That dimension is counted by the character
+    convolution; tests pin that it agrees with invariant_dimension_nullspace.
+    A rank exceeding the invariant dimension would falsify the
     level-truncated theory embedding and raises ViolationError.
     """
     weights = [int(w) for w in weights]
-    if dim_mode == "character":
-        dim_a = invariant_dimension_character(weights)
-    elif dim_mode == "nullspace":
-        dim_a = invariant_dimension_nullspace(weights)
-    else:
-        raise DomainError(f"unknown dim_mode {dim_mode!r}")
+    dim_a = invariant_dimension_character(weights)
     r = rank(fusion_ring(level), weights)
     if r > dim_a:
         raise ViolationError(

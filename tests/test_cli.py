@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import kzmono
 from kzmono.cli import run
 
@@ -146,6 +148,20 @@ class TestKzCommands:
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, err = capture(capsys, ["kz", "flatness", "--bogus", "1"])
         assert code == 64
+
+    @pytest.mark.parametrize("command", [
+        ["invariants"],
+        ["kz", "flatness"],
+        ["kz", "monodromy", "--kappa", "3", "--braid", "A12"],
+    ])
+    @pytest.mark.parametrize("weights", ["1,0:0", "1,0,1"])
+    def test_malformed_weights_are_usage_errors(self, capsys, command, weights):
+        # --weights is split by --rank after argument parsing; a bad list
+        # must still end as a usage error, not a traceback
+        code, out, err = capture(capsys, command + ["--rank", "2", "--weights", weights])
+        assert code == 64
+        assert "error" in err
+        assert out == ""
 
 
 class TestOtherCommands:

@@ -13,7 +13,8 @@ from kzmono.invariants import (
     tensor_system,
 )
 from kzmono.liealg import build_algebra
-from kzmono.reps import casimir_value, irrep
+from kzmono.numerics import rat_add, rat_identity
+from kzmono.reps import casimir_value, irrep, rep_matrix
 
 from oracles import CATALAN, brute_invariant_dim_a1
 
@@ -30,6 +31,18 @@ def a2():
 
 def a1_system(a1, ms):
     return tensor_system([irrep(a1, (m,)) for m in ms])
+
+
+def kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def embedded(sys, mats):
+    """Dense Kronecker product: mats[slot] in the given slots, identity elsewhere."""
+    out = [[Fraction(1)]]
+    for slot, rep in enumerate(sys.factors):
+        out = kron(out, mats.get(slot, rat_identity(rep.dim)))
+    return out
 
 
 class TestTensorSystem:
@@ -112,6 +125,35 @@ class TestOmegaPair:
         sys = a1_system(a1, [1, 2, 1])
         for i, j in itertools.combinations(range(3), 2):
             assert omega_pair(sys, i, j).matrix.equals(omega_pair(sys, j, i).matrix)
+
+    def test_matches_kronecker_reference(self, a1, a2):
+        # Omega_ij = sum_ab G^{-1}[b][a] x_a at slot i, x_b at slot j, and the
+        # diagonal action sums x at each slot, both against dense Kronecker
+        # products of the factor matrices
+        cases = [
+            (a1, [(1,), (2,), (1,)], [(0, 2), (2, 0)]),
+            (a2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (2, 0), (1, 2)]),
+        ]
+        for alg, ws, pairs in cases:
+            sys = tensor_system([irrep(alg, w) for w in ws])
+            labels = alg.basis_labels
+            for i, j in pairs:
+                ref = [[Fraction(0)] * sys.dim for _ in range(sys.dim)]
+                for a, b in itertools.product(range(alg.dim), repeat=2):
+                    g = alg.gram_inverse[b][a]
+                    if g:
+                        xb = rep_matrix(sys.factors[j], labels[b])
+                        term = embedded(sys, {
+                            i: rep_matrix(sys.factors[i], labels[a]),
+                            j: [[g * x for x in row] for row in xb],
+                        })
+                        ref = rat_add(ref, term)
+                assert omega_pair(sys, i, j).matrix.to_dense_rat() == ref
+            for lab in labels:
+                ref = [[Fraction(0)] * sys.dim for _ in range(sys.dim)]
+                for slot, rep in enumerate(sys.factors):
+                    ref = rat_add(ref, embedded(sys, {slot: rep_matrix(rep, lab)}))
+                assert diagonal_action(sys, lab).to_dense_rat() == ref
 
     def test_commutes_with_diagonal_action(self, a1):
         sys = a1_system(a1, [1, 1, 2])

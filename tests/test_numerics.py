@@ -176,6 +176,24 @@ class TestSparseOperator:
                     expect[i] = s
             assert out == expect
 
+    def test_cancelled_entries_drop_out(self):
+        # repeated positions add up; a sum of 0 is not stored
+        entries = [(0, 1, Fraction(2)), (2, 2, Fraction(3)), (0, 1, Fraction(-2)),
+                   (1, 0, Fraction(1, 2)), (1, 0, Fraction(-1, 2))]
+        op = SparseOperator((3, 3), entries)
+        assert op.nnz == 1
+        assert op.to_dense_rat() == [[0, 0, 0], [0, 0, 0], [0, 0, Fraction(3)]]
+        assert op.equals(SparseOperator((3, 3), [(2, 2, Fraction(3))]))
+
+    def test_apply_drops_zero_results(self):
+        op = SparseOperator((3, 3), [(0, 0, Fraction(1)), (0, 1, Fraction(1)),
+                                     (1, 2, Fraction(4)), (1, 2, Fraction(-4))])
+        # column 2 cancelled, so it holds no entry
+        assert op.apply_dict({2: Fraction(5)}) == {}
+        # row 0 sums to 1 - 1 = 0
+        assert op.apply_dict({0: Fraction(1), 1: Fraction(-1)}) == {}
+        assert op.apply_dict({0: Fraction(2), 2: Fraction(1)}) == {0: Fraction(2)}
+
 
 class TestTransport:
     def test_zero_field_is_identity(self):

@@ -76,6 +76,19 @@ class TestModeOperators:
         blk = vacuum.action_matrix("e", 3, 1)
         assert blk == [] or all(not any(row) for row in blk)
 
+    def test_unknown_generator_rejected(self, vacuum):
+        # every entry point that takes a generator name reports a bad one
+        # as a domain error, not as a missing table key
+        calls = [
+            lambda: vacuum.action_matrix("x", 1, 1),
+            lambda: lx_commutator_check(vacuum, 1, "x", -1),
+            lambda: affine_bracket_check(vacuum, "x", 1, "e", -1),
+            lambda: affine_bracket_check(vacuum, "e", 1, "x", -1),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="unknown sl2 generator 'x'"):
+                call()
+
     def test_affine_relations_exhaustive(self, vacuum, l2m1):
         for mod in (vacuum, l2m1):
             for x in ("e", "f", "h"):
