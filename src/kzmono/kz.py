@@ -5,13 +5,16 @@ The connection matrices are A_i(z) = (1/kappa) sum_{j != i} W_ij/(z_i - z_j)
 with W_ij the restricted two-site Casimir operators. Flatness is certified
 algebraically: [W_ij, W_ik + W_jk] = 0 for distinct i, j, k and [W_ij, W_kl]
 = 0 for disjoint pairs, evaluated in exact arithmetic. Transport solves
-dF/dt = (sum_i zdot_i A_i(z(t))) F with an embedded 5(4) pair whose step is
-additionally capped by a fraction of the current minimum pairwise distance.
+dF/dt = (sum_i zdot_i A_i(z(t))) F with an embedded 5(4) pair whose error
+control alone chooses the steps. Both the connection matrices and the
+transport field are evaluated by one helper, as one product of the pair
+coefficients with the stacked complex W_ij.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import warnings
@@ -33,11 +36,6 @@ from .numerics import (
 )
 from .reps import casimir_value, irrep, tensor_decompose
 
-# step cap relative to the minimum pairwise distance among the z_i
-PROXIMITY_STEP_FACTOR = 0.1
-# minimum samples for one full revolution of an arc at tight tolerances
-ARC_MIN_SAMPLES = 720
-
 
 @dataclass(eq=False)
 class KZSystem:
@@ -45,7 +43,7 @@ class KZSystem:
     weights: list
     kappa: complex
     invariant_space: object
-    omegas: dict              # (i, j), i < j -> exact restricted matrix
+    omegas: dict              # (i, j), i < j, combinations order -> exact matrix
     n: int
 
     @property
@@ -55,15 +53,16 @@ class KZSystem:
     def omega(self, i, j):
         return self.omegas[(min(i, j), max(i, j))]
 
+    @functools.cached_property
+    def omega_stack(self):
+        """Every W_ij as one complex array of shape (pairs, dim, dim), in
+        the order of ``omegas``."""
+        d = self.dim
+        mats = [rat_to_complex(m) for m in self.omegas.values()]
+        return np.array(mats, dtype=complex).reshape(len(mats), d, d)
+
     def omega_complex(self, i, j):
-        key = (min(i, j), max(i, j))
-        cache = getattr(self, "_cplx", None)
-        if cache is None:
-            cache = {}
-            self._cplx = cache
-        if key not in cache:
-            cache[key] = rat_to_complex(self.omegas[key]) if self.dim else np.zeros((0, 0))
-        return cache[key]
+        return self.omega_stack[list(self.omegas).index((min(i, j), max(i, j)))]
 
 
 def kz_system(alg, weights, kappa, level=None):
@@ -73,8 +72,8 @@ def kz_system(alg, weights, kappa, level=None):
     level constraint; the connection itself is defined for any weights.
     """
     kappa = complex(kappa)
-    if kappa == 0:
-        raise DomainError("kappa must be nonzero")
+    if kappa == 0 or not cmath.isfinite(kappa):
+        raise DomainError("kappa must be finite and nonzero")
     weights = [tuple(w) for w in weights]
     if level is not None:
         theta = alg.highest_root
@@ -123,9 +122,6 @@ class LineSegment:
     def startpoint(self):
         return self.start
 
-    def revolutions(self):
-        return 0.0
-
     def pair_distance(self, a, b):
         """Closest approach of z_a and z_b: min over t in [0, 1] of
         |w0 + t dw|, in closed form."""
@@ -172,9 +168,6 @@ class ArcSegment:
     @property
     def endpoint(self):
         return self.at(1.0)
-
-    def revolutions(self):
-        return abs(self.sweep) / (2 * math.pi)
 
     def pair_distance(self, a, b):
         """Closest approach of z_a and z_b over the sweep. A pair without
@@ -252,21 +245,27 @@ def path_through(points):
 # connection and transport
 # ---------------------------------------------------------------------------
 
+def _connection(sys, z, v):
+    """sum_i v_i A_i(z) = (1/kappa) sum_{i<j} (v_i - v_j)/(z_i - z_j) W_ij,
+    as one product of the pair coefficients with the stacked W_ij."""
+    coef = []
+    for i, j in sys.omegas:
+        dz = z[i] - z[j]
+        if abs(dz) <= 1e-12:
+            raise SingularityError(f"z_{i+1} and z_{j+1} are within 1e-12")
+        coef.append((v[i] - v[j]) / (sys.kappa * dz))
+    d = sys.dim
+    return (np.array(coef) @ sys.omega_stack.reshape(len(coef), d * d)).reshape(d, d)
+
+
 def connection_matrix(sys, i, z):
     """A_i(z) = (1/kappa) sum_{j != i} W_ij / (z_i - z_j), complex dense."""
     z = tuple(complex(x) for x in z)
     if len(z) != sys.n:
         raise DomainError(f"expected {sys.n} coordinates, got {len(z)}")
-    for p, q in itertools.combinations(range(sys.n), 2):
-        if z[p] == z[q]:
-            raise SingularityError(f"coincident coordinates z_{p+1} = z_{q+1}")
-    d = sys.dim
-    out = np.zeros((d, d), dtype=complex)
-    for j in range(sys.n):
-        if j == i:
-            continue
-        out += sys.omega_complex(i, j) / (z[i] - z[j])
-    return out / complex(sys.kappa)
+    if not 0 <= i < sys.n:
+        raise DomainError(f"point index {i} out of range for {sys.n} points")
+    return _connection(sys, z, [1.0 if k == i else 0.0 for k in range(sys.n)])
 
 
 def flatness_residual(sys, exact=True):
@@ -275,34 +274,32 @@ def flatness_residual(sys, exact=True):
     Relations: [W_ij, W_ik + W_jk] for distinct i, j, k, and [W_ij, W_kl]
     for disjoint pairs. Vacuously zero for n = 2.
     """
-    d = sys.dim
-    if sys.n < 3 or d == 0:
-        return Fraction(0) if exact else 0.0
+    if exact:
+        om, add, comm, norm = sys.omega, rat_add, rat_commutator, rat_max_abs
+        worst = Fraction(0)
+    else:
+        om, add, worst = sys.omega_complex, np.add, 0.0
 
-    def om(i, j):
-        return sys.omega(i, j) if exact else sys.omega_complex(i, j)
+        def comm(x, y):
+            return x @ y - y @ x
 
-    worst = Fraction(0) if exact else 0.0
-    for i, j, k in itertools.combinations(range(sys.n), 3):
-        for a, b, c in ((i, j, k), (i, k, j), (j, k, i)):
-            if exact:
-                comm = rat_commutator(om(a, b), rat_add(om(a, c), om(b, c)))
-                worst = max(worst, rat_max_abs(comm))
-            else:
-                x = om(a, b)
-                y = om(a, c) + om(b, c)
-                worst = max(worst, float(np.max(np.abs(x @ y - y @ x))))
-    for (i, j), (k, l) in itertools.combinations(
-        itertools.combinations(range(sys.n), 2), 2
-    ):
-        if {i, j} & {k, l}:
-            continue
-        if exact:
-            comm = rat_commutator(om(i, j), om(k, l))
-            worst = max(worst, rat_max_abs(comm))
-        else:
-            x, y = om(i, j), om(k, l)
-            worst = max(worst, float(np.max(np.abs(x @ y - y @ x))))
+        def norm(m):
+            return float(np.max(np.abs(m)))
+
+    if sys.dim == 0:
+        return worst
+    triples = (
+        (om(a, b), add(om(a, c), om(b, c)))
+        for i, j, k in itertools.combinations(range(sys.n), 3)
+        for a, b, c in ((i, j, k), (i, k, j), (j, k, i))
+    )
+    disjoint = (
+        (om(*p), om(*q))
+        for p, q in itertools.combinations(sys.omegas, 2)
+        if not set(p) & set(q)
+    )
+    for x, y in itertools.chain(triples, disjoint):
+        worst = max(worst, norm(comm(x, y)))
     return worst
 
 
@@ -328,36 +325,13 @@ def parallel_transport(sys, path, tol):
     err = 0.0
     steps = 0
     seg_tol = tol / len(path.segments)
-    kap = complex(sys.kappa)
     for seg in path.segments:
 
         def field(t, seg=seg):
-            z = seg.at(t)
-            v = seg.velocity(t)
-            mind = min_pair_distance(z)
-            if mind <= 1e-12:
-                raise SingularityError("transport hit a diagonal")
-            a = np.zeros((d, d), dtype=complex)
-            for i, j in itertools.combinations(range(sys.n), 2):
-                dv = v[i] - v[j]
-                if dv != 0:
-                    a += sys.omega_complex(i, j) * (dv / (z[i] - z[j]))
-            return a / kap
-
-        def cap(t, seg=seg):
-            z = seg.at(t)
-            v = seg.velocity(t)
-            speed = max(abs(x) for x in v)
-            if speed == 0:
-                return math.inf
-            c = PROXIMITY_STEP_FACTOR * min_pair_distance(z) / speed
-            rev = seg.revolutions()
-            if rev > 0 and tol <= 1e-8:
-                c = min(c, 1.0 / (ARC_MIN_SAMPLES * rev))
-            return c
+            return _connection(sys, seg.at(t), seg.velocity(t))
 
         try:
-            f, e, s = ode_transport(field, 0.0, 1.0, f, seg_tol, max_step=cap)
+            f, e, s = ode_transport(field, 0.0, 1.0, f, seg_tol)
         except SingularityError as exc:
             zs = seg.startpoint
             raise SingularityError(
@@ -513,12 +487,9 @@ def exact_local_spectrum(sys, i, j):
     out = []
     total = 0
     for mu in cands:
-        shifted = [
-            [mat[r][c] - (mu if r == c else 0) for c in range(d)]
-            for r in range(d)
-        ]
         rows = [
-            {c: Fraction(x) for c, x in enumerate(row) if x} for row in shifted
+            {c: y for c, x in enumerate(row) if (y := x - mu if c == r else x)}
+            for r, row in enumerate(mat)
         ]
         mult = d - exact_rank(rows, d)
         if mult:

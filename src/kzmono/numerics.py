@@ -390,13 +390,13 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 
 MAX_TRANSPORT_STEPS = 2_000_000
 
 
-def ode_transport(field, t0, t1, f0, tol, max_step=None, fixed_step=None):
+def ode_transport(field, t0, t1, f0, tol, fixed_step=None):
     """Transport dF/dt = field(t).F from t0 to t1.
 
     ``field`` maps t to a complex matrix. Returns (F1, error_estimate,
     steps); the error estimate is the accumulated local truncation estimate,
-    never silently discarded. ``max_step`` is an optional scalar or callable
-    t -> cap; ``fixed_step`` disables adaptivity (used for order checks).
+    never silently discarded. The step size is chosen by the error control
+    alone; ``fixed_step`` disables adaptivity (used for order checks).
     Raises SingularityError on step-size underflow.
     """
     span = t1 - t0
@@ -405,13 +405,6 @@ def ode_transport(field, t0, t1, f0, tol, max_step=None, fixed_step=None):
         return f, 0.0, 0
     direction = 1.0 if span > 0 else -1.0
     total = abs(span)
-
-    def cap_at(t):
-        if max_step is None:
-            return math.inf
-        c = max_step(t) if callable(max_step) else max_step
-        return max(float(c), 0.0) or math.inf
-
     t = t0
     err_acc = 0.0
     steps = 0
@@ -426,11 +419,10 @@ def ode_transport(field, t0, t1, f0, tol, max_step=None, fixed_step=None):
             steps += 1
         return f, err_acc, steps
 
-    h = min(total / 16.0, cap_at(t0))
+    h = total / 16.0
     prev_ratio = 1.0
     while (t1 - t) * direction > 1e-15 * total:
         rem = abs(t1 - t)
-        h = min(h, cap_at(t))
         if h >= rem * (1 - 1e-12):
             h = rem
         elif h < 1e-14 * total:

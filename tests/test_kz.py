@@ -38,8 +38,9 @@ def sys11(a1):
 
 class TestSystem:
     def test_rejects_zero_kappa(self, a1):
-        with pytest.raises(DomainError):
-            kz_system(a1, [(1,), (1,)], 0)
+        for kappa in (0, math.nan, complex(1, math.nan), math.inf):
+            with pytest.raises(DomainError):
+                kz_system(a1, [(1,), (1,)], kappa)
 
     def test_warns_outside_level(self, a1):
         with pytest.warns(UserWarning):
@@ -72,6 +73,39 @@ class TestConnectionMatrix:
     def test_coincident_raises(self, sys11):
         with pytest.raises(SingularityError):
             connection_matrix(sys11, 0, (1.0, 1.0))
+
+    def test_index_out_of_range_rejected(self, sys11):
+        for i in (-1, 2):
+            with pytest.raises(DomainError):
+                connection_matrix(sys11, i, (0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "rank, weights",
+        [(1, [(1,)] * 4), (2, [(1, 0), (0, 1), (1, 1)])],
+    )
+    def test_matches_pair_sum_reference(self, rank, weights):
+        # (1/kappa) sum_{j != i} W_ij / (z_i - z_j) from the exact W_ij, for
+        # every i, the last one included (it is only ever the j of a pair)
+        kappa = 3.0 + 0.5j
+        sys = kz_system(build_algebra("A", rank), weights, kappa)
+        assert sys.dim > 0
+        z = (0.3 + 0.1j, 1.7 - 0.4j, -0.8 + 1.2j, 2.5 + 0.9j)[: sys.n]
+        for i in range(sys.n):
+            ref = sum(
+                np.array(
+                    [[complex(x) for x in row] for row in sys.omega(i, j)]
+                )
+                / (z[i] - z[j])
+                for j in range(sys.n)
+                if j != i
+            ) / kappa
+            assert np.allclose(connection_matrix(sys, i, z), ref, rtol=0, atol=1e-13)
+
+    def test_zero_dimensional_system(self, a1):
+        sys = kz_system(a1, [(1,)] * 3, 3)
+        assert sys.dim == 0
+        for i in range(3):
+            assert connection_matrix(sys, i, (0.0, 1.0, 2.0)).shape == (0, 0)
 
 
 class TestFlatness:
@@ -234,6 +268,24 @@ class TestTransport:
             2 * math.pi * bound
         )
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    @pytest.mark.parametrize("eps", [3e-4, 1e-3, 3e-3, 1e-2, 2e-2, 5e-2])
+    def test_near_diagonal_line_matches_closed_form(self, sys11, eps, tol):
+        # z_1 passes eps above z_2 = 0. With d = 1 and W = -3/2 the holonomy
+        # is exp(W/kappa (log w1 - log w0)); the principal log is continuous
+        # on the upper half plane the line stays in. A step must not jump
+        # the near-collision: the result is within tol, or the transport
+        # refuses with SingularityError, which is not allowed far out.
+        w0, w1 = -1 + 1j * eps, 1 + 1j * eps
+        path = path_through([(w0, 0j), (w1, 0j)])
+        exact = cmath.exp(-1.5 / 3 * (cmath.log(w1) - cmath.log(w0)))
+        try:
+            hol = parallel_transport(sys11, path, tol)
+        except SingularityError:
+            assert eps < 1e-2
+            return
+        assert abs(hol.matrix[0, 0] - exact) < tol
+
     def test_bad_tolerance(self, sys11):
         path = ConfigPath([LineSegment((0j, 1 + 0j), (0j, 1 + 0j))])
         with pytest.raises(DomainError):
@@ -270,6 +322,20 @@ class TestBraidMonodromy:
         for g in gens.values():
             comm = twist.matrix @ g.matrix - g.matrix @ twist.matrix
             assert np.max(np.abs(comm)) < 1e-5
+
+    def test_full_twist_certificate(self, a1):
+        # sum_{i<j} W_ij = -1/2 sum c_i on invariants, so one turn of every
+        # point about a centre has holonomy exp(-pi i sum c_i / kappa) I; it
+        # is M12.M13.M23.M14.M24.M34 with the rightmost factor applied first
+        kappa = 3.5
+        sys = kz_system(a1, [(1,)] * 4, kappa)
+        assert sys.dim == 2
+        order = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+        gens = [braid_monodromy(sys, i, j, 1e-9).matrix for i, j in order]
+        total_c = 4 * casimir_value(a1, (1,))
+        expected = cmath.exp(-1j * math.pi * total_c / kappa) * np.eye(2)
+        assert np.max(np.abs(np.linalg.multi_dot(gens) - expected)) < 1e-6
+        assert np.max(np.abs(np.linalg.multi_dot(gens[::-1]) - expected)) > 0.1
 
 
 class TestFarGenerators:
