@@ -4,11 +4,11 @@ algebraic flatness certificate, and braid monodromy by parallel transport.
 The connection matrices are A_i(z) = (1/kappa) sum_{j != i} W_ij/(z_i - z_j)
 with W_ij the restricted two-site Casimir operators. Flatness is certified
 algebraically: [W_ij, W_ik + W_jk] = 0 for distinct i, j, k and [W_ij, W_kl]
-= 0 for disjoint pairs, evaluated in exact arithmetic. Transport solves
-dF/dt = (sum_i zdot_i A_i(z(t))) F with an embedded 5(4) pair whose error
-control alone chooses the steps. Both the connection matrices and the
-transport field are evaluated by one helper, as one product of the pair
-coefficients with the stacked complex W_ij.
+= 0 for disjoint pairs, evaluated in exact arithmetic. Along a line segment
+z(t) = z0 + t dz every pair contributes one simple pole, so transport solves
+the Fuchsian system dF/dt = (1/kappa) sum_p W_p/(t - t_p) F with
+t_p = -w0_p/dw_p by local Taylor series; an arc is transported along chords
+of at most pi/4 of sweep, each homotopic to its piece of the arc.
 """
 
 from __future__ import annotations
@@ -111,9 +111,6 @@ class LineSegment:
     def at(self, t):
         return tuple(a + t * (b - a) for a, b in zip(self.start, self.end))
 
-    def velocity(self, t):
-        return tuple(b - a for a, b in zip(self.start, self.end))
-
     @property
     def endpoint(self):
         return self.end
@@ -151,16 +148,6 @@ class ArcSegment:
         )
         return tuple(z)
 
-    def velocity(self, t):
-        v = [0j] * len(self.fixed)
-        v[self.moving] = (
-            1j
-            * self.sweep
-            * self.radius
-            * cmath.exp(1j * (self.angle0 + t * self.sweep))
-        )
-        return tuple(v)
-
     @property
     def startpoint(self):
         return self.at(0.0)
@@ -182,12 +169,6 @@ class ArcSegment:
         if (cmath.phase(off) - lo) % (2 * math.pi) <= abs(self.sweep):
             return abs(abs(off) - self.radius)
         return min(abs(self.at(t)[self.moving] - p) for t in (0.0, 1.0))
-
-
-def min_pair_distance(z):
-    return min(
-        abs(a - b) for a, b in itertools.combinations(z, 2)
-    )
 
 
 @dataclass
@@ -245,27 +226,22 @@ def path_through(points):
 # connection and transport
 # ---------------------------------------------------------------------------
 
-def _connection(sys, z, v):
-    """sum_i v_i A_i(z) = (1/kappa) sum_{i<j} (v_i - v_j)/(z_i - z_j) W_ij,
-    as one product of the pair coefficients with the stacked W_ij."""
-    coef = []
-    for i, j in sys.omegas:
-        dz = z[i] - z[j]
-        if abs(dz) <= 1e-12:
-            raise SingularityError(f"z_{i+1} and z_{j+1} are within 1e-12")
-        coef.append((v[i] - v[j]) / (sys.kappa * dz))
-    d = sys.dim
-    return (np.array(coef) @ sys.omega_stack.reshape(len(coef), d * d)).reshape(d, d)
-
-
 def connection_matrix(sys, i, z):
-    """A_i(z) = (1/kappa) sum_{j != i} W_ij / (z_i - z_j), complex dense."""
+    """A_i(z) = (1/kappa) sum_{j != i} W_ij / (z_i - z_j), complex dense,
+    as one product of the pair coefficients with the stacked W_ij."""
     z = tuple(complex(x) for x in z)
     if len(z) != sys.n:
         raise DomainError(f"expected {sys.n} coordinates, got {len(z)}")
     if not 0 <= i < sys.n:
         raise DomainError(f"point index {i} out of range for {sys.n} points")
-    return _connection(sys, z, [1.0 if k == i else 0.0 for k in range(sys.n)])
+    coef = []
+    for a, b in sys.omegas:
+        dz = z[a] - z[b]
+        if abs(dz) <= 1e-12:
+            raise SingularityError(f"z_{a+1} and z_{b+1} are within 1e-12")
+        coef.append(((a == i) - (b == i)) / (sys.kappa * dz))
+    d = sys.dim
+    return (np.array(coef) @ sys.omega_stack.reshape(len(coef), d * d)).reshape(d, d)
 
 
 def flatness_residual(sys, exact=True):
@@ -310,11 +286,43 @@ class HolonomyResult:
     steps_taken: int
 
 
+def _chords(seg):
+    """A line as itself; an arc as chords of at most pi/4 of sweep. A chord
+    is homotopic to its piece of the arc unless a fixed point lies in the
+    sliver between them, which is refused."""
+    if isinstance(seg, LineSegment):
+        return [seg]
+    k = max(1, math.ceil(abs(seg.sweep) / (math.pi / 4)))
+    pts = [seg.at(m / k) for m in range(k + 1)]
+    for a, b in zip(pts, pts[1:]):
+        # the chord's midpoint, seen from the centre, points at the arc's
+        # midpoint; the sliver is the disc beyond the chord's line
+        mid = (a[seg.moving] + b[seg.moving]) / 2 - seg.center
+        for l, p in enumerate(seg.fixed):
+            off = p - seg.center
+            if (l != seg.moving and abs(off) <= seg.radius
+                    and (off * mid.conjugate()).real >= abs(mid) ** 2):
+                raise SingularityError(
+                    f"z_{l+1} lies between an arc and its chord, so the chord "
+                    "is not homotopic to the arc"
+                )
+    return [LineSegment(a, b) for a, b in zip(pts, pts[1:])]
+
+
+def _fuchsian_data(sys, line):
+    """Residues W_p/kappa and collision times t_p = -w0_p/dw_p of the pairs
+    whose difference w_p = w0_p + t dw_p moves along the line."""
+    w0 = [line.start[i] - line.start[j] for i, j in sys.omegas]
+    dw = [line.end[i] - line.end[j] - w for (i, j), w in zip(sys.omegas, w0)]
+    keep = [k for k, x in enumerate(dw) if x]
+    return sys.omega_stack[keep] / sys.kappa, [-w0[k] / dw[k] for k in keep]
+
+
 def parallel_transport(sys, path, tol):
     """Transport the identity frame along the path.
 
     Returns the fundamental solution of dF/dt = (sum_i zdot_i A_i) F at the
-    endpoint, the accumulated local error estimate and the step count.
+    endpoint, the summed series tail bounds and the step count.
     """
     if not (0 < tol <= 1e-2):
         raise DomainError(f"tol must lie in (0, 1e-2], got {tol!r}")
@@ -324,22 +332,17 @@ def parallel_transport(sys, path, tol):
         return HolonomyResult(matrix=f, estimated_error=0.0, steps_taken=0)
     err = 0.0
     steps = 0
-    seg_tol = tol / len(path.segments)
     for seg in path.segments:
-
-        def field(t, seg=seg):
-            return _connection(sys, seg.at(t), seg.velocity(t))
-
-        try:
-            f, e, s = ode_transport(field, 0.0, 1.0, f, seg_tol)
-        except SingularityError as exc:
-            zs = seg.startpoint
-            raise SingularityError(
-                f"{exc} (segment starting at {zs}, min distance "
-                f"{min_pair_distance(zs):.3e})"
-            ) from exc
-        err += e
-        steps += s
+        lines = _chords(seg)
+        for line in lines:
+            try:
+                f, e, s = ode_transport(
+                    *_fuchsian_data(sys, line), f, tol / len(path.segments) / len(lines)
+                )
+            except SingularityError as exc:
+                raise SingularityError(f"{exc} (segment starting at {line.start})") from exc
+            err += e
+            steps += s
     return HolonomyResult(matrix=f, estimated_error=err, steps_taken=steps)
 
 
@@ -460,11 +463,22 @@ def braid_generator_path(basepoint, i, j):
 
 
 def braid_monodromy(sys, i, j, tol, basepoint=None):
-    """Holonomy of the standard pure-braid generator around (i, j)."""
+    """Holonomy of the standard pure-braid generator around (i, j).
+
+    The approach legs gamma are transported once: M = T(gamma)^-1 T(circle)
+    T(gamma).
+    """
     if basepoint is None:
         basepoint = default_basepoint(sys.n)
-    path = braid_generator_path(basepoint, i, j)
-    return parallel_transport(sys, path, tol)
+    segs = braid_generator_path(basepoint, i, j).segments
+    k = len(segs) // 2
+    legs = parallel_transport(sys, ConfigPath(segs[:k]), tol)
+    loop = parallel_transport(sys, ConfigPath([segs[k]]), tol)
+    return HolonomyResult(
+        matrix=np.linalg.solve(legs.matrix, loop.matrix @ legs.matrix),
+        estimated_error=2 * legs.estimated_error + loop.estimated_error,
+        steps_taken=legs.steps_taken + loop.steps_taken,
+    )
 
 
 def exact_local_spectrum(sys, i, j):

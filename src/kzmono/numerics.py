@@ -1,6 +1,6 @@
 """Shared arithmetic substrate: exact rational linear algebra, a quadratic
-extension field for exact orthonormal bases, sparse operators, and an
-embedded Runge-Kutta 5(4) integrator.
+extension field for exact orthonormal bases, sparse operators, and the
+transport of Fuchsian linear systems by local Taylor series.
 
 Sparse operators are stored compressed by column, so applying one to a
 sparse vector reads only the columns that vector touches.
@@ -370,92 +370,59 @@ class SparseOperator:
 
 
 # ---------------------------------------------------------------------------
-# embedded Runge-Kutta 5(4) transport (Dormand-Prince pair, PI step control)
+# transport of Fuchsian systems by local Taylor series
 # ---------------------------------------------------------------------------
 
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-# b5 - b4: local truncation error weights
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+def ode_transport(residues, poles, f0, tol):
+    """Transport dF/dt = sum_p R_p/(t - t_p) F from t = 0 to t = 1.
 
-MAX_TRANSPORT_STEPS = 2_000_000
-
-
-def ode_transport(field, t0, t1, f0, tol, fixed_step=None):
-    """Transport dF/dt = field(t).F from t0 to t1.
-
-    ``field`` maps t to a complex matrix. Returns (F1, error_estimate,
-    steps); the error estimate is the accumulated local truncation estimate,
-    never silently discarded. The step size is chosen by the error control
-    alone; ``fixed_step`` disables adaptivity (used for order checks).
-    Raises SingularityError on step-size underflow.
+    ``residues`` stacks the R_p with shape (len(poles), d, d). Each step
+    expands F about the current t_c with r_p = 1/(t_p - t_c): the running
+    sums G_p <- r_p (F_m + G_p) give (m+1) F_{m+1} = -sum_p R_p G_p. The
+    series is summed in s/h, h = min(rho/2, 1 - t_c) with rho = min_p
+    |t_p - t_c|, until the tail of the scalar majorant
+    ||F_c|| (1 - s/rho)^(-A), A = sum_p ||R_p|| (row-sum norms), is at most
+    min(tol h, 2^-52 ||F_c||). Returns (F1, error_bound, steps); the bound is
+    the sum of those tails, so it covers truncation, not rounding. Raises
+    SingularityError when a pole comes within 1e-12 of the path.
     """
-    span = t1 - t0
+    res = np.asarray(residues, dtype=complex)
+    poles = np.asarray(poles, dtype=complex)
     f = np.array(f0, dtype=complex)
-    if span == 0:
-        return f, 0.0, 0
-    direction = 1.0 if span > 0 else -1.0
-    total = abs(span)
-    t = t0
-    err_acc = 0.0
-    steps = 0
-    if fixed_step is not None:
-        h = abs(fixed_step)
-        nsteps = max(1, round(total / h))
-        h = total / nsteps
-        for _ in range(nsteps):
-            f, err = _dp_step(field, t, direction * h, f)
-            err_acc += err
-            t += direction * h
-            steps += 1
-        return f, err_acc, steps
-
-    h = total / 16.0
-    prev_ratio = 1.0
-    while (t1 - t) * direction > 1e-15 * total:
-        rem = abs(t1 - t)
-        if h >= rem * (1 - 1e-12):
-            h = rem
-        elif h < 1e-14 * total:
-            raise SingularityError(
-                f"step size underflow at t={t:.6g} (h={h:.3g}); "
-                "the path runs too close to a singular configuration"
-            )
-        fnew, err = _dp_step(field, t, direction * h, f)
-        budget = tol * h / total
-        ratio = err / budget if budget > 0 else math.inf
-        if ratio <= 1.0:
-            f = fnew
-            t += direction * h
-            err_acc += err
-            steps += 1
-            r = max(ratio, 1e-10)
-            fac = 0.9 * r ** -0.14 * prev_ratio ** 0.08
-            prev_ratio = r
-            h *= min(5.0, max(0.2, fac))
-        else:
-            h *= max(0.2, 0.9 * ratio ** -0.2)
-        if steps > MAX_TRANSPORT_STEPS:
-            raise SingularityError("transport exceeded the step budget")
-    return f, err_acc, steps
-
-
-def _dp_step(field, t, h, f):
-    k = []
-    for i in range(7):
-        y = f
-        if i:
-            y = f + h * sum(_DP_A[i][j] * k[j] for j in range(i) if _DP_A[i][j])
-        k.append(field(t + _DP_C[i] * h) @ y)
-    f5 = f + h * sum(_DP_B5[i] * k[i] for i in range(7) if _DP_B5[i])
-    errm = h * sum(_DP_E[i] * k[i] for i in range(7) if _DP_E[i])
-    return f5, float(np.max(np.abs(errm)))
+    a = float(np.abs(res).sum(axis=2).max(axis=1).sum())
+    # [R_1 ... R_P], so that one product gives sum_p R_p G_p
+    wide = res.transpose(1, 0, 2).reshape(f.shape[0], -1)
+    t, err, steps = 0.0, 0.0, 0
+    while t < 1.0:
+        delta = poles - t
+        rho = float(np.abs(delta).min(initial=math.inf))
+        if rho <= 1e-12:
+            raise SingularityError(f"a pole lies within {rho:.3g} of t={t:.6g}")
+        fc = float(np.abs(f).sum(axis=1).max())
+        if not math.isfinite(fc):
+            raise SingularityError(f"transport overflowed at t={t:.6g}")
+        # h is the exact difference of the two floats, so the expansion
+        # point never drifts from the t the series is summed at
+        t_next = t + rho / 2 if rho / 2 < 1.0 - t else 1.0
+        h = t_next - t
+        q = h / rho
+        goal = min(tol * h, 2.0 ** -52 * fc)
+        r = (h / delta)[:, None, None]
+        g = np.zeros((len(poles),) + f.shape, dtype=complex)
+        term, total = f, f.copy()
+        c, m = 1.0, 0
+        while True:
+            # majorant: c = binom(A+m, m+1) q^(m+1) bounds the next term over
+            # ||F_c||; the later ones shrink by at most theta per order
+            c *= (a + m) / (m + 1) * q
+            theta = max(q, (a + m + 1) / (m + 2) * q)
+            if theta < 1.0 and fc * c / (1.0 - theta) <= goal:
+                break
+            g = r * (term + g)
+            term = wide @ g.reshape(-1, f.shape[1]) * (-1.0 / (m + 1))
+            total += term
+            m += 1
+        err += fc * c / (1.0 - theta)
+        f, t = total, t_next
+        steps += 1
+    return f, err, steps

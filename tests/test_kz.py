@@ -269,22 +269,52 @@ class TestTransport:
         )
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10])
-    @pytest.mark.parametrize("eps", [3e-4, 1e-3, 3e-3, 1e-2, 2e-2, 5e-2])
+    @pytest.mark.parametrize(
+        "eps", [1e-8, 1e-6, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 2e-2, 5e-2]
+    )
     def test_near_diagonal_line_matches_closed_form(self, sys11, eps, tol):
         # z_1 passes eps above z_2 = 0. With d = 1 and W = -3/2 the holonomy
         # is exp(W/kappa (log w1 - log w0)); the principal log is continuous
         # on the upper half plane the line stays in. A step must not jump
-        # the near-collision: the result is within tol, or the transport
-        # refuses with SingularityError, which is not allowed far out.
+        # the near-collision, and a regular path must not be refused.
         w0, w1 = -1 + 1j * eps, 1 + 1j * eps
         path = path_through([(w0, 0j), (w1, 0j)])
         exact = cmath.exp(-1.5 / 3 * (cmath.log(w1) - cmath.log(w0)))
-        try:
-            hol = parallel_transport(sys11, path, tol)
-        except SingularityError:
-            assert eps < 1e-2
-            return
+        hol = parallel_transport(sys11, path, tol)
         assert abs(hol.matrix[0, 0] - exact) < tol
+
+    @pytest.mark.parametrize("depth, inside", [(0.97, True), (0.9, False)])
+    def test_arc_chords_keep_the_homotopy_class(self, sys11, depth, inside):
+        # z_1 sweeps a quarter of the unit circle about 0 past z_0 = p, which
+        # lies inside the circle at angle pi/8. At depth 0.97 p sits in the
+        # sliver between the arc and its single chord, so the chord winds
+        # the other way round p and the transport must refuse; at depth 0.9
+        # the chord keeps the class and gives the arc's holonomy
+        p = depth * cmath.exp(1j * math.pi / 8)
+        arc = ArcSegment(
+            fixed=(p, 0j), moving=1, center=0j, radius=1.0, angle0=0.0, sweep=math.pi / 4
+        )
+        path = ConfigPath([arc])
+        if inside:
+            with pytest.raises(SingularityError):
+                parallel_transport(sys11, path, 1e-10)
+            return
+        ws = [arc.at(k / 1000)[1] - p for k in range(1001)]
+        log_change = cmath.log(abs(ws[-1] / ws[0])) + 1j * sum(
+            cmath.phase(b / a) for a, b in zip(ws, ws[1:])
+        )
+        hol = parallel_transport(sys11, path, 1e-10)
+        assert abs(hol.matrix[0, 0] - cmath.exp(-1.5 / 3 * log_change)) < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_generator_arcs_keep_their_chords(self, n):
+        from kzmono.kz import _chords
+
+        bases = [default_basepoint(n), tuple(complex(k, 0.03 * k * k) for k in range(n))]
+        for base in bases:
+            for i, j in itertools.permutations(range(n), 2):
+                for seg in braid_generator_path(base, i, j).segments:
+                    _chords(seg)
 
     def test_bad_tolerance(self, sys11):
         path = ConfigPath([LineSegment((0j, 1 + 0j), (0j, 1 + 0j))])
@@ -338,6 +368,50 @@ class TestBraidMonodromy:
         assert np.max(np.abs(np.linalg.multi_dot(gens[::-1]) - expected)) > 0.1
 
 
+GLOBAL_SYSTEMS = [([(1,)] * 4, 3.5), ([(1,), (2,), (1,), (2,)], 4.25)]
+
+
+@pytest.fixture(scope="module", params=GLOBAL_SYSTEMS, ids=["v1x4", "v1v2v1v2"])
+def generators(request, a1):
+    weights, kappa = request.param
+    sys = kz_system(a1, weights, kappa)
+    mats = {
+        (i + 1, j + 1): braid_monodromy(sys, i, j, 1e-10).matrix
+        for i, j in itertools.combinations(range(4), 2)
+    }
+    return sys, mats
+
+
+class TestGlobalOracles:
+    """Identities of the whole pure-braid representation, with the rightmost
+    factor applied first."""
+
+    @pytest.mark.parametrize("lam", [2, 0.5 + 0.5j, 3 - 1j])
+    def test_dilation_line(self, a1, generators, lam):
+        # z -> lam z moves every pair along w0 (1 + t (lam - 1)), so the
+        # connection is (sum W_ij)/kappa/(t - t_p) = -sum c_i/(2 kappa) I/(t - t_p)
+        sys, _ = generators
+        z = default_basepoint(4)
+        hol = parallel_transport(sys, path_through([z, tuple(lam * x for x in z)]), 1e-10)
+        total = float(sum(casimir_value(a1, w) for w in sys.weights))
+        expected = lam ** (-total / (2 * sys.kappa)) * np.eye(sys.dim)
+        assert np.max(np.abs(hol.matrix - expected)) < 1e-9
+
+    def test_pure_braid_relations(self, generators):
+        _, a = generators
+
+        def off(x, y):
+            return np.max(np.abs(x - y))
+
+        assert off(a[1, 2] @ a[3, 4], a[3, 4] @ a[1, 2]) < 1e-9
+        assert off(a[1, 4] @ a[2, 3], a[2, 3] @ a[1, 4]) < 1e-9
+        assert off(a[1, 2] @ a[1, 3] @ a[2, 3], a[2, 3] @ a[1, 2] @ a[1, 3]) < 1e-9
+        # negative controls: the reversed cyclic order, and an interleaved
+        # pair, are not relations of the pure braid group
+        assert off(a[2, 3] @ a[1, 3] @ a[1, 2], a[1, 2] @ a[2, 3] @ a[1, 3]) > 0.1
+        assert off(a[1, 3] @ a[2, 4], a[2, 4] @ a[1, 3]) > 0.1
+
+
 class TestFarGenerators:
     def test_generator_rejects_equal_indices(self):
         with pytest.raises(DomainError):
@@ -358,11 +432,12 @@ class TestFarGenerators:
         assert rep["passed"]
 
     def test_zero_dimensional_transport(self, a1):
-        sys = kz_system(a1, [(1,), (1,), (1,)], 3)
-        assert sys.dim == 0
-        hol = braid_monodromy(sys, 0, 1, 1e-8)
-        assert hol.matrix.shape == (0, 0)
-        assert hol.estimated_error == 0.0
+        for n in (3, 5):
+            sys = kz_system(a1, [(1,)] * n, 3)
+            assert sys.dim == 0
+            hol = braid_monodromy(sys, 0, 1, 1e-8)
+            assert hol.matrix.shape == (0, 0)
+            assert hol.estimated_error == 0.0 and hol.steps_taken == 0
 
 
 class TestEigenvalueCheck:
