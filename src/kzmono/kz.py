@@ -30,8 +30,6 @@ from .numerics import (
     exact_rank,
     ode_transport,
     rat_commutator,
-    rat_add,
-    rat_max_abs,
     rat_to_complex,
 )
 from .reps import casimir_value, irrep, tensor_decompose
@@ -60,9 +58,6 @@ class KZSystem:
         d = self.dim
         mats = [rat_to_complex(m) for m in self.omegas.values()]
         return np.array(mats, dtype=complex).reshape(len(mats), d, d)
-
-    def omega_complex(self, i, j):
-        return self.omega_stack[list(self.omegas).index((min(i, j), max(i, j)))]
 
 
 def kz_system(alg, weights, kappa, level=None):
@@ -244,39 +239,56 @@ def connection_matrix(sys, i, z):
     return (np.array(coef) @ sys.omega_stack.reshape(len(coef), d * d)).reshape(d, d)
 
 
+def _integer_stack(sys):
+    """Every W_ij, as read from ``omegas`` now, as one object array of
+    Python ints of shape (pairs + 1, dim, dim) over the common denominator D
+    of all entries; the last slice is zero. Returns (array, D)."""
+    mats = list(sys.omegas.values())
+    den = math.lcm(*(x.denominator for m in mats for row in m for x in row))
+    d = sys.dim
+    stack = np.zeros((len(mats) + 1, d, d), dtype=object)
+    for k, m in enumerate(mats):
+        stack[k] = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+    return stack, den
+
+
 def flatness_residual(sys, exact=True):
     """Max norm over the commutator relation set certifying flatness.
 
     Relations: [W_ij, W_ik + W_jk] for distinct i, j, k, and [W_ij, W_kl]
-    for disjoint pairs. Vacuously zero for n = 2.
+    for disjoint pairs. Vacuously zero for n = 2. Exact mode evaluates all
+    relations at once as integer commutators of D W_ij, whose entries are
+    D^2 times the exact ones, so the residual is max|C| / D^2.
     """
-    if exact:
-        om, add, comm, norm = sys.omega, rat_add, rat_commutator, rat_max_abs
-        worst = Fraction(0)
-    else:
-        om, add, worst = sys.omega_complex, np.add, 0.0
-
-        def comm(x, y):
-            return x @ y - y @ x
-
-        def norm(m):
-            return float(np.max(np.abs(m)))
-
+    worst = Fraction(0) if exact else 0.0
     if sys.dim == 0:
         return worst
-    triples = (
-        (om(a, b), add(om(a, c), om(b, c)))
+    index = {p: k for k, p in enumerate(sys.omegas)}
+    zero = len(index)
+
+    def pair(a, b):
+        return index[(min(a, b), max(a, b))]
+
+    rel = [
+        (pair(a, b), pair(a, c), pair(b, c))
         for i, j, k in itertools.combinations(range(sys.n), 3)
         for a, b, c in ((i, j, k), (i, k, j), (j, k, i))
-    )
-    disjoint = (
-        (om(*p), om(*q))
+    ]
+    rel += [
+        (index[p], index[q], zero)
         for p, q in itertools.combinations(sys.omegas, 2)
         if not set(p) & set(q)
-    )
-    for x, y in itertools.chain(triples, disjoint):
-        worst = max(worst, norm(comm(x, y)))
-    return worst
+    ]
+    if not rel:
+        return worst
+    left, right, extra = (list(x) for x in zip(*rel))
+    if exact:
+        stack, den = _integer_stack(sys)
+        comm = rat_commutator(stack[left], stack[right] + stack[extra])
+        return Fraction(int(np.abs(comm).max()), den * den)
+    stack = np.concatenate([sys.omega_stack, np.zeros((1, sys.dim, sys.dim))])
+    x, y = stack[left], stack[right] + stack[extra]
+    return float(np.max(np.abs(x @ y - y @ x)))
 
 
 @dataclass
@@ -466,7 +478,9 @@ def braid_monodromy(sys, i, j, tol, basepoint=None):
     """Holonomy of the standard pure-braid generator around (i, j).
 
     The approach legs gamma are transported once: M = T(gamma)^-1 T(circle)
-    T(gamma).
+    T(gamma). With e_l, e_c the bounds on the legs and the circle, the error
+    of M is bounded to first order, in the infinity norm, by
+    ||T(gamma)^-1|| (e_c ||T(gamma)|| + e_l (||T(circle)|| + ||M||)).
     """
     if basepoint is None:
         basepoint = default_basepoint(sys.n)
@@ -474,9 +488,19 @@ def braid_monodromy(sys, i, j, tol, basepoint=None):
     k = len(segs) // 2
     legs = parallel_transport(sys, ConfigPath(segs[:k]), tol)
     loop = parallel_transport(sys, ConfigPath([segs[k]]), tol)
+    m = np.linalg.solve(legs.matrix, loop.matrix @ legs.matrix)
+    err = 0.0
+    if sys.dim:
+        def norm(x):
+            return float(np.abs(x).sum(axis=1).max())
+
+        err = norm(np.linalg.inv(legs.matrix)) * (
+            loop.estimated_error * norm(legs.matrix)
+            + legs.estimated_error * (norm(loop.matrix) + norm(m))
+        )
     return HolonomyResult(
-        matrix=np.linalg.solve(legs.matrix, loop.matrix @ legs.matrix),
-        estimated_error=2 * legs.estimated_error + loop.estimated_error,
+        matrix=m,
+        estimated_error=err,
         steps_taken=legs.steps_taken + loop.steps_taken,
     )
 

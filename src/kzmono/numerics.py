@@ -9,9 +9,15 @@ Every exact elimination (ranks, null spaces, solves, basis selection from a
 Gram matrix) runs on one routine, :func:`sparse_eliminate`, which returns the
 reduced row echelon form as pivot rows.
 
-Dense rational matrices are plain lists of lists of ``Fraction``; rationals
-are arbitrary precision by construction, never fixed width. Complex numerics
-use numpy. Nothing here mutates its inputs; scratch space is per call.
+The exact kernels run on Python integers, which have no fixed width and so
+cannot overflow. ``sparse_eliminate`` scales each row by the lcm of its
+denominators and eliminates fraction free, by cross-multiplication, keeping
+its pivot rows primitive; ``Fraction`` appears only in the RREF it returns.
+``rat_commutator`` takes integer matrices as numpy object arrays of Python
+ints, the form exact flatness puts the W_ij in over their common
+denominator. The ``rat_*`` list-of-lists ``Fraction`` helpers serve the
+representation, affine and CLI layers. Complex numerics use numpy. Nothing
+here mutates its inputs; scratch space is per call.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .errors import DomainError, ShapeError, SingularityError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +90,9 @@ def rat_to_complex(a):
 
 
 def rat_commutator(a, b):
-    return rat_sub(rat_mul(a, b), rat_mul(b, a))
+    """[a, b] = ab - ba of (stacks of) integer matrices held as numpy object
+    arrays of Python ints, so no width can overflow."""
+    return a @ b - b @ a
 
 
 # ---------------------------------------------------------------------------
@@ -91,48 +100,75 @@ def rat_commutator(a, b):
 # and Gram-matrix basis selection
 # ---------------------------------------------------------------------------
 
-def _reduce_row(row, pivots):
-    """Fully reduce a row against the pivot rows (which carry no entries at
-    each other's pivot columns), then normalize its leading coefficient."""
-    row = {k: v for k, v in row.items() if v}
-    for c in sorted(k for k in list(row) if k in pivots):
-        f = row.get(c)
-        if not f:
-            continue
-        for k, v in pivots[c].items():
-            nv = row.get(k, ZERO) - f * v
+def _integer_row(row):
+    """A rational row {column: value} scaled to integers by the lcm of its
+    denominators, with its zero entries dropped."""
+    den = math.lcm(*(v.denominator for v in row.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}
+
+
+def _primitive(row, lead):
+    """Divide an integer row by its content, signed so that ``lead`` > 0."""
+    g = math.gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    if g != 1:
+        for k in row:
+            row[k] //= g
+    return row
+
+
+def _cancel(row, cols, pivots):
+    """Integer row with the columns ``cols`` eliminated against their pivot
+    rows, whose leading entries sit there and which carry no entries at each
+    other's pivot columns, by cross-multiplication: the row is scaled once by
+    the least multiplier that makes every elimination integral."""
+    m = 1
+    for c in cols:
+        a = pivots[c][c]
+        m = math.lcm(m, a // math.gcd(a, row[c]))
+    if m != 1:
+        row = {k: m * v for k, v in row.items()}
+    for c in cols:
+        prow = pivots[c]
+        f = row[c] // prow[c]
+        for k, v in prow.items():
+            nv = row.get(k, 0) - f * v
             if nv:
                 row[k] = nv
-            elif k in row:
+            else:
                 del row[k]
-    if not row:
-        return None, None
-    c = min(row)
-    lead = row[c]
-    return c, {k: v / lead for k, v in row.items()}
+    return row
 
 
 def sparse_eliminate(rows, ncols):
-    """Sparse rational Gaussian elimination.
+    """Sparse rational Gaussian elimination, fraction free.
 
-    ``rows`` is a list of {column: Fraction} dicts. Returns a dict mapping
-    pivot column -> fully reduced pivot row (leading coefficient 1).
+    ``rows`` is a list of {column: rational} dicts. Returns the reduced row
+    echelon form as a dict mapping pivot column -> pivot row of ``Fraction``
+    entries (leading coefficient 1), pivots in the order they were found.
+
+    Each row is scaled to integers and reduced by cross-multiplication, and
+    every pivot row is kept primitive with a positive leading entry, so the
+    loop runs on Python integers only; the RREF is unique, so dividing each
+    pivot row by its leading entry at the end gives it exactly.
     """
     pivots = {}
     for row in rows:
-        c, red = _reduce_row(row, pivots)
-        if c is None:
+        row = _integer_row(row)
+        row = _cancel(row, [k for k in row if k in pivots], pivots)
+        if not row:
             continue
+        c = min(row)
+        pivots[c] = _primitive(row, c)
         # keep earlier pivot rows reduced against the new one
         for pc, prow in pivots.items():
-            if c in prow:
-                f = prow[c]
-                for k, v in red.items():
-                    prow[k] = prow.get(k, ZERO) - f * v
-                    if not prow[k]:
-                        del prow[k]
-        pivots[c] = red
-    return pivots
+            if c in prow and pc != c:
+                pivots[pc] = _primitive(_cancel(prow, [c], pivots), pc)
+    return {
+        c: {k: Fraction(v, prow[c]) for k, v in prow.items()}
+        for c, prow in pivots.items()
+    }
 
 
 def exact_rank(rows, ncols):
@@ -382,8 +418,11 @@ def ode_transport(residues, poles, f0, tol):
     series is summed in s/h, h = min(rho/2, 1 - t_c) with rho = min_p
     |t_p - t_c|, until the tail of the scalar majorant
     ||F_c|| (1 - s/rho)^(-A), A = sum_p ||R_p|| (row-sum norms), is at most
-    min(tol h, 2^-52 ||F_c||). Returns (F1, error_bound, steps); the bound is
-    the sum of those tails, so it covers truncation, not rounding. Raises
+    min(tol h, 2^-52 ||F_c||). Returns (F1, error_bound, steps). The bound
+    sums, over the steps, that tail and, when m > 0 terms were summed, a
+    rounding term gamma_n ||F_c|| (1 - h/rho)^(-A): the majorant bounds the
+    summed norms of the terms, each of which comes from an inner product of
+    length P d, so n = P d + m and gamma_n = n u / (1 - n u), u = 2^-53. Raises
     SingularityError when a pole comes within 1e-12 of the path.
     """
     res = np.asarray(residues, dtype=complex)
@@ -423,6 +462,11 @@ def ode_transport(residues, poles, f0, tol):
             total += term
             m += 1
         err += fc * c / (1.0 - theta)
+        if m:
+            # rounding; a step that sums no term copies F_c exactly
+            n = wide.shape[1] + m
+            gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+            err += gamma * fc * (1.0 - q) ** -a
         f, t = total, t_next
         steps += 1
     return f, err, steps

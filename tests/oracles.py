@@ -4,7 +4,8 @@ Nothing here reuses the package's construction paths: weight multiplicities
 come from the Freudenthal recursion, graded dimensions of the affine
 truncations from the alternating character identity over the translation
 orbit, invariant dimensions from hand-written ladder matrices densified with
-numpy, and A_1 pairing values from the trace form of 2x2 matrices.
+numpy, A_1 pairing values from the trace form of 2x2 matrices, and reduced
+row echelon forms from textbook dense Gauss-Jordan elimination over Fraction.
 """
 
 from fractions import Fraction
@@ -242,3 +243,47 @@ def a1_trace_form(x, y):
 A1_E = ((0, 1), (0, 0))
 A1_F = ((0, 0), (1, 0))
 A1_H = ((1, 0), (0, -1))
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra: dense Gauss-Jordan elimination over Fraction
+# ---------------------------------------------------------------------------
+
+def dense_rref(rows, ncols):
+    """RREF of sparse rows {column: value}, by dense Gauss-Jordan elimination
+    with the pivot taken in the first remaining row that has one. Returns
+    {pivot column: {column: Fraction}} with zero entries left out."""
+    m = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    top = 0
+    for c in range(ncols):
+        r = next((r for r in range(top, len(m)) if m[r][c]), None)
+        if r is None:
+            continue
+        m[top], m[r] = m[r], m[top]
+        lead = m[top][c]
+        m[top] = [x / lead for x in m[top]]
+        for k in range(len(m)):
+            if k != top and m[k][c]:
+                f = m[k][c]
+                m[k] = [x - f * y for x, y in zip(m[k], m[top])]
+        top += 1
+    out = {}
+    for row in m[:top]:
+        c = next(c for c, x in enumerate(row) if x)
+        out[c] = {k: x for k, x in enumerate(row) if x}
+    return out
+
+
+def dense_kernel(rows, ncols):
+    """Kernel basis from ``dense_rref``: one vector per free column, carrying
+    1 there and minus the pivot rows' entries at the pivot columns."""
+    rref = dense_rref(rows, ncols)
+    free = [c for c in range(ncols) if c not in rref]
+    basis = []
+    for f in free:
+        vec = {f: Fraction(1)}
+        for c, row in rref.items():
+            if row.get(f):
+                vec[c] = -row[f]
+        basis.append(vec)
+    return basis, free

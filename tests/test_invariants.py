@@ -9,14 +9,15 @@ from kzmono.invariants import (
     diagonal_action,
     invariant_basis,
     omega_pair,
+    raising_rows,
     restrict,
     tensor_system,
 )
 from kzmono.liealg import build_algebra
-from kzmono.numerics import rat_add, rat_identity
+from kzmono.numerics import nullspace_exact_sparse, rat_add, rat_identity
 from kzmono.reps import casimir_value, irrep, rep_matrix
 
-from oracles import CATALAN, brute_invariant_dim_a1
+from oracles import CATALAN, brute_invariant_dim_a1, dense_kernel
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +109,16 @@ class TestInvariantBasis:
         assert invariant_basis(tensor_system([w1, irrep(a2, (0, 1))])).dim == 1
         assert invariant_basis(tensor_system([w1, w1, w1])).dim == 1
         assert invariant_basis(tensor_system([adj, adj, adj])).dim == 2
+
+    @pytest.mark.parametrize("rank,weights", [
+        (1, [(1,)] * 6),
+        (2, [(1, 0), (0, 1), (1, 0), (0, 1)]),
+    ])
+    def test_zero_weight_kernel_matches_dense_oracle(self, rank, weights):
+        alg = build_algebra("A", rank)
+        sys = tensor_system([irrep(alg, w) for w in weights])
+        rows, zw = raising_rows(sys)
+        assert nullspace_exact_sparse(rows, len(zw)) == dense_kernel(rows, len(zw))
 
     def test_float_mode_matches_exact(self, a1):
         for ms in ([1, 1, 1, 1], [2, 1, 1], [2, 2, 2]):
@@ -231,6 +242,39 @@ class TestRestrict:
         r = restrict(op, inv)
         assert np.allclose(np.asarray(r, dtype=complex), [[-1.5]])
         assert op.restriction is r
+
+    def test_exact_basis_off_by_a_third_raises(self, a1):
+        from kzmono.errors import ConsistencyError
+        from kzmono.invariants import InvariantSpace
+
+        sys = a1_system(a1, [1, 1, 1, 1])
+        inv = invariant_basis(sys)
+        ops = [omega_pair(sys, i, j) for i, j in itertools.combinations(range(4), 2)]
+        for op in ops:
+            restrict(op, inv)
+        # every entry off the identity block, moved by 1/3, breaks op.B = B.R
+        # for some pair; the entry both vectors share breaks it for all
+        for c, col in enumerate(inv.basis):
+            for idx in set(col) - set(inv.free_positions):
+                basis = [dict(b) for b in inv.basis]
+                basis[c][idx] += Fraction(1, 3)
+                broken = InvariantSpace(ambient=sys, basis=basis,
+                                        free_positions=inv.free_positions, mode="exact")
+                raised = 0
+                for op in ops:
+                    try:
+                        restrict(op, broken)
+                    except ConsistencyError:
+                        raised += 1
+                shared = all(idx in b for b in inv.basis)
+                assert raised == len(ops) if shared else raised > 0
+        # the pure tensor 0001 alone: op.B = B.R holds on the one row B
+        # covers, but omega_23 also sends it to 0010, outside that row
+        idx = sys.flat_index((0, 0, 0, 1))
+        lone = InvariantSpace(ambient=sys, basis=[{idx: Fraction(1)}],
+                              free_positions=[idx], mode="exact")
+        with pytest.raises(ConsistencyError):
+            restrict(omega_pair(sys, 2, 3), lone)
 
     def test_broken_basis_raises_consistency_error(self, a1):
         from kzmono.errors import ConsistencyError

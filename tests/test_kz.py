@@ -23,6 +23,7 @@ from kzmono.kz import (
     path_through,
 )
 from kzmono.liealg import build_algebra
+from kzmono.numerics import rat_add, rat_mul, rat_sub
 from kzmono.reps import casimir_value
 
 
@@ -124,6 +125,39 @@ class TestFlatness:
     def test_float_mode_small(self, a1):
         sys = kz_system(a1, [(1,)] * 4, 3)
         assert flatness_residual(sys, exact=False) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1, 2**40])
+    def test_perturbed_omega_matches_list_reference(self, a1, scale):
+        # a W_ij moved by 1/2 breaks flatness by an exact amount; scaled by
+        # 2^40 the products pass 2^63, and the value must stay exact
+        sys = kz_system(a1, [(1,)] * 4, 3)
+        for m in sys.omegas.values():
+            for row in m:
+                row[:] = [scale * x for x in row]
+        sys.omegas[(0, 1)][0][1] += Fraction(scale, 2)
+
+        def om(a, b):
+            return sys.omegas[(min(a, b), max(a, b))]
+
+        rels = [
+            (om(a, b), rat_add(om(a, c), om(b, c)))
+            for i, j, k in itertools.combinations(range(4), 3)
+            for a, b, c in ((i, j, k), (i, k, j), (j, k, i))
+        ]
+        rels += [
+            (sys.omegas[p], sys.omegas[q])
+            for p, q in itertools.combinations(sys.omegas, 2)
+            if not set(p) & set(q)
+        ]
+        expected = max(
+            abs(v)
+            for x, y in rels
+            for row in rat_sub(rat_mul(x, y), rat_mul(y, x))
+            for v in row
+        )
+        assert expected > 0
+        got = flatness_residual(sys, exact=True)
+        assert isinstance(got, Fraction) and got == expected
 
 
 class TestPaths:
@@ -410,6 +444,15 @@ class TestGlobalOracles:
         # pair, are not relations of the pure braid group
         assert off(a[2, 3] @ a[1, 3] @ a[1, 2], a[1, 2] @ a[2, 3] @ a[1, 3]) > 0.1
         assert off(a[1, 3] @ a[2, 4], a[2, 4] @ a[1, 3]) > 0.1
+
+    @pytest.mark.parametrize("weights,kappa", GLOBAL_SYSTEMS, ids=["v1x4", "v1v2v1v2"])
+    def test_error_estimate_covers_eigenvalue_deviation(self, a1, weights, kappa):
+        # the generator's error bound, with rounding and the amplification by
+        # T(gamma)^-1, must not under-report the exact-spectrum deviation
+        sys = kz_system(a1, weights, kappa)
+        for i, j in itertools.combinations(range(4), 2):
+            rep = eigenvalue_check(sys, i, j, 1e-6, transport_tol=1e-10)
+            assert rep["transport_error"] >= rep["max_deviation"], (i, j)
 
 
 class TestFarGenerators:
