@@ -24,7 +24,7 @@ from .errors import KzmonoError, DomainError
 from .invariants import invariant_basis, omega_pair, restrict, tensor_system
 from .kz import braid_monodromy, flatness_residual, kz_system
 from .liealg import build_algebra, level_weights, orthonormal_basis, weight_form
-from .numerics import rat_add, rat_zeros
+from .numerics import combine, integer_matrix
 from .reps import casimir, irrep, rep_matrix
 from .sugawara import (
     affine_bracket_check,
@@ -272,16 +272,18 @@ def _cmd_invariants(args):
         "invariant_dim": inv.dim,
     }
     if inv.dim and len(weights) >= 2:
-        total = rat_zeros(inv.dim, inv.dim)
-        for i, j in itertools.combinations(range(len(weights)), 2):
-            total = rat_add(total, restrict(omega_pair(sys_, i, j), inv))
-        scalar = total[0][0]
+        shape = (inv.dim, inv.dim)
+        total, den = combine([
+            (1, (integer_matrix(restrict(omega_pair(sys_, i, j), inv), shape),))
+            for i, j in itertools.combinations(range(len(weights)), 2)
+        ], shape)
+        scalar = total[0, 0]
         is_scalar = all(
-            total[a][b] == (scalar if a == b else 0)
+            total[a, b] == (scalar if a == b else 0)
             for a in range(inv.dim)
             for b in range(inv.dim)
         )
-        out["omega_sum_scalar"] = _rat_str(scalar) if is_scalar else None
+        out["omega_sum_scalar"] = _rat_str(Fraction(scalar, den)) if is_scalar else None
         out["omega_sum_is_scalar"] = is_scalar
     return out
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .liealg import dual_pairs
-from .numerics import ONE, SparseOperator, nullspace_exact_sparse
+from .numerics import ONE, SparseOperator, fraction_rows, nullspace_exact_sparse
 from .reps import rep_matrix, rep_matrix_combo
 
 ZERO = Fraction(0)
@@ -316,12 +316,7 @@ def _restrict_exact(op, inv):
         raise ConsistencyError(
             "two-site operator does not preserve the invariant space"
         )
-    den = den_b * den_w
-    fracs = {}
-    return [
-        [fracs[x] if x in fracs else fracs.setdefault(x, Fraction(x, den)) for x in row]
-        for row in s.tolist()
-    ]
+    return fraction_rows(s, den_b * den_w)
 
 
 def _restrict_float(op, inv):

@@ -13,11 +13,18 @@ The exact kernels run on Python integers, which have no fixed width and so
 cannot overflow. ``sparse_eliminate`` scales each row by the lcm of its
 denominators and eliminates fraction free, by cross-multiplication, keeping
 its pivot rows primitive; ``Fraction`` appears only in the RREF it returns.
-``rat_commutator`` takes integer matrices as numpy object arrays of Python
-ints, the form exact flatness puts the W_ij in over their common
-denominator. The ``rat_*`` list-of-lists ``Fraction`` helpers serve the
-representation, affine and CLI layers. Complex numerics use numpy. Nothing
-here mutates its inputs; scratch space is per call.
+Dense exact matrices are held as pairs (N, D): N is a numpy object array of
+Python ints and D > 0 a common denominator, so the matrix is N / D; the
+helpers that build one return it in lowest terms, gcd(N, D) = 1.
+:func:`integer_matrix` and :func:`fraction_rows` convert to and from rows of
+``Fraction``, :func:`concat` joins blocks, and :func:`combine` evaluates
+every sum of products, sum coeff * (F_1 @ F_2 @ ...), in lowest terms; the
+affine, Casimir and Omega-sum algebra runs on it. ``rat_commutator`` takes
+the integer stacks exact flatness builds. The remaining ``rat_*``
+list-of-lists ``Fraction`` helpers serve the Lie algebra and irrep builders,
+the complex conversion of the KZ layer and the tests' references. Complex
+numerics use numpy. Nothing here mutates its inputs; scratch space is per
+call.
 """
 
 from __future__ import annotations
@@ -74,17 +81,6 @@ def rat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def rat_max_abs(a):
-    best = ZERO
-    for row in a:
-        for x in row:
-            if x < 0:
-                x = -x
-            if x > best:
-                best = x
-    return best
-
-
 def rat_to_complex(a):
     return np.array([[complex(x) for x in row] for row in a], dtype=complex)
 
@@ -93,6 +89,58 @@ def rat_commutator(a, b):
     """[a, b] = ab - ba of (stacks of) integer matrices held as numpy object
     arrays of Python ints, so no width can overflow."""
     return a @ b - b @ a
+
+
+# ---------------------------------------------------------------------------
+# dense exact matrices as (N, D): object array of Python ints over the lcm D
+# of the denominators
+# ---------------------------------------------------------------------------
+
+def integer_matrix(rows, shape):
+    """The matrix with the given rows of ``Fraction`` (or int) entries as
+    (N, D), in lowest terms; ``shape`` fixes the shape of an empty one."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    num = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    return np.array(num, dtype=object).reshape(shape), den
+
+
+def fraction_rows(num, den):
+    """The matrix N / D as rows of ``Fraction``; each distinct numerator is
+    divided once."""
+    fracs = {}
+    return [
+        [fracs[x] if x in fracs else fracs.setdefault(x, Fraction(x, den)) for x in row]
+        for row in num.tolist()
+    ]
+
+
+def concat(mats, axis):
+    """(N, D) blocks joined along ``axis`` over the lcm of their D."""
+    den = math.lcm(*(d for _, d in mats))
+    return np.concatenate([n * (den // d) for n, d in mats], axis=axis), den
+
+
+def combine(terms, shape):
+    """sum coeff * (F_1 @ F_2 @ ...) over ``terms`` = [(coeff, (F_1, ...))],
+    each F an (N, D) pair and coeff rational, as (N, D) of the given shape in
+    lowest terms. An empty product stands for the identity."""
+    parts = []
+    for coeff, factors in terms:
+        prod, den = None, coeff.denominator
+        for n, d in factors:
+            prod = n if prod is None else prod @ n
+            den *= d
+        parts.append((coeff.numerator, den, prod))
+    den = math.lcm(*(d for _, d, _ in parts))
+    total = np.zeros(shape, dtype=object)
+    for c, d, prod in parts:
+        scale = c * (den // d)
+        if prod is None:
+            total[np.diag_indices(shape[0])] += scale
+        else:
+            total += scale * prod
+    g = math.gcd(den, *total.flat)
+    return total // g, den // g
 
 
 # ---------------------------------------------------------------------------

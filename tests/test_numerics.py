@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -9,12 +10,19 @@ from kzmono.errors import ShapeError, SingularityError
 from kzmono.numerics import (
     QuadExt,
     SparseOperator,
+    combine,
+    concat,
     exact_rank,
     frac_sqrt,
+    fraction_rows,
     gram_select,
+    integer_matrix,
     nullspace_exact_sparse,
     ode_transport,
+    rat_add,
+    rat_identity,
     rat_mul,
+    rat_sub,
     rat_zeros,
     solve_exact,
     sparse_eliminate,
@@ -150,6 +158,98 @@ class TestGramSelect:
         selected, expand = gram_select(gram)
         assert selected == [0, 1]
         assert expand == [[1, 0], [0, 1]]
+
+
+def big_matrix(rng, rows, cols):
+    """Rational matrix with some numerators above 2^63 and zero entries."""
+    def entry():
+        num = rng.choice([0, rng.randint(-9, 9), rng.randint(2**63, 2**80)])
+        return Fraction(num, rng.choice([1, 2, 3, 6, 7, 2**65 + 1]))
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def reference_combine(terms, shape):
+    """sum coeff * (F_1 @ F_2 @ ...) with the list-of-lists helpers; each
+    factor is (matrix, rows, cols) so that empty shapes stay known."""
+    total = rat_zeros(*shape)
+    for coeff, factors in terms:
+        prod = rat_identity(shape[0])
+        if factors:
+            prod = factors[0][0]
+            for mat, _, cols in factors[1:]:
+                # rat_mul gives [] when the inner dimension is 0
+                prod = rat_mul(prod, mat) or rat_zeros(shape[0], cols)
+        total = rat_add(total, [[coeff * x for x in row] for row in prod])
+    return total
+
+
+def assert_lowest_terms(num, den):
+    assert den >= 1 and math.gcd(den, *num.flat) == 1
+    assert all(type(x) is int for x in num.flat)
+
+
+class TestDenseExact:
+    def test_round_trip(self):
+        rng = random.Random(31)
+        for rows, cols in [(0, 3), (3, 0), (0, 0), (1, 1), (4, 5), (6, 2)]:
+            m = big_matrix(rng, rows, cols)
+            num, den = integer_matrix(m, (rows, cols))
+            assert num.shape == (rows, cols)
+            assert_lowest_terms(num, den)
+            back = fraction_rows(num, den)
+            assert back == m and all(type(x) is Fraction for row in back for x in row)
+
+    def test_combine_matches_reference(self):
+        rng = random.Random(37)
+        for _ in range(60):
+            dims = [rng.randint(0, 4) for _ in range(4)]
+            rows, cols = dims[0], dims[-1]
+            terms, ref_terms = [], []
+            for _ in range(rng.randint(1, 4)):
+                coeff = Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5))
+                # a chain rows -> inner dims -> cols, possibly through a 0
+                inner = [rng.randint(0, 3) for _ in range(rng.randint(0, 2))]
+                chain = [rows] + inner + [cols]
+                mats = [big_matrix(rng, a, b) for a, b in zip(chain, chain[1:])]
+                terms.append((coeff, tuple(
+                    integer_matrix(m, (a, b)) for m, a, b in zip(mats, chain, chain[1:])
+                )))
+                ref_terms.append((coeff, list(zip(mats, chain, chain[1:]))))
+            if rows == cols:
+                # an empty product is the identity
+                coeff = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+                terms.append((coeff, ()))
+                ref_terms.append((coeff, []))
+            num, den = combine(terms, (rows, cols))
+            assert num.shape == (rows, cols)
+            assert_lowest_terms(num, den)
+            assert fraction_rows(num, den) == reference_combine(ref_terms, (rows, cols))
+
+    def test_commutator_and_cancellation(self):
+        rng = random.Random(41)
+        a, b = big_matrix(rng, 4, 4), big_matrix(rng, 4, 4)
+        fa, fb = integer_matrix(a, (4, 4)), integer_matrix(b, (4, 4))
+        comm = combine([(1, (fa, fb)), (-1, (fb, fa))], (4, 4))
+        assert fraction_rows(*comm) == rat_sub(rat_mul(a, b), rat_mul(b, a))
+        # a sum that cancels is the zero matrix over 1
+        num, den = combine([(Fraction(2, 3), (fa, fb)), (Fraction(-2, 3), (fa, fb))], (4, 4))
+        assert den == 1 and not num.any()
+
+    def test_identity_only_terms(self):
+        num, den = combine([(Fraction(3, 2), ()), (Fraction(-1, 3), ())], (3, 3))
+        assert den == 6
+        assert num.tolist() == [[7, 0, 0], [0, 7, 0], [0, 0, 7]]
+        num, den = combine([], (2, 5))
+        assert den == 1 and num.shape == (2, 5) and not num.any()
+
+    def test_concat(self):
+        rng = random.Random(43)
+        a, b = big_matrix(rng, 2, 3), big_matrix(rng, 2, 1)
+        num, den = concat([integer_matrix(a, (2, 3)), integer_matrix(b, (2, 1))], axis=1)
+        assert fraction_rows(num, den) == [ra + rb for ra, rb in zip(a, b)]
+        c = big_matrix(rng, 3, 3)
+        num, den = concat([integer_matrix(a, (2, 3)), integer_matrix(c, (3, 3))], axis=0)
+        assert fraction_rows(num, den) == a + c
 
 
 class TestSolve:

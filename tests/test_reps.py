@@ -155,7 +155,39 @@ class TestCasimir:
             assert rat_mul(total, g) == rat_mul(g, total)
 
 
+class TestRepMatrix:
+    def test_bad_labels_rejected(self, a1, a2):
+        # ("h", 0) used to read h_r through index -1, and ("e", 2, 1),
+        # ("f", 1, 4) and ("h", 3) raised IndexError
+        for alg, label in [(a1, ("h", 0)), (a2, ("h", 0)), (a2, ("e", 2, 1)),
+                           (a2, ("f", 1, 4)), (a2, ("h", 3)), (a2, ("x", 1, 2))]:
+            with pytest.raises(DomainError, match="no basis element"):
+                rep_matrix(irrep(alg, (1,) * alg.rank), label)
+
+    def test_long_root_vectors_are_commutators(self):
+        a3 = build_algebra("A", 3)
+        rep = irrep(a3, (1, 0, 1))
+        e = {j: rep_matrix(rep, ("e", 1, j)) for j in (2, 3, 4)}
+        f = {j: rep_matrix(rep, ("f", 1, j)) for j in (2, 3, 4)}
+        e34, f34 = rep_matrix(rep, ("e", 3, 4)), rep_matrix(rep, ("f", 3, 4))
+        assert e[4] == rat_sub(rat_mul(e[3], e34), rat_mul(e34, e[3]))
+        assert f[4] == rat_sub(rat_mul(f34, f[3]), rat_mul(f[3], f34))
+        assert all(type(x) is Fraction for m in (e[4], f[4]) for row in m for x in row)
+
+
 class TestTensorDecompose:
+    def test_weights_built_once_per_weight(self, monkeypatch):
+        import kzmono.reps as reps
+
+        tensor_decompose(build_algebra("A", 2), (2, 0), (1, 1))
+        built = []
+        monkeypatch.setattr(reps, "irrep", lambda alg, w: built.append(w))
+        # the multisets are constants of (series, rank, weight), shared
+        # across algebra objects and calls
+        dec = tensor_decompose(build_algebra("A", 2), (2, 0), (1, 1))
+        assert built == []
+        assert sum(weyl_dimension(build_algebra("A", 2), nu) * k for nu, k in dec.items()) == 48
+
     def test_a1_clebsch_gordan(self, a1):
         assert tensor_decompose(a1, (1,), (1,)) == {(2,): 1, (0,): 1}
         assert tensor_decompose(a1, (2,), (1,)) == {(3,): 1, (1,): 1}
