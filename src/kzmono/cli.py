@@ -238,14 +238,10 @@ def _cmd_rep_build(args):
     if args.emit:
         mats = {}
         for i in range(alg.rank):
-            for kind in ("e", "f"):
-                label = (kind, i + 1, i + 2)
+            for kind in ("e", "f", "h"):
+                label = (kind, i + 1) if kind == "h" else (kind, i + 1, i + 2)
                 m = rep_matrix(rep, label)
                 mats[f"{kind}{i+1}"] = [[_rat_str(x) for x in row] for row in m]
-            mats[f"h{i+1}"] = [
-                [_rat_str(Fraction(rep.cartan_diagonal[i][b]) if a == b else Fraction(0)) for b in range(rep.dim)]
-                for a in range(rep.dim)
-            ]
         with open(args.emit, "w", encoding="utf-8") as fh:
             json.dump({"dim": rep.dim, "generators": mats}, fh)
         out["emitted"] = args.emit
@@ -262,8 +258,8 @@ def _cmd_invariants(args):
                     f"warning: weight {list(w)} exceeds the level-{args.level} bound",
                     file=sys.stderr,
                 )
-    reps = [irrep(alg, w) for w in weights]
-    sys_ = tensor_system(reps)
+    built = {w: irrep(alg, w) for w in dict.fromkeys(weights)}
+    sys_ = tensor_system([built[w] for w in weights])
     inv = invariant_basis(sys_, "exact")
     out = {
         "rank": args.rank,

@@ -49,6 +49,9 @@ class KZSystem:
         return self.invariant_space.dim
 
     def omega(self, i, j):
+        """The restricted W_ij, for distinct point indices i, j in 0..n-1."""
+        if i == j or not (0 <= i < self.n and 0 <= j < self.n):
+            raise DomainError(f"({i}, {j}) is not a pair of distinct points of {self.n}")
         return self.omegas[(min(i, j), max(i, j))]
 
     @functools.cached_property
@@ -78,8 +81,8 @@ def kz_system(alg, weights, kappa, level=None):
                     f"weight {w} exceeds the level-{level} constraint",
                     stacklevel=2,
                 )
-    reps = [irrep(alg, w) for w in weights]
-    sys = tensor_system(reps)
+    built = {w: irrep(alg, w) for w in dict.fromkeys(weights)}
+    sys = tensor_system([built[w] for w in weights])
     inv = invariant_basis(sys, "exact")
     omegas = {}
     for i, j in itertools.combinations(range(len(weights)), 2):
@@ -512,6 +515,7 @@ def exact_local_spectrum(sys, i, j):
     V_i (x) V_j; multiplicities come from exact rank computations, so the
     spectrum is certified, not floated.
     """
+    mat = sys.omega(i, j)
     alg = sys.algebra
     li, lj = sys.weights[i], sys.weights[j]
     comps = tensor_decompose(alg, li, lj)
@@ -520,7 +524,6 @@ def exact_local_spectrum(sys, i, j):
     d = sys.dim
     if d == 0:
         return []
-    mat = sys.omega(i, j)
     cands = sorted({(casimir_value(alg, nu) - ci - cj) / 2 for nu in comps})
     out = []
     total = 0

@@ -21,8 +21,9 @@ helpers that build one return it in lowest terms, gcd(N, D) = 1.
 every sum of products, sum coeff * (F_1 @ F_2 @ ...), in lowest terms; the
 affine, Casimir and Omega-sum algebra runs on it. ``rat_commutator`` takes
 the integer stacks exact flatness builds. The remaining ``rat_*``
-list-of-lists ``Fraction`` helpers serve the Lie algebra and irrep builders,
-the complex conversion of the KZ layer and the tests' references. Complex
+list-of-lists ``Fraction`` helpers serve the Lie algebra builder, the
+Cartan and combination matrices of ``reps``, the complex conversion of the
+KZ layer and the tests' references; the irrep builder runs on (N, D). Complex
 numerics use numpy. Nothing here mutates its inputs; scratch space is per
 call.
 """

@@ -1,27 +1,37 @@
 """Explicit irreducible representations in a weight basis, exact entries.
 
-The module is generated downward from the highest-weight vector: at each
-depth the vectors f_i.b span the new weight spaces, their pairwise
-contravariant pairings are computed recursively from data one level up, and
-a maximal set with nonsingular Gram matrix is kept as the basis. Everything
-stays rational, bases are deterministic (graded by depth, ties broken by
-weight), and the per-weight Gram blocks are retained because the affine
-truncations reuse them.
+The module is generated downward from the highest-weight vector, weight
+block by weight block. At each depth the vectors f_i.b, b in V_nu with
+nu = mu + alpha_i, span the new weight space V_mu, and the columns of e_i on
+that spanning list come from data one level up,
+
+    e_i f_j b = f_j e_i b + delta_ij <nu, alpha_i~> b.
+
+:func:`quotient_step` turns those columns into the Gram of the spanning
+list, keeps a maximal subset with nonsingular Gram as the basis and
+expresses the rest over it; the affine truncations of :mod:`kzmono.sugawara`
+grow degree by degree through the same step. Tables and Grams are held in
+the dense exact format (N, D) of :mod:`kzmono.numerics` and converted to
+rows of ``Fraction`` once, at the end. Bases are deterministic (graded by
+depth, weights in ascending order within a depth, spanning blocks in
+ascending nu), and the per-weight Gram blocks are retained because the
+affine truncations reuse them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DomainError
 from .liealg import LieAlgebra, build_algebra, weight_form
-from .numerics import combine, fraction_rows, gram_select, integer_matrix, rat_zeros
+from .numerics import combine, concat, fraction_rows, gram_select, integer_matrix, rat_zeros
 # not called here: the benchmark's tracer wraps kzmono.reps.rat_mul
 from .numerics import rat_mul  # noqa: F401
-
-ZERO = Fraction(0)
 
 
 @dataclass(eq=False)
@@ -45,6 +55,28 @@ class CasimirReport:
     deviation: Fraction
 
 
+def quotient_step(blocks):
+    """One weight block or degree of a module spanned by X.b, taken modulo
+    the radical of the contravariant form.
+
+    ``blocks`` = [(G, M)] has one pair per block X.b of the spanning list,
+    b in a parent block: G is the parent's Gram and M the columns of tauX
+    on the whole spanning list into it, both as (N, D). The Gram rows of
+    the block are G.M, since <X b, v> = <b, tauX v>. Returns ``selected``
+    (as from ``gram_select``), the Gram of the kept vectors as (N, D), and
+    per block its slice of the expansion, transposed, as (N, D): the matrix
+    of X from the parent block into the new one.
+    """
+    num, den = concat([
+        combine([(1, (g, m))], (len(g[0]), m[0].shape[1])) for g, m in blocks
+    ], axis=0)
+    selected, expand = gram_select(num.tolist())
+    exp_n, exp_d = integer_matrix(expand, (len(num), len(selected)))
+    cuts = np.cumsum([len(g[0]) for g, _ in blocks])[:-1]
+    tables = [(part.T, exp_d) for part in np.split(exp_n, cuts)]
+    return selected, (num[np.ix_(selected, selected)], den), tables
+
+
 def irrep(alg, weight):
     """Build the irreducible module with the given dominant integral weight."""
     weight = tuple(weight)
@@ -57,113 +89,64 @@ def irrep(alg, weight):
     r = alg.rank
     alpha = [tuple(alg.cartan_matrix[i][j] for i in range(r)) for j in range(r)]
 
+    def shift(w, i, sign):
+        return tuple(a + sign * b for a, b in zip(w, alpha[i]))
+
     weights = [weight]
-    depth_of = [0]
-    # lowering/raising actions stored as column dicts {target_index: coeff}
-    f_cols = [[{} for _ in range(r)]]
-    e_cols = [[{} for _ in range(r)]]
-    gram_blocks = {weight: [[Fraction(1)]]}
     by_weight = {weight: [0]}
-    frontier = [0]
+    grams = {weight: (np.ones((1, 1), dtype=object), 1)}
+    # (i, w) -> (N, D) of f_i from V_w down, and of e_i from V_w up
+    f_tab, e_tab = {}, {}
 
-    def pair_lowered(i, b, j, bp):
-        """<f_i b, f_j b'> from level-(t-1) data."""
-        val = ZERO
-        for c, coeff in e_cols[bp][i].items():
-            if coeff:
-                # f_j c expanded in the basis at the weight of b
-                for tgt, fc in f_cols[c][j].items():
-                    if fc:
-                        g = gram_blocks[weights[b]]
-                        blk = by_weight[weights[b]]
-                        val += coeff * fc * g[blk.index(b)][blk.index(tgt)]
-        if i == j:
-            g = gram_blocks[weights[b]]
-            blk = by_weight[weights[b]]
-            val += Fraction(weights[bp][i]) * g[blk.index(b)][blk.index(bp)]
-        return val
+    def e_block(i, nu, j, nu2):
+        # e_i f_j b = f_j e_i b + delta_ij <nu2, alpha_i~> b, b in V_nu2
+        terms = [(nu2[i], ())] if i == j else []
+        if (i, nu2) in e_tab:
+            terms.append((1, (f_tab[(j, shift(nu2, i, 1))], e_tab[(i, nu2)])))
+        return combine(terms, (len(by_weight[nu]), len(by_weight[nu2])))
 
-    while frontier:
-        raw_by_weight = {}
-        for b in frontier:
-            for i in range(r):
-                mu = tuple(w - a for w, a in zip(weights[b], alpha[i]))
-                raw_by_weight.setdefault(mu, []).append((i, b))
-        new_frontier = []
-        for mu in sorted(raw_by_weight):
-            raw = raw_by_weight[mu]
-            s = len(raw)
-            gram = rat_zeros(s, s)
-            for p in range(s):
-                for q in range(p, s):
-                    ip, bp_ = raw[p]
-                    iq, bq_ = raw[q]
-                    v = pair_lowered(ip, bp_, iq, bq_)
-                    gram[p][q] = gram[q][p] = v
-            selected, expand = gram_select(gram)
+    layer = [weight]
+    while layer:
+        new_layer = []
+        for mu in sorted({shift(nu, i, -1) for nu in layer for i in range(r)}):
+            # spanning blocks f_i.V_nu, nu = mu + alpha_i, in ascending nu
+            spans = sorted((shift(mu, i, 1), i) for i in range(r)
+                           if shift(mu, i, 1) in by_weight)
+            modes = [concat([e_block(i, nu, j, nu2) for nu2, j in spans], axis=1)
+                     for nu, i in spans]
+            selected, gram, tables = quotient_step(
+                [(grams[nu], m) for (nu, _), m in zip(spans, modes)]
+            )
             if not selected:
                 continue
-            base = len(weights)
-            idxs = list(range(base, base + len(selected)))
-            for k, sel in enumerate(selected):
-                i, b = raw[sel]
-                weights.append(mu)
-                depth_of.append(depth_of[b] + 1)
-                f_cols.append([{} for _ in range(r)])
-                e_cols.append([{} for _ in range(r)])
-            by_weight[mu] = idxs
-            gram_blocks[mu] = [
-                [gram[a][b] for b in selected] for a in selected
-            ]
-            # lowering expansions for every raw candidate
-            for pos, (i, b) in enumerate(raw):
-                col = {}
-                for k, coeff in enumerate(expand[pos]):
-                    if coeff:
-                        col[idxs[k]] = coeff
-                f_cols[b][i] = col
-            # raising action on the new basis vectors:
-            #   e_j (f_i b) = f_i (e_j b) + delta_ij <wt(b), alpha_i~> b
-            for k, sel in enumerate(selected):
-                i, b = raw[sel]
-                u = idxs[k]
-                for j in range(r):
-                    col = {}
-                    for c, coeff in e_cols[b][j].items():
-                        for tgt, fc in f_cols[c][i].items():
-                            if coeff * fc:
-                                col[tgt] = col.get(tgt, ZERO) + coeff * fc
-                    if i == j:
-                        col[b] = col.get(b, ZERO) + Fraction(weights[b][i])
-                    e_cols[u][j] = {t: v for t, v in col.items() if v}
-            new_frontier.extend(idxs)
-        frontier = new_frontier
+            by_weight[mu] = list(range(len(weights), len(weights) + len(selected)))
+            weights.extend([mu] * len(selected))
+            grams[mu] = gram
+            for (nu, i), table, (num, den) in zip(spans, tables, modes):
+                f_tab[(i, nu)] = table
+                e_tab[(i, mu)] = num[:, selected], den
+            new_layer.append(mu)
+        layer = new_layer
 
     dim = len(weights)
-    lowering = []
-    raising = []
-    cartan = []
-    for i in range(r):
-        fm = rat_zeros(dim, dim)
-        em = rat_zeros(dim, dim)
-        for b in range(dim):
-            for tgt, v in f_cols[b][i].items():
-                fm[tgt][b] = v
-            for tgt, v in e_cols[b][i].items():
-                em[tgt][b] = v
-        lowering.append(fm)
-        raising.append(em)
-        cartan.append([weights[b][i] for b in range(dim)])
+
+    def dense(tab, i, sign):
+        num = np.zeros((dim, dim), dtype=object)
+        blocks = [(w, t) for (j, w), t in tab.items() if j == i]
+        den = math.lcm(*(d for _, (_, d) in blocks))
+        for w, (n, d) in blocks:
+            num[np.ix_(by_weight[shift(w, i, sign)], by_weight[w])] = n * (den // d)
+        return fraction_rows(num, den)
 
     return Irrep(
         algebra=alg,
         highest_weight=weight,
         dim=dim,
         weight_of_basis_vector=weights,
-        lowering=lowering,
-        raising=raising,
-        cartan_diagonal=cartan,
-        gram_blocks=gram_blocks,
+        lowering=[dense(f_tab, i, -1) for i in range(r)],
+        raising=[dense(e_tab, i, 1) for i in range(r)],
+        cartan_diagonal=[[w[i] for w in weights] for i in range(r)],
+        gram_blocks={w: fraction_rows(*g) for w, g in grams.items()},
         basis_by_weight=by_weight,
     )
 

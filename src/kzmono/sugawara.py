@@ -9,10 +9,12 @@ with b from lower degrees span everything, and one commutation rule,
 gives the columns of every positive mode x(n) on that spanning list from
 data of lower degrees. The Gram and the positive-mode tables come from the
 same mode columns: the Gram rows of X(-k).b are <b, tauX(k) v>, the degree
-D - k Gram times the columns of tauX(k), and after a maximal subset with
-nonsingular Gram is kept, the positive-mode tables out of degree D are the
-kept columns. Negative modes into D express the spanning vectors over that
-subset, and zero modes on D follow from the same rule with n = 0. The
+D - k Gram times the columns of tauX(k). That quotient step is
+:func:`kzmono.reps.quotient_step`, the one that grows the finite irreps
+weight block by weight block: it keeps a maximal subset with nonsingular
+Gram, and the negative modes into D express the spanning vectors over that
+subset. The positive-mode tables out of degree D are the kept columns, and
+zero modes on D follow from the same rule with n = 0. The
 central element acts by the level throughout, and the quotient by the
 form's radical is what makes the module integrable rather than a
 generalized Verma module. Mode operators are stored per source degree;
@@ -44,10 +46,11 @@ import numpy as np
 
 from .errors import DomainError
 from .liealg import LieAlgebra, build_algebra
-from .numerics import combine, concat, fraction_rows, gram_select, integer_matrix
-# not called here: the benchmark's tracer wraps kzmono.sugawara.rat_mul
-from .numerics import rat_mul  # noqa: F401
-from .reps import casimir_value, irrep
+from .numerics import combine, concat, fraction_rows, integer_matrix
+# not called here: the benchmark's tracer wraps kzmono.sugawara.rat_mul and
+# kzmono.sugawara.gram_select
+from .numerics import gram_select, rat_mul  # noqa: F401
+from .reps import casimir_value, irrep, quotient_step
 
 ZERO = Fraction(0)
 
@@ -225,23 +228,15 @@ def _grow_one_degree(mod, deg, ell):
         ], axis=1)
 
     modes = {(x, n): on_labels(x, n, spanning) for n in range(1, deg + 1) for x in GENS}
-    # <X(-k) b, v> = <b, tauX(k) v>: one row block per (k, X)
-    gram_n, gram_d = concat([
-        combine([(1, (mod._grams[deg - k], modes[(_TAU[gen], k)]))],
-                (dims[deg - k], len(spanning)))
-        for k, gen in blocks
-    ], axis=0)
-    selected, expand = gram_select(gram_n.tolist())
+    # <X(-k) b, v> = <b, tauX(k) v>; the expansions give the negative modes
+    selected, gram, tables = quotient_step(
+        [(mod._grams[deg - k], modes[(_TAU[gen], k)]) for k, gen in blocks]
+    )
     dims.append(len(selected))
     mod.graded_bases.append([spanning[j] for j in selected])
-    mod._grams.append((gram_n[np.ix_(selected, selected)], gram_d))
-
-    # negative modes into the new degree, from the spanning expansions
-    exp_n, exp_d = integer_matrix(expand, (len(spanning), len(selected)))
-    j = 0
-    for k, gen in blocks:
-        mod._tables[(gen, -k, deg - k)] = exp_n[j:j + dims[deg - k]].T, exp_d
-        j += dims[deg - k]
+    mod._grams.append(gram)
+    for (k, gen), table in zip(blocks, tables):
+        mod._tables[(gen, -k, deg - k)] = table
     # zero modes on the new degree, which need the negative modes above
     for x in GENS:
         mod._tables[(x, 0, deg)] = on_labels(x, 0, mod.graded_bases[deg])

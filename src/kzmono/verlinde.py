@@ -76,11 +76,9 @@ def fusion_ring(level):
     return FusionRing(level=level, labels=range(level + 1), coeffs=coeffs)
 
 
-def rank(ring, weights, genus=0):
+def rank(ring, weights):
     """Multi-point rank at genus zero: the unit coefficient of the iterated
     fusion product (labels here are self-dual)."""
-    if genus != 0:
-        raise DomainError("only genus 0 is supported")
     weights = list(weights)
     for w in weights:
         if not isinstance(w, int) or w < 0 or w > ring.level:

@@ -56,6 +56,11 @@ class TestRepBuild:
         # rational strings "p/q" or integers-as-strings
         flat = [x for row in emitted["generators"]["e1"] for x in row]
         assert all(isinstance(x, str) for x in flat)
+        assert list(emitted["generators"]) == ["e1", "f1", "h1"]
+        assert emitted["generators"]["h1"] == [
+            [str(w[0]) if a == b else "0" for b in range(3)]
+            for a, w in enumerate(data["weights"])
+        ]
 
     def test_malformed_weight_is_usage_error(self, capsys):
         code, _, err = capture(capsys, ["rep", "build", "--rank", "1", "--weight", "5,"])
@@ -79,6 +84,19 @@ class TestInvariantsCommand:
         assert data["invariant_dim"] == 2
         assert data["omega_sum_scalar"] == "-3"
         assert data["omega_sum_is_scalar"] is True
+
+    def test_factors_built_once_per_weight(self, capsys, monkeypatch):
+        import kzmono.cli as cli
+
+        built = []
+        real = cli.irrep
+        monkeypatch.setattr(cli, "irrep", lambda alg, w: built.append(w) or real(alg, w))
+        code, out, _ = capture(
+            capsys, ["invariants", "--rank", "1", "--weights", "1,2,1,2"]
+        )
+        assert code == 0
+        assert sorted(built) == [(1,), (2,)]
+        assert json.loads(out)["invariant_dim"] == 2
 
     def test_level_flag_warns_not_errors(self, capsys):
         code, out, err = capture(

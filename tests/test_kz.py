@@ -17,6 +17,7 @@ from kzmono.kz import (
     connection_matrix,
     default_basepoint,
     eigenvalue_check,
+    exact_local_spectrum,
     flatness_residual,
     kz_system,
     parallel_transport,
@@ -24,7 +25,7 @@ from kzmono.kz import (
 )
 from kzmono.liealg import build_algebra
 from kzmono.numerics import rat_add, rat_mul, rat_sub
-from kzmono.reps import casimir_value
+from kzmono.reps import casimir_value, irrep
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +47,28 @@ class TestSystem:
     def test_warns_outside_level(self, a1):
         with pytest.warns(UserWarning):
             kz_system(a1, [(2,), (2,)], 3, level=1)
+
+    def test_bad_pairs_rejected(self, a1):
+        # (0, 0) raised KeyError, (0, 7) IndexError, and (-1, 2) read the
+        # weight of the last point before a KeyError
+        sys = kz_system(a1, [(1,)] * 4, 3)
+        for i, j in [(0, 0), (0, 7), (-1, 2)]:
+            with pytest.raises(DomainError):
+                sys.omega(i, j)
+            with pytest.raises(DomainError):
+                exact_local_spectrum(sys, i, j)
+            with pytest.raises(DomainError):
+                eigenvalue_check(sys, i, j, 1e-6)
+
+    def test_factors_built_once_per_weight(self, a1, monkeypatch):
+        import kzmono.kz as kz
+
+        built = []
+        monkeypatch.setattr(kz, "irrep", lambda alg, w: built.append(w) or irrep(alg, w))
+        sys = kz_system(a1, [(1,), (2,), (1,), (1,)], 3)
+        assert sorted(built) == [(1,), (2,)]
+        f = sys.invariant_space.ambient.factors
+        assert f[0] is f[2] is f[3] and f[1] is not f[0]
 
     def test_omegas_complete(self, a1):
         sys = kz_system(a1, [(1,)] * 4, 3)

@@ -5,7 +5,7 @@ import pytest
 
 from kzmono.errors import DomainError
 from kzmono.liealg import build_algebra
-from kzmono.numerics import rat_mul, rat_sub, rat_zeros
+from kzmono.numerics import exact_rank, rat_mul, rat_sub, rat_zeros
 from kzmono.reps import (
     casimir,
     casimir_value,
@@ -98,6 +98,40 @@ class TestConstruction:
                         wc = rep.weight_of_basis_vector[col]
                         wr = rep.weight_of_basis_vector[row]
                         assert wr == tuple(w + a for w, a in zip(wc, alpha))
+
+
+class TestContravariance:
+    @pytest.mark.parametrize("rank, weight", [(1, (m,)) for m in range(7)] + [
+        (2, (1, 0)), (2, (1, 1)), (2, (2, 1)), (2, (3, 3)), (3, (1, 0, 1)),
+    ])
+    def test_gram_is_contravariant(self, rank, weight):
+        # <f_i u, v> = <u, e_i v> for the block-diagonal Gram G: G F_i = E_i^T G,
+        # and every weight block of G is nonsingular
+        alg = build_algebra("A", rank)
+        rep = irrep(alg, weight)
+        assert rep.dim == weyl_dimension(alg, weight)
+        g = rat_zeros(rep.dim, rep.dim)
+        for w, idxs in rep.basis_by_weight.items():
+            block = rep.gram_blocks[w]
+            rows = [{c: x for c, x in enumerate(row) if x} for row in block]
+            assert exact_rank(rows, len(idxs)) == len(idxs)
+            for a, p in enumerate(idxs):
+                for b, q in enumerate(idxs):
+                    g[p][q] = block[a][b]
+        for f, e in zip(rep.lowering, rep.raising):
+            e_t = [list(col) for col in zip(*e)]
+            assert rat_mul(g, f) == rat_mul(e_t, g)
+
+    def test_spanning_order_is_pinned(self, a2):
+        # a weight's basis is the leftmost independent part of the f_i.V_nu,
+        # nu = mu + alpha_i ascending; that order fixes every exact output
+        rep = irrep(a2, (1, 1))
+        z = rep.basis_by_weight[(0, 0)]
+        assert rep.gram_blocks[(0, 0)] == [[2, 1], [1, 2]]
+        assert [[rep.raising[i][a][b] for b in z] for i, a in ((0, 2), (1, 1))] == [
+            [1, 2], [2, 1]
+        ]
+        assert irrep(a2, (2, 1)).gram_blocks[(1, 0)] == [[4, 2], [2, 3]]
 
 
 class TestCharacters:
