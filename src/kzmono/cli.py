@@ -17,8 +17,6 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import verlinde
 from .errors import KzmonoError, DomainError
 from .invariants import invariant_basis, omega_pair, restrict, tensor_system
@@ -319,7 +317,7 @@ def _cmd_kz_monodromy(args):
     hol = braid_monodromy(sys_, i, j, args.tol)
     mat = [
         [[z.real, z.imag] for z in row]
-        for row in np.asarray(hol.matrix)
+        for row in hol.matrix
     ]
     payload = {
         "mode": "float",

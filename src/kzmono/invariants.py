@@ -29,11 +29,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ConsistencyError, DomainError
 from .liealg import dual_pairs
-from .numerics import ONE, SparseOperator, fraction_rows, nullspace_exact_sparse
+from .numerics import ONE, SparseOperator, fraction_rows, np, nullspace_exact_sparse
 from .reps import rep_matrix, rep_matrix_combo
 
 ZERO = Fraction(0)

@@ -21,13 +21,12 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ConsistencyError, DomainError, SingularityError
 from .invariants import invariant_basis, omega_pair, restrict, tensor_system
 from .liealg import weight_form
 from .numerics import (
     exact_rank,
+    np,
     ode_transport,
     rat_commutator,
     rat_to_complex,

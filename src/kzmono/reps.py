@@ -25,11 +25,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 from .liealg import LieAlgebra, build_algebra, weight_form
-from .numerics import combine, concat, fraction_rows, gram_select, integer_matrix, rat_zeros
+from .numerics import combine, concat, fraction_rows, gram_select, integer_matrix, np, rat_zeros
 # not called here: the benchmark's tracer wraps kzmono.reps.rat_mul
 from .numerics import rat_mul  # noqa: F401
 
@@ -92,6 +90,7 @@ def irrep(alg, weight):
     def shift(w, i, sign):
         return tuple(a + sign * b for a, b in zip(w, alpha[i]))
 
+    bound = weyl_dimension(alg, weight)
     weights = [weight]
     by_weight = {weight: [0]}
     grams = {weight: (np.ones((1, 1), dtype=object), 1)}
@@ -121,6 +120,11 @@ def irrep(alg, weight):
                 continue
             by_weight[mu] = list(range(len(weights), len(weights) + len(selected)))
             weights.extend([mu] * len(selected))
+            if len(weights) > bound:
+                # a wrong Gram leaves weights outside V_lambda nonzero
+                raise ConsistencyError(
+                    f"irrep {weight} grew past its Weyl dimension {bound}"
+                )
             grams[mu] = gram
             for (nu, i), table, (num, den) in zip(spans, tables, modes):
                 f_tab[(i, nu)] = table

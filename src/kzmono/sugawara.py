@@ -42,11 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError
 from .liealg import LieAlgebra, build_algebra
-from .numerics import combine, concat, fraction_rows, integer_matrix
+from .numerics import combine, concat, fraction_rows, integer_matrix, np
 # not called here: the benchmark's tracer wraps kzmono.sugawara.rat_mul and
 # kzmono.sugawara.gram_select
 from .numerics import gram_select, rat_mul  # noqa: F401

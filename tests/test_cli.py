@@ -1,3 +1,4 @@
+import cmath
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import pytest
 
 import kzmono
 from kzmono.cli import run
+from kzmono.kz import braid_monodromy, kz_system
+from kzmono.liealg import build_algebra
 
 # a child `python -m kzmono` imports kzmono from where this process did
 CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -145,6 +148,22 @@ class TestKzCommands:
         assert abs(cell[0] + 1.0) < 1e-6 and abs(cell[1]) < 1e-6
         assert json.loads(target.read_text())["matrix"] == data["matrix"]
 
+    def test_monodromy_json_matches_library(self, capsys):
+        code, out, _ = capture(
+            capsys,
+            ["kz", "monodromy", "--rank", "1", "--weights", "1,1,2",
+             "--kappa", "7/2", "--braid", "A13"],
+        )
+        assert code == 0
+        sys_ = kz_system(build_algebra("A", 1), [(1,), (1,), (2,)], 3.5)
+        hol = braid_monodromy(sys_, 0, 2, 1e-8)
+        data = json.loads(out)
+        assert data["matrix"] == [[[z.real, z.imag] for z in row] for row in hol.matrix.tolist()]
+        assert data["steps_taken"] == hol.steps_taken
+        # the one invariant of V1 x V1 x V2 turns by exp(6 pi i / 7)
+        z = complex(*data["matrix"][0][0])
+        assert abs(z - cmath.exp(6j * cmath.pi / 7)) < 1e-10
+
     def test_complex_kappa_parse(self, capsys):
         code, out, _ = capture(
             capsys,
@@ -241,6 +260,46 @@ class TestDeterminism:
             capsys, ["symbols", "check", "--trials", "10", "--seed", "3"]
         )
         assert out1 == out2
+
+
+class TestStartup:
+    # a fresh interpreter runs argv through cli.run, then reports on stderr
+    # whether numpy was loaded
+    PROBE = (
+        "import sys\n"
+        "from kzmono.cli import run\n"
+        "code = run(sys.argv[1:])\n"
+        "print('numpy._core' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+
+    def probe(self, code, argv=()):
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, text=True, timeout=300, env=CHILD_ENV)
+        return proc.returncode, proc.stderr.split()[-1]
+
+    def test_import_and_build_algebra_skip_numpy(self):
+        code = (
+            "import sys, kzmono\n"
+            "kzmono.build_algebra('A', 1)\n"
+            "kzmono.build_algebra('A', 2)\n"
+            "print('numpy._core' in sys.modules, file=sys.stderr)\n"
+        )
+        assert self.probe(code) == (0, "False")
+
+    @pytest.mark.parametrize("argv", [
+        ["algebra", "info", "--rank", "2"],
+        ["verlinde", "--level", "4", "--weights", "1,1,2,2,3,3", "--scan-levels", "8"],
+        ["symbols", "check", "--rank", "1", "--trials", "10", "--seed", "7"],
+        ["symbols", "check", "--rank", "2", "--trials", "10", "--seed", "7"],
+    ], ids=["algebra", "verlinde", "symbols-1", "symbols-2"])
+    def test_commands_without_numpy(self, argv):
+        assert self.probe(self.PROBE, argv) == (0, "False")
+
+    def test_monodromy_loads_numpy(self):
+        argv = ["kz", "monodromy", "--rank", "1", "--weights", "1,1,2",
+                "--kappa", "7/2", "--braid", "A13"]
+        assert self.probe(self.PROBE, argv) == (0, "True")
 
 
 class TestPretty:

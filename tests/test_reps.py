@@ -1,9 +1,12 @@
 import random
+import signal
+import time
 from fractions import Fraction
 
 import pytest
 
-from kzmono.errors import DomainError
+import kzmono.reps as reps
+from kzmono.errors import ConsistencyError, DomainError
 from kzmono.liealg import build_algebra
 from kzmono.numerics import exact_rank, rat_mul, rat_sub, rat_zeros
 from kzmono.reps import (
@@ -133,6 +136,29 @@ class TestContravariance:
         ]
         assert irrep(a2, (2, 1)).gram_blocks[(1, 0)] == [[4, 2], [2, 3]]
 
+    @pytest.mark.parametrize("rank, weight", [(1, (1,)), (2, (1, 1))])
+    def test_bad_quotient_raises(self, monkeypatch, rank, weight):
+        # a quotient that keeps every spanning vector grows the Verma module,
+        # which never ends; the Weyl dimension bounds it
+        def keep_all(gram):
+            s = len(gram)
+            return list(range(s)), [[Fraction(int(i == j)) for j in range(s)] for i in range(s)]
+
+        def hung(signum, frame):
+            raise TimeoutError("irrep did not stop")
+
+        monkeypatch.setattr(reps, "gram_select", keep_all)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ConsistencyError, match="Weyl dimension"):
+                irrep(build_algebra("A", rank), weight)
+            assert time.perf_counter() - start < 1.0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
 
 class TestCharacters:
     def test_weights_match_freudenthal(self, a1, a2):
@@ -211,8 +237,6 @@ class TestRepMatrix:
 
 class TestTensorDecompose:
     def test_weights_built_once_per_weight(self, monkeypatch):
-        import kzmono.reps as reps
-
         tensor_decompose(build_algebra("A", 2), (2, 0), (1, 1))
         built = []
         monkeypatch.setattr(reps, "irrep", lambda alg, w: built.append(w))
