@@ -258,7 +258,7 @@ def _cmd_invariants(args):
                 )
     built = {w: irrep(alg, w) for w in dict.fromkeys(weights)}
     sys_ = tensor_system([built[w] for w in weights])
-    inv = invariant_basis(sys_, "exact")
+    inv = invariant_basis(sys_)
     out = {
         "rank": args.rank,
         "weights": [list(w) for w in weights],
@@ -453,7 +453,7 @@ def _selftest_checks(seed):
         v1 = irrep(alg, (1,))
         dims = []
         for n in (2, 3, 4, 6):
-            dims.append(invariant_basis(tensor_system([v1] * n), "exact").dim)
+            dims.append(invariant_basis(tensor_system([v1] * n)).dim)
         ok = dims == [1, 0, 2, 5]
         return ok, {"dims": dims}
 

@@ -16,9 +16,10 @@ indices written as offsets in ambient strides. One ambient column is then the
 local column its slot digits select, shifted by the offset of the remaining
 digits, so the exact paths apply an operator to the ambient columns they
 need without building it; the ambient sparse matrix is only built when
-asked for. Exact restriction runs on Python integers: the basis and the
-local factor are scaled by the lcm of their denominators, and the
-certificate Omega.B = B.R is checked as an integer identity.
+asked for. A local factor is built from the (N, D) matrices of
+:func:`kzmono.reps.integer_rep_matrix` and held as Python integers over one
+denominator, so the kernel rows, the restriction and its certificate
+Omega.B = B.R, an integer identity, all run on integers.
 """
 
 from __future__ import annotations
@@ -31,10 +32,8 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError
 from .liealg import dual_pairs
-from .numerics import ONE, SparseOperator, fraction_rows, np, nullspace_exact_sparse
-from .reps import rep_matrix, rep_matrix_combo
-
-ZERO = Fraction(0)
+from .numerics import SparseOperator, combine, fraction_rows, np, nullspace_exact_sparse
+from .reps import integer_rep_matrix
 
 
 @dataclass(eq=False)
@@ -57,9 +56,8 @@ class TensorSystem:
 @dataclass(eq=False)
 class InvariantSpace:
     ambient: TensorSystem
-    basis: list            # columns as {ambient_index: Fraction} (exact mode)
+    basis: list            # columns as {ambient_index: Fraction}
     free_positions: list   # ambient indices carrying the identity block
-    mode: str
 
     @property
     def dim(self):
@@ -67,9 +65,9 @@ class InvariantSpace:
 
     @functools.cached_property
     def integer_rows(self):
-        """(L, rows) for an exact basis: L is the lcm of its denominators and
-        rows[idx] is row idx of L.B as an object array of Python ints, for
-        every ambient index the basis touches, in increasing order."""
+        """(L, rows): L is the lcm of the basis denominators and rows[idx]
+        is row idx of L.B as an object array of Python ints, for every
+        ambient index the basis touches, in increasing order."""
         den = math.lcm(*(v.denominator for col in self.basis for v in col.values()))
         rows = {idx: np.zeros(self.dim, dtype=object)
                 for idx in sorted(set().union(*self.basis))}
@@ -84,7 +82,7 @@ class TwoSiteOperator:
     i: int
     j: int
     system: TensorSystem
-    local: dict                  # local two-slot factor, see _local_factor
+    local: tuple                 # local two-slot factor, see _local_factor
     restriction: object = None   # dense matrix, attached by restrict()
 
     @functools.cached_property
@@ -112,27 +110,34 @@ def tensor_system(reps):
 
 def _local_factor(sys, terms):
     """Local factor of sum over ``terms`` of the operator acting by
-    ``mats[slot]`` in each slot of a term and by the identity elsewhere.
+    ``mats[slot]``, an (N, D) pair, in each slot of a term and by the
+    identity elsewhere.
 
-    Returned as {column offset: [(row offset, value)]}, where an offset is
-    sum_s k_s * stride_s over the slots s the factor acts on.
+    Returned as (D, {column offset: [(row offset, integer)]}): the factor is
+    those integers over D, and an offset is sum_s k_s * stride_s over the
+    slots s the factor acts on.
     """
-    acc = {}
+    parts = []
     for mats in terms:
-        local = [(0, 0, ONE)]
-        for slot, mat in mats.items():
+        local, den = [(0, 0, 1)], 1
+        for slot, (num, d) in mats.items():
             st = sys.strides[slot]
             nnz = [
                 (st * r, st * c, v)
-                for r, row in enumerate(mat)
+                for r, row in enumerate(num.tolist())
                 for c, v in enumerate(row)
                 if v
             ]
             local = [(ro + r, co + c, w * v) for ro, co, w in local for r, c, v in nnz]
+            den *= d
+        parts.append((den, local))
+    den = math.lcm(*(d for d, _ in parts))
+    acc = {}
+    for d, local in parts:
         for ro, co, v in local:
             col = acc.setdefault(co, {})
-            col[ro] = col.get(ro, ZERO) + v
-    return {
+            col[ro] = col.get(ro, 0) + v * (den // d)
+    return den, {
         co: [(ro, v) for ro, v in col.items() if v]
         for co, col in acc.items()
         if any(col.values())
@@ -140,19 +145,19 @@ def _local_factor(sys, terms):
 
 
 def _slot_column(sys, slots, local, idx):
-    """Ambient column ``idx`` of the operator with local factor ``local`` on
-    ``slots``, as [(row, value)]."""
+    """Ambient column ``idx`` of the operator whose local factor on ``slots``
+    has the columns ``local``, as [(row, value)]."""
     co = sum(idx // sys.strides[s] % sys.factor_dims[s] * sys.strides[s] for s in slots)
     base = idx - co
     return [(base + ro, v) for ro, v in local.get(co, ())]
 
 
 def _ambient(sys, factors):
-    """Ambient SparseOperator of a sum of local factors, [(slots, local)]."""
+    """Ambient SparseOperator of a sum of local factors, [(slots, factor)]."""
     entries = (
-        (r, idx, v)
+        (r, idx, Fraction(v, den))
         for idx in range(sys.dim)
-        for slots, local in factors
+        for slots, (den, local) in factors
         for r, v in _slot_column(sys, slots, local, idx)
     )
     return SparseOperator((sys.dim, sys.dim), entries)
@@ -161,7 +166,7 @@ def _ambient(sys, factors):
 def _diagonal_factors(sys, label):
     """One local factor per slot of sum_slots 1 (x) ... rho_s(label) ... (x) 1."""
     return [
-        ((slot,), _local_factor(sys, [{slot: rep_matrix(rep, label)}]))
+        ((slot,), _local_factor(sys, [{slot: integer_rep_matrix(rep, label)}]))
         for slot, rep in enumerate(sys.factors)
     ]
 
@@ -181,10 +186,14 @@ def omega_pair(sys, i, j):
     if not (0 <= i < n and 0 <= j < n):
         raise DomainError(f"slot indices out of range for an {n}-factor system")
     alg = sys.factors[0].algebra
+    vi, vj = sys.factors[i], sys.factors[j]
     local = _local_factor(sys, [
         {
-            i: rep_matrix(sys.factors[i], alg.basis_labels[a]),
-            j: rep_matrix_combo(sys.factors[j], dual),
+            i: integer_rep_matrix(vi, alg.basis_labels[a]),
+            j: combine([
+                (coeff, (integer_rep_matrix(vj, alg.basis_labels[b]),))
+                for b, coeff in dual.items()
+            ], (vj.dim, vj.dim)),
         }
         for a, dual in dual_pairs(alg)
     ])
@@ -204,139 +213,73 @@ def zero_weight_indices(sys):
 def raising_rows(sys):
     """The zero-weight block of the stacked simple raising actions.
 
-    Returns (rows, zw): one sparse row {position in zw: value} per
+    Returns (rows, zw): one sparse row {position in zw: integer} per
     (generator, target index), in that order, and the zero-weight indices
-    zw. The kernel of the rows is the space of invariant vectors. Only the
-    zero-weight columns of each e_i are built.
+    zw. A generator's rows are its exact ones times the common denominator
+    of its slot factors, so the kernel of the rows is the space of
+    invariant vectors. Only the zero-weight columns of each e_i are built.
     """
     zw = zero_weight_indices(sys)
     rows = {}
     for i in range(1, sys.factors[0].algebra.rank + 1):
         factors = _diagonal_factors(sys, ("e", i, i + 1))
+        den = math.lcm(*(d for _, (d, _) in factors))
         for p, idx in enumerate(zw):
-            for slots, local in factors:
+            for slots, (d, local) in factors:
                 for tgt, v in _slot_column(sys, slots, local, idx):
                     row = rows.setdefault((i, tgt), {})
-                    row[p] = row.get(p, ZERO) + v
+                    row[p] = row.get(p, 0) + v * (den // d)
     return [{p: v for p, v in rows[k].items() if v} for k in sorted(rows)], zw
 
 
-def invariant_basis(sys, mode="exact"):
-    """Basis of the invariant vectors of the tensor product.
+def invariant_basis(sys):
+    """Basis of the invariant vectors of the tensor product, exact.
 
     Invariants are the zero-weight vectors annihilated by every raising
     generator, so only a zero-weight block of each e_i action enters the
-    kernel computation. Exact mode uses sparse rational elimination; float
-    mode uses an SVD with threshold 1e-10 times the matrix max-norm.
+    kernel, which fraction-free sparse elimination computes. Each basis
+    vector carries 1 at its own free position and 0 at the others.
     """
-    if mode not in ("exact", "float"):
-        raise DomainError(f"unknown arithmetic mode {mode!r}")
     row_list, zw = raising_rows(sys)
-    if not zw:
-        return InvariantSpace(ambient=sys, basis=[], free_positions=[], mode=mode)
-
-    if mode == "exact":
-        cols, free = nullspace_exact_sparse(row_list, len(zw))
-        basis = []
-        for col in cols:
-            basis.append({zw[p]: v for p, v in col.items()})
-        return InvariantSpace(
-            ambient=sys,
-            basis=basis,
-            free_positions=[zw[p] for p in free],
-            mode="exact",
-        )
-
-    m = np.zeros((len(row_list), len(zw)))
-    for r, row in enumerate(row_list):
-        for c, v in row.items():
-            m[r, c] = float(v)
-    if m.size == 0:
-        null = np.eye(len(zw))
-    else:
-        _, s, vh = np.linalg.svd(m)
-        tol = 1e-10 * (np.max(np.abs(m)) if m.size else 1.0)
-        rank = int(np.sum(s > tol))
-        null = vh[rank:].T
-    basis = []
-    for c in range(null.shape[1]):
-        basis.append({zw[p]: null[p, c] for p in range(len(zw)) if null[p, c]})
-    return InvariantSpace(ambient=sys, basis=basis, free_positions=[], mode="float")
-
-
-def _images(op, local, brows):
-    """Rows of op.B from the rows of B: ``brows`` maps an ambient index to
-    that row of B as an ndarray, ``local`` is op's local factor with entries
-    of a matching type. Only the columns of op that B touches are built."""
-    img = {}
-    for idx, brow in brows.items():
-        for r, w in _slot_column(op.system, (op.i, op.j), local, idx):
-            acc = img.get(r)
-            img[r] = w * brow if acc is None else acc + w * brow
-    return img
+    cols, free = nullspace_exact_sparse(row_list, len(zw))
+    return InvariantSpace(
+        ambient=sys,
+        basis=[{zw[p]: v for p, v in col.items()} for col in cols],
+        free_positions=[zw[p] for p in free],
+    )
 
 
 def restrict(op, inv):
-    """Restriction R of a two-site operator to invariant coordinates.
+    """Restriction R of a two-site operator to invariant coordinates, exact.
 
-    Exactness contract: op.B = B.R with B the invariant basis. In exact mode
-    a failure of this identity raises ConsistencyError (it means the basis is
-    broken); in float mode the residual is checked against 1e-8 of scale.
+    Exactness contract: op.B = B.R with B the invariant basis, and a failure
+    of this identity raises ConsistencyError (it means the basis is
+    broken). R is read off the free rows of op.B, in integers: with L the
+    lcm of the denominators of B and D that of op's local factor,
+    B~ = L B and the local integers op~ = D op give op~.B~ = D L op.B. So
+    S = (op~.B~)[free] = D L R, and the identity holds exactly when
+    L (op~.B~) == B~.S on every row that either side touches.
     """
     if op.system is not inv.ambient:
         raise DomainError("operator and invariant space live on different systems")
-    r = [] if inv.dim == 0 else (
-        _restrict_exact if inv.mode == "exact" else _restrict_float)(op, inv)
+    r = []
+    if inv.dim:
+        den_b, brows = inv.integer_rows
+        den_w, local = op.local
+        # rows of op~.B~, from the columns of op that B touches
+        img = {}
+        for idx, brow in brows.items():
+            for row, w in _slot_column(op.system, (op.i, op.j), local, idx):
+                acc = img.get(row)
+                img[row] = w * brow if acc is None else acc + w * brow
+        zero = np.zeros(inv.dim, dtype=object)
+        s = np.array([img.get(fp, zero) for fp in inv.free_positions], dtype=object)
+        lhs = np.array([img.get(idx, zero) for idx in brows], dtype=object) * den_b
+        leaves = any(row.any() for idx, row in img.items() if idx not in brows)
+        if leaves or not np.array_equal(lhs, np.array(list(brows.values())) @ s):
+            raise ConsistencyError(
+                "two-site operator does not preserve the invariant space"
+            )
+        r = fraction_rows(s, den_b * den_w)
     op.restriction = r
-    return r
-
-
-def _restrict_exact(op, inv):
-    """R read off the free rows of op.B, in integers.
-
-    With L, D the lcm of the denominators of B and of op's local factor,
-    B~ = L B and op~ = D op are integral and op~.B~ = D L op.B. So
-    S = (op~.B~)[free] = D L R, and op.B = B.R holds exactly when
-    L (op~.B~) == B~.S on every row that either side touches.
-    """
-    den_b, brows = inv.integer_rows
-    den_w = math.lcm(*(v.denominator for col in op.local.values() for _, v in col))
-    local = {
-        co: [(ro, v.numerator * (den_w // v.denominator)) for ro, v in col]
-        for co, col in op.local.items()
-    }
-    img = _images(op, local, brows)
-    zero = np.zeros(inv.dim, dtype=object)
-    s = np.array([img.get(fp, zero) for fp in inv.free_positions], dtype=object)
-    lhs = np.array([img.get(idx, zero) for idx in brows], dtype=object) * den_b
-    leaves = any(row.any() for idx, row in img.items() if idx not in brows)
-    if leaves or not np.array_equal(lhs, np.array(list(brows.values())) @ s):
-        raise ConsistencyError(
-            "two-site operator does not preserve the invariant space"
-        )
-    return fraction_rows(s, den_b * den_w)
-
-
-def _restrict_float(op, inv):
-    """R as the least-squares solution of B.R = op.B on the rows that B or
-    op.B touches, with the residual checked against 1e-8 of scale."""
-    d = inv.dim
-    brows = {idx: np.zeros(d) for idx in sorted(set().union(*inv.basis))}
-    for c, col in enumerate(inv.basis):
-        for idx, v in col.items():
-            brows[idx][c] = float(v)
-    local = {co: [(ro, float(v)) for ro, v in col] for co, col in op.local.items()}
-    img = _images(op, local, brows)
-    rows = sorted(set(brows) | set(img))
-    zero = np.zeros(d)
-    b = np.array([brows.get(idx, zero) for idx in rows])
-    ob = np.array([img.get(idx, zero) for idx in rows], dtype=complex)
-    r, *_ = np.linalg.lstsq(b, ob, rcond=None)
-    resid = np.max(np.abs(ob - b @ r)) if ob.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(ob))) if ob.size else 1.0)
-    if resid > 1e-8 * scale:
-        raise ConsistencyError(
-            f"restriction residual {resid:.3e} exceeds tolerance; "
-            "invariant basis looks broken"
-        )
     return r

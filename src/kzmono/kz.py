@@ -29,7 +29,6 @@ from .numerics import (
     np,
     ode_transport,
     rat_commutator,
-    rat_to_complex,
 )
 from .reps import casimir_value, irrep, tensor_decompose
 
@@ -58,7 +57,7 @@ class KZSystem:
         """Every W_ij as one complex array of shape (pairs, dim, dim), in
         the order of ``omegas``."""
         d = self.dim
-        mats = [rat_to_complex(m) for m in self.omegas.values()]
+        mats = list(self.omegas.values())
         return np.array(mats, dtype=complex).reshape(len(mats), d, d)
 
 
@@ -82,7 +81,7 @@ def kz_system(alg, weights, kappa, level=None):
                 )
     built = {w: irrep(alg, w) for w in dict.fromkeys(weights)}
     sys = tensor_system([built[w] for w in weights])
-    inv = invariant_basis(sys, "exact")
+    inv = invariant_basis(sys)
     omegas = {}
     for i, j in itertools.combinations(range(len(weights)), 2):
         omegas[(i, j)] = restrict(omega_pair(sys, i, j), inv)

@@ -14,18 +14,18 @@ cannot overflow. ``sparse_eliminate`` scales each row by the lcm of its
 denominators and eliminates fraction free, by cross-multiplication, keeping
 its pivot rows primitive; ``Fraction`` appears only in the RREF it returns.
 Dense exact matrices are held as pairs (N, D): N is a numpy object array of
-Python ints and D > 0 a common denominator, so the matrix is N / D; the
-helpers that build one return it in lowest terms, gcd(N, D) = 1.
+Python ints and D > 0 a common denominator, so the matrix is N / D.
+:func:`combine` evaluates every sum of products, sum coeff * (F_1 @ F_2 @ ...),
+in lowest terms, gcd(N, D) = 1; :func:`concat` and :func:`block_matrix`
+assemble blocks over the lcm of their denominators, and
 :func:`integer_matrix` and :func:`fraction_rows` convert to and from rows of
-``Fraction``, :func:`concat` joins blocks, and :func:`combine` evaluates
-every sum of products, sum coeff * (F_1 @ F_2 @ ...), in lowest terms; the
-affine, Casimir and Omega-sum algebra runs on it. ``rat_commutator`` takes
-the integer stacks exact flatness builds. The remaining ``rat_*``
-list-of-lists ``Fraction`` helpers serve the Lie algebra builder, the
-Cartan and combination matrices of ``reps``, the complex conversion of the
-KZ layer and the tests' references; the irrep builder runs on (N, D). Complex
-numerics use numpy. Nothing here mutates its inputs; scratch space is per
-call.
+``Fraction``. Representation matrices and the irrep, affine, Casimir and
+Omega-sum algebra run on (N, D), and ``rat_commutator`` takes the integer
+stacks exact flatness builds. Rows of ``Fraction`` remain the public views
+of exact matrices and the format of the Lie algebra builder, which uses
+``rat_zeros`` and ``rat_identity``; ``rat_mul`` has no caller in the
+package and serves the tests. Complex numerics use numpy. Nothing here
+mutates its inputs; scratch space is per call.
 
 numpy is bound lazily: ``np`` here (and in the modules that import it from
 here) loads numpy on its first attribute access, so the commands that never
@@ -102,18 +102,6 @@ def rat_mul(a, b):
     return out
 
 
-def rat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def rat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def rat_to_complex(a):
-    return np.array([[complex(x) for x in row] for row in a], dtype=complex)
-
-
 def rat_commutator(a, b):
     """[a, b] = ab - ba of (stacks of) integer matrices held as numpy object
     arrays of Python ints, so no width can overflow."""
@@ -141,6 +129,17 @@ def fraction_rows(num, den):
         [fracs[x] if x in fracs else fracs.setdefault(x, Fraction(x, den)) for x in row]
         for row in num.tolist()
     ]
+
+
+def block_matrix(shape, blocks):
+    """(N, D) of the given shape with each block of ``blocks`` =
+    [(rows, cols, (N, D))] placed at rows x cols and zeros elsewhere, over
+    the lcm of their D."""
+    den = math.lcm(*(d for _, _, (_, d) in blocks))
+    num = np.zeros(shape, dtype=object)
+    for rows, cols, (n, d) in blocks:
+        num[np.ix_(rows, cols)] = n * (den // d)
+    return num, den
 
 
 def concat(mats, axis):

@@ -10,24 +10,30 @@ that spanning list come from data one level up,
 :func:`quotient_step` turns those columns into the Gram of the spanning
 list, keeps a maximal subset with nonsingular Gram as the basis and
 expresses the rest over it; the affine truncations of :mod:`kzmono.sugawara`
-grow degree by degree through the same step. Tables and Grams are held in
-the dense exact format (N, D) of :mod:`kzmono.numerics` and converted to
-rows of ``Fraction`` once, at the end. Bases are deterministic (graded by
-depth, weights in ascending order within a depth, spanning blocks in
-ascending nu), and the per-weight Gram blocks are retained because the
-affine truncations reuse them.
+grow degree by degree through the same step. Bases are deterministic
+(graded by depth, weights in ascending order within a depth, spanning
+blocks in ascending nu), and the per-weight Gram blocks are retained because
+the affine truncations reuse them.
+
+Every matrix of a module is held in the dense exact format (N, D) of
+:mod:`kzmono.numerics`: the simple e_i and f_i and the Gram blocks from the
+build, every other basis element from :func:`integer_rep_matrix`, which
+derives it on first use and caches it. Rows of ``Fraction`` (``rep_matrix``,
+``Irrep.raising``, ``lowering`` and ``gram_blocks``) are cached views made
+on demand; nothing inside kzmono computes with them.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError
 from .liealg import LieAlgebra, build_algebra, weight_form
-from .numerics import combine, concat, fraction_rows, gram_select, integer_matrix, np, rat_zeros
+from .numerics import (
+    block_matrix, combine, concat, fraction_rows, gram_select, integer_matrix, np,
+)
 # not called here: the benchmark's tracer wraps kzmono.reps.rat_mul
 from .numerics import rat_mul  # noqa: F401
 
@@ -38,12 +44,27 @@ class Irrep:
     highest_weight: tuple
     dim: int
     weight_of_basis_vector: list
-    lowering: list                  # per simple root i: matrix of f_i
-    raising: list                   # per simple root i: matrix of e_i
     cartan_diagonal: list           # per simple root i: list of integers
-    gram_blocks: dict               # weight -> exact Gram of that block
+    integer_grams: dict             # weight -> Gram of that block as (N, D)
     basis_by_weight: dict           # weight -> list of basis indices
-    _matrix_cache: dict = field(default_factory=dict)
+    # label -> (N, D); the build stores the simple e_i and f_i here
+    _matrices: dict = field(default_factory=dict)
+    _rows: dict = field(default_factory=dict)    # label -> rep_matrix view
+
+    @functools.cached_property
+    def raising(self):
+        """Per simple root i, the matrix of e_i as rows of ``Fraction``."""
+        return [rep_matrix(self, ("e", i, i + 1)) for i in range(1, self.algebra.rank + 1)]
+
+    @functools.cached_property
+    def lowering(self):
+        """Per simple root i, the matrix of f_i as rows of ``Fraction``."""
+        return [rep_matrix(self, ("f", i, i + 1)) for i in range(1, self.algebra.rank + 1)]
+
+    @functools.cached_property
+    def gram_blocks(self):
+        """Weight -> Gram of that block as rows of ``Fraction``."""
+        return {w: fraction_rows(*g) for w, g in self.integer_grams.items()}
 
 
 @dataclass
@@ -135,71 +156,58 @@ def irrep(alg, weight):
     dim = len(weights)
 
     def dense(tab, i, sign):
-        num = np.zeros((dim, dim), dtype=object)
-        blocks = [(w, t) for (j, w), t in tab.items() if j == i]
-        den = math.lcm(*(d for _, (_, d) in blocks))
-        for w, (n, d) in blocks:
-            num[np.ix_(by_weight[shift(w, i, sign)], by_weight[w])] = n * (den // d)
-        return fraction_rows(num, den)
+        return block_matrix((dim, dim), [
+            (by_weight[shift(w, i, sign)], by_weight[w], t)
+            for (j, w), t in tab.items() if j == i
+        ])
 
+    matrices = {}
+    for i in range(r):
+        matrices[("e", i + 1, i + 2)] = dense(e_tab, i, 1)
+        matrices[("f", i + 1, i + 2)] = dense(f_tab, i, -1)
     return Irrep(
         algebra=alg,
         highest_weight=weight,
         dim=dim,
         weight_of_basis_vector=weights,
-        lowering=[dense(f_tab, i, -1) for i in range(r)],
-        raising=[dense(e_tab, i, 1) for i in range(r)],
         cartan_diagonal=[[w[i] for w in weights] for i in range(r)],
-        gram_blocks={w: fraction_rows(*g) for w, g in grams.items()},
+        integer_grams=grams,
         basis_by_weight=by_weight,
+        _matrices=matrices,
     )
 
 
-def rep_matrix(rep, label):
-    """Matrix of an algebra basis element; cached, exact.
+def integer_rep_matrix(rep, label):
+    """Matrix of an algebra basis element as (N, D); cached, exact.
 
     Raises DomainError for a label that names no basis element of the
     algebra."""
-    cached = rep._matrix_cache.get(label)
+    cached = rep._matrices.get(label)
     if cached is not None:
         return cached
     rep.algebra.index(label)
-    kind = label[0]
-    if kind == "h":
-        i = label[1]
-        m = rat_zeros(rep.dim, rep.dim)
-        for b in range(rep.dim):
-            m[b][b] = Fraction(rep.cartan_diagonal[i - 1][b])
+    if label[0] == "h":
+        m = np.diag(np.array(rep.cartan_diagonal[label[1] - 1], dtype=object)), 1
     else:
-        i, j = label[1], label[2]
-        if j == i + 1:
-            m = (rep.raising if kind == "e" else rep.lowering)[i - 1]
-        else:
-            # E_ij = [E_ik, E_kj]; the same split works on the f side
-            shape = (rep.dim, rep.dim)
-            a = integer_matrix(rep_matrix(rep, (kind, i, i + 1)), shape)
-            b = integer_matrix(rep_matrix(rep, (kind, i + 1, j)), shape)
-            if kind == "f":
-                a, b = b, a
-            m = fraction_rows(*combine([(1, (a, b)), (-1, (b, a))], shape))
-    rep._matrix_cache[label] = m
+        # E_ij = [E_ik, E_kj]; the same split works on the f side
+        kind, i, j = label
+        a = integer_rep_matrix(rep, (kind, i, i + 1))
+        b = integer_rep_matrix(rep, (kind, i + 1, j))
+        if kind == "f":
+            a, b = b, a
+        m = combine([(1, (a, b)), (-1, (b, a))], (rep.dim, rep.dim))
+    rep._matrices[label] = m
     return m
 
 
-def rep_matrix_combo(rep, coords):
-    """Matrix of sum_a coords[a] . basis_a for a sparse coordinate dict."""
-    m = rat_zeros(rep.dim, rep.dim)
-    for a, coeff in coords.items():
-        if not coeff:
-            continue
-        ma = rep_matrix(rep, rep.algebra.basis_labels[a])
-        for i in range(rep.dim):
-            row = ma[i]
-            out = m[i]
-            for j in range(rep.dim):
-                if row[j]:
-                    out[j] += coeff * row[j]
-    return m
+def rep_matrix(rep, label):
+    """Matrix of an algebra basis element as rows of ``Fraction``: a cached
+    view of :func:`integer_rep_matrix`, and like it a DomainError for a label
+    that names no basis element."""
+    rows = rep._rows.get(label)
+    if rows is None:
+        rows = rep._rows[label] = fraction_rows(*integer_rep_matrix(rep, label))
+    return rows
 
 
 def casimir_value(alg, weight):
@@ -214,7 +222,7 @@ def casimir(rep):
     alg = rep.algebra
     ginv = alg.gram_inverse
     shape = (rep.dim, rep.dim)
-    mats = [integer_matrix(rep_matrix(rep, lab), shape) for lab in alg.basis_labels]
+    mats = [integer_rep_matrix(rep, lab) for lab in alg.basis_labels]
     c = casimir_value(alg, rep.highest_weight)
     # sum_ab Ginv_ba J^b J^a - c
     num, den = combine([
@@ -228,17 +236,22 @@ def casimir(rep):
 
 
 def weyl_dimension(alg, weight):
-    """Product formula for dim V_lambda over the positive roots."""
-    lam = tuple(weight)
-    rho = alg.weyl_vector
-    num = Fraction(1)
-    den = Fraction(1)
-    shifted = tuple(l + r for l, r in zip(lam, rho))
-    for root in alg.positive_roots:
-        num *= weight_form(alg, shifted, root)
-        den *= weight_form(alg, rho, root)
-    val = num / den
-    return int(val)
+    """Weyl's product formula for dim V_lambda, on integers.
+
+    For sl(r+1) the positive root alpha_i + ... + alpha_(j-1) pairs with
+    lambda + rho to sum_(k=i)^(j-1) (lambda_k + 1) and with rho to j - i,
+    so dim V_lambda is the product of those sums over the product of the
+    j - i, and the division is exact.
+    """
+    num = den = 1
+    shifted = [m + 1 for m in weight]
+    for i in range(alg.rank):
+        pairing = 0
+        for j in range(i, alg.rank):
+            pairing += shifted[j]
+            num *= pairing
+            den *= j - i + 1
+    return num // den
 
 
 def weight_multiset(rep):
@@ -249,7 +262,7 @@ def weight_multiset(rep):
     return out
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _weights_of(series, rank, weight):
     """The weight multiset of V_weight as ((weight, multiplicity), ...).
 

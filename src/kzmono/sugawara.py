@@ -44,11 +44,11 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .liealg import LieAlgebra, build_algebra
-from .numerics import combine, concat, fraction_rows, integer_matrix, np
+from .numerics import block_matrix, combine, concat, fraction_rows, np
 # not called here: the benchmark's tracer wraps kzmono.sugawara.rat_mul and
 # kzmono.sugawara.gram_select
 from .numerics import gram_select, rat_mul  # noqa: F401
-from .reps import casimir_value, irrep, quotient_step
+from .reps import casimir_value, integer_rep_matrix, irrep, quotient_step
 
 ZERO = Fraction(0)
 
@@ -139,10 +139,6 @@ def truncated_module(level, m, depth, depth_guard=6):
     d0 = vl.dim
     ell = Fraction(level)
 
-    gram0 = np.zeros((d0, d0), dtype=object)
-    for w, idxs in vl.basis_by_weight.items():
-        gram0[np.ix_(idxs, idxs)] = vl.gram_blocks[w]
-
     mod = TruncatedModule(
         algebra=alg,
         level=level,
@@ -151,11 +147,13 @@ def truncated_module(level, m, depth, depth_guard=6):
         graded_dims=[d0],
         graded_bases=[list(range(d0))],
         vlambda=vl,
-        _grams=[integer_matrix(gram0, (d0, d0))],
+        _grams=[block_matrix((d0, d0), [
+            (idxs, idxs, vl.integer_grams[w]) for w, idxs in vl.basis_by_weight.items()
+        ])],
     )
-    mod._tables[("e", 0, 0)] = integer_matrix(vl.raising[0], (d0, d0))
-    mod._tables[("f", 0, 0)] = integer_matrix(vl.lowering[0], (d0, d0))
-    mod._tables[("h", 0, 0)] = np.diag(np.array(vl.cartan_diagonal[0], dtype=object)), 1
+    mod._tables[("e", 0, 0)] = integer_rep_matrix(vl, ("e", 1, 2))
+    mod._tables[("f", 0, 0)] = integer_rep_matrix(vl, ("f", 1, 2))
+    mod._tables[("h", 0, 0)] = integer_rep_matrix(vl, ("h", 1))
 
     for deg in range(1, depth + 1):
         _grow_one_degree(mod, deg, ell)

@@ -135,7 +135,7 @@ def invariant_dimension_nullspace(weights):
 
     alg = build_algebra("A", 1)
     reps = [irrep(alg, (int(w),)) for w in weights]
-    return invariant_basis(tensor_system(reps), "exact").dim
+    return invariant_basis(tensor_system(reps)).dim
 
 
 def compare_invariants(level, weights, scan_limit=None):

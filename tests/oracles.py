@@ -246,8 +246,17 @@ A1_H = ((1, 0), (0, -1))
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra: dense Gauss-Jordan elimination over Fraction
+# exact linear algebra: entrywise sums and dense Gauss-Jordan elimination
+# over Fraction
 # ---------------------------------------------------------------------------
+
+def rat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def rat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
 
 def dense_rref(rows, ncols):
     """RREF of sparse rows {column: value}, by dense Gauss-Jordan elimination

@@ -217,7 +217,7 @@ def test_criterion_7_representation_layer():
     v1 = irrep(A1, (1,))
     for m in range(1, 6):
         ms = [1] * (2 * m)
-        exact = invariant_basis(tensor_system([v1] * (2 * m)), "exact").dim
+        exact = invariant_basis(tensor_system([v1] * (2 * m))).dim
         if exact != CATALAN[m] or exact != brute_invariant_dim_a1(ms):
             ok = False
     report(7, "casimir scalars and catalan dimensions", ok, time.time() - t0, 60)

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import os
 import subprocess
@@ -260,6 +261,42 @@ class TestDeterminism:
             capsys, ["symbols", "check", "--trials", "10", "--seed", "3"]
         )
         assert out1 == out2
+
+
+class TestPinnedOutput:
+    """Exact outputs pinned byte for byte; a change of internal matrix format
+    must leave them as they are."""
+
+    def test_exact_flatness(self, capsys):
+        _, out, _ = capture(
+            capsys, ["kz", "flatness", "--rank", "1", "--weights", "1,1,1,1,1,1", "--exact"]
+        )
+        assert out == '{"mode": "exact", "n": 6, "invariant_dim": 5, "residual": "0"}\n'
+
+    def test_invariants(self, capsys):
+        _, out, _ = capture(capsys, ["invariants", "--rank", "2", "--weights", "1,1,1,1,1,1"])
+        assert out == (
+            '{"rank": 2, "weights": [[1, 1], [1, 1], [1, 1]], "ambient_dim": 512, '
+            '"invariant_dim": 2, "omega_sum_scalar": "-9", "omega_sum_is_scalar": true}\n'
+        )
+
+    def test_sugawara_check(self, capsys):
+        _, out, _ = capture(
+            capsys, ["sugawara", "check", "--level", "2", "--weight", "1", "--depth", "4"]
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7dc54c434c411e6c276f7f6df7eda52ae955f2185582e54009b06278450b26aa"
+        )
+
+    def test_emitted_matrices(self, capsys, tmp_path):
+        target = tmp_path / "matrices.json"
+        code, _, _ = capture(
+            capsys, ["rep", "build", "--rank", "2", "--weight", "2,1", "--emit", str(target)]
+        )
+        assert code == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "54e06cf0b6fd458b1aeea260b06f6b008e8a59307554b7e868c6e651d8b20ff9"
+        )
 
 
 class TestStartup:

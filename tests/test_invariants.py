@@ -14,10 +14,10 @@ from kzmono.invariants import (
     tensor_system,
 )
 from kzmono.liealg import build_algebra
-from kzmono.numerics import nullspace_exact_sparse, rat_add, rat_identity
+from kzmono.numerics import nullspace_exact_sparse, rat_identity
 from kzmono.reps import casimir_value, irrep, rep_matrix
 
-from oracles import CATALAN, brute_invariant_dim_a1, dense_kernel
+from oracles import CATALAN, brute_invariant_dim_a1, dense_kernel, rat_add
 
 
 @pytest.fixture(scope="module")
@@ -120,11 +120,6 @@ class TestInvariantBasis:
         rows, zw = raising_rows(sys)
         assert nullspace_exact_sparse(rows, len(zw)) == dense_kernel(rows, len(zw))
 
-    def test_float_mode_matches_exact(self, a1):
-        for ms in ([1, 1, 1, 1], [2, 1, 1], [2, 2, 2]):
-            sys = a1_system(a1, ms)
-            assert invariant_basis(sys, "float").dim == invariant_basis(sys).dim
-
 
 class TestOmegaPair:
     def test_rejects_equal_slots(self, a1):
@@ -209,8 +204,10 @@ class TestRestrict:
     def test_singlet_scalar(self, a1):
         sys = a1_system(a1, [1, 1])
         inv = invariant_basis(sys)
-        r = restrict(omega_pair(sys, 0, 1), inv)
+        op = omega_pair(sys, 0, 1)
+        r = restrict(op, inv)
         assert r == [[Fraction(-3, 2)]]
+        assert op.restriction is r
 
     def test_zero_dimensional_space(self, a1):
         sys = a1_system(a1, [1, 1, 1])
@@ -235,14 +232,6 @@ class TestRestrict:
                 for q in range(inv.dim):
                     assert total[p][q] == (expect if p == q else 0)
 
-    def test_float_mode_restriction(self, a1):
-        sys = a1_system(a1, [1, 1])
-        inv = invariant_basis(sys, "float")
-        op = omega_pair(sys, 0, 1)
-        r = restrict(op, inv)
-        assert np.allclose(np.asarray(r, dtype=complex), [[-1.5]])
-        assert op.restriction is r
-
     def test_exact_basis_off_by_a_third_raises(self, a1):
         from kzmono.errors import ConsistencyError
         from kzmono.invariants import InvariantSpace
@@ -259,7 +248,7 @@ class TestRestrict:
                 basis = [dict(b) for b in inv.basis]
                 basis[c][idx] += Fraction(1, 3)
                 broken = InvariantSpace(ambient=sys, basis=basis,
-                                        free_positions=inv.free_positions, mode="exact")
+                                        free_positions=inv.free_positions)
                 raised = 0
                 for op in ops:
                     try:
@@ -272,7 +261,7 @@ class TestRestrict:
         # covers, but omega_23 also sends it to 0010, outside that row
         idx = sys.flat_index((0, 0, 0, 1))
         lone = InvariantSpace(ambient=sys, basis=[{idx: Fraction(1)}],
-                              free_positions=[idx], mode="exact")
+                              free_positions=[idx])
         with pytest.raises(ConsistencyError):
             restrict(omega_pair(sys, 2, 3), lone)
 
@@ -281,12 +270,13 @@ class TestRestrict:
         from kzmono.invariants import InvariantSpace
 
         sys = a1_system(a1, [1, 1])
-        # a column that is not invariant cannot satisfy op.B = B.R
-        fake = InvariantSpace(
-            ambient=sys,
-            basis=[{0: 1.0, 1: 0.5}],
-            free_positions=[],
-            mode="float",
-        )
-        with pytest.raises(ConsistencyError):
-            restrict(omega_pair(sys, 0, 1), fake)
+        # a column that is not invariant cannot satisfy op.B = B.R, whichever
+        # of its positions is taken as free
+        for free in ([0], [1]):
+            fake = InvariantSpace(
+                ambient=sys,
+                basis=[{0: 1, 1: Fraction(1, 2)}],
+                free_positions=free,
+            )
+            with pytest.raises(ConsistencyError):
+                restrict(omega_pair(sys, 0, 1), fake)

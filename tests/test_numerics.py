@@ -19,16 +19,14 @@ from kzmono.numerics import (
     integer_matrix,
     nullspace_exact_sparse,
     ode_transport,
-    rat_add,
     rat_identity,
     rat_mul,
-    rat_sub,
     rat_zeros,
     solve_exact,
     sparse_eliminate,
 )
 
-from oracles import dense_rref
+from oracles import dense_rref, rat_add, rat_sub
 
 
 def rand_matrix(rng, rows, cols, bound=4):

@@ -8,10 +8,11 @@ import pytest
 import kzmono.reps as reps
 from kzmono.errors import ConsistencyError, DomainError
 from kzmono.liealg import build_algebra
-from kzmono.numerics import exact_rank, rat_mul, rat_sub, rat_zeros
+from kzmono.numerics import exact_rank, fraction_rows, rat_mul, rat_zeros
 from kzmono.reps import (
     casimir,
     casimir_value,
+    integer_rep_matrix,
     irrep,
     rep_matrix,
     tensor_decompose,
@@ -19,7 +20,7 @@ from kzmono.reps import (
     weyl_dimension,
 )
 
-from oracles import freudenthal_multiplicities
+from oracles import freudenthal_multiplicities, rat_add, rat_sub
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +76,15 @@ class TestConstruction:
             assert irrep(a1, (m,)).dim == weyl_dimension(a1, (m,)) == m + 1
         for lam in [(1, 0), (0, 1), (2, 0), (1, 1), (2, 1), (0, 3)]:
             assert irrep(a2, lam).dim == weyl_dimension(a2, lam)
+        a3 = build_algebra("A", 3)
+        for lam in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0)]:
+            assert irrep(a3, lam).dim == weyl_dimension(a3, lam)
+
+    def test_weyl_dimension_pinned(self):
+        a3, a4 = build_algebra("A", 3), build_algebra("A", 4)
+        assert weyl_dimension(a3, (1, 0, 1)) == 15
+        assert weyl_dimension(a4, (1, 0, 0, 1)) == 24
+        assert weyl_dimension(a3, (3, 3, 3)) == 4096
 
     def test_rejects_non_dominant(self, a1):
         with pytest.raises(DomainError):
@@ -199,17 +209,16 @@ class TestCasimir:
     def test_commutes_with_generators(self, a1):
         rep = irrep(a1, (3,))
         alg = a1
-        from kzmono.reps import rep_matrix_combo
         from kzmono.liealg import dual_pairs
 
         total = rat_zeros(rep.dim, rep.dim)
         for a, dual in dual_pairs(alg):
             ma = rep_matrix(rep, alg.basis_labels[a])
-            md = rep_matrix_combo(rep, dual)
-            prod = rat_mul(md, ma)
-            total = [
-                [x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, prod)
-            ]
+            md = rat_zeros(rep.dim, rep.dim)
+            for b, coeff in dual.items():
+                mb = rep_matrix(rep, alg.basis_labels[b])
+                md = rat_add(md, [[coeff * x for x in row] for row in mb])
+            total = rat_add(total, rat_mul(md, ma))
         for lab in alg.basis_labels:
             g = rep_matrix(rep, lab)
             assert rat_mul(total, g) == rat_mul(g, total)
@@ -221,8 +230,16 @@ class TestRepMatrix:
         # ("f", 1, 4) and ("h", 3) raised IndexError
         for alg, label in [(a1, ("h", 0)), (a2, ("h", 0)), (a2, ("e", 2, 1)),
                            (a2, ("f", 1, 4)), (a2, ("h", 3)), (a2, ("x", 1, 2))]:
-            with pytest.raises(DomainError, match="no basis element"):
-                rep_matrix(irrep(alg, (1,) * alg.rank), label)
+            rep = irrep(alg, (1,) * alg.rank)
+            for matrix in (rep_matrix, integer_rep_matrix):
+                with pytest.raises(DomainError, match="no basis element"):
+                    matrix(rep, label)
+
+    def test_fraction_view_of_integer_matrix(self, a1, a2):
+        for alg, weight in [(a1, (3,)), (a2, (2, 1))]:
+            rep = irrep(alg, weight)
+            for label in alg.basis_labels:
+                assert fraction_rows(*integer_rep_matrix(rep, label)) == rep_matrix(rep, label)
 
     def test_long_root_vectors_are_commutators(self):
         a3 = build_algebra("A", 3)
