@@ -347,13 +347,14 @@ def _cmd_sugawara_check(args):
     bracket_res = {}
     for p, q in pairs:
         bracket_res[f"{p},{q}"] = _rat_str(virasoro_bracket_check(mod, p, q))
+    modes = [k for k in (-1, 0, 1) if abs(k) <= args.depth]
     lx_res = {}
-    for n in (-1, 0, 1):
+    for n in modes:
         for gen in ("e", "f", "h"):
-            for k in (-1, 0, 1):
+            for k in modes:
                 lx_res[f"{n},{gen},{k}"] = _rat_str(lx_commutator_check(mod, n, gen, k))
     affine_res = {}
-    for x in ("e", "f", "h"):
+    for x in ("e", "f", "h") if args.depth >= 1 else ():
         for y in ("e", "f", "h"):
             affine_res[f"{x},1,{y},-1"] = _rat_str(affine_bracket_check(mod, x, 1, y, -1))
     return {

@@ -178,6 +178,8 @@ class ConfigPath:
             gap = max(abs(x - y) for x, y in zip(a.endpoint, b.startpoint))
             if gap > 1e-9:
                 raise DomainError(f"path segments do not chain (gap {gap:.3e})")
+        if len(self.start) < 2:
+            return  # one point has no diagonal to touch
         for seg in self.segments:
             d, (a, b) = min(
                 (seg.pair_distance(a, b), (a, b))

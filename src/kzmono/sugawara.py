@@ -1,28 +1,29 @@
 """Graded truncations of integrable level-l highest-weight sl2-hat modules,
 and the quadratic Virasoro operators built from current modes.
 
-A truncation is grown degree by degree. At degree D the vectors X(-k).b
-with b from lower degrees span everything, and one commutation rule,
+A truncation is grown degree by degree, as :func:`kzmono.reps.irrep` grows
+weight block by weight block. Since [g, g] = g, degree D is spanned by the
+y(-1).b, y in (f, h, e) and b in degree D - 1, and for n in {0, 1}
 
-    x(n) y(-k) b = y(-k) x(n) b + [x, y](n-k) b + n d_{n,k} kappa(x, y) l b,
+    x(n) y(-1) b = y(-1) x(n) b + [x, y](n-1) b + n kappa(x, y) l b
 
-gives the columns of every positive mode x(n) on that spanning list from
-data of lower degrees. The Gram and the positive-mode tables come from the
-same mode columns: the Gram rows of X(-k).b are <b, tauX(k) v>, the degree
-D - k Gram times the columns of tauX(k). That quotient step is
-:func:`kzmono.reps.quotient_step`, the one that grows the finite irreps
-weight block by weight block: it keeps a maximal subset with nonsingular
-Gram, and the negative modes into D express the spanning vectors over that
-subset. The positive-mode tables out of degree D are the kept columns, and
-zero modes on D follow from the same rule with n = 0. The
-central element acts by the level throughout, and the quotient by the
+gives the columns of x(n) on that list. The Gram rows of y(-1).b are
+<b, tauy(1) v>, the degree D - 1 Gram times the x(1) columns of tauy;
+:func:`kzmono.reps.quotient_step` keeps a maximal subset with nonsingular
+Gram, and its expansions over that subset are the tables of y(-1) into D.
+The tables of x(1) and, once y(-1) is stored, of x(0) out of D are the kept
+columns. Every basis vector is an h-weight vector, so the weights are the
+diagonal of h(0). Every mode with |n| >= 2 is derived on first use, and
+cached, by one bracket rule x(n) = c [a(s), b(n-s)], s = sign n, from
+e = [h, e]/2, f = -[h, f]/2 and h = [e, f] (no central term, as n != 0).
+The central element acts by the level throughout, and the quotient by the
 form's radical is what makes the module integrable rather than a
 generalized Verma module. Mode operators are stored per source degree;
 blocks whose target exceeds the truncation are absent, never silently zero.
 
 Every mode table, Gram block and quadratic-operator block is stored in the
 dense exact format (N, D) of :mod:`kzmono.numerics`, and all the algebra
-on them (the commutation rule on a block of spanning vectors, the Gram
+on them (the commutation and bracket rules, the Gram
 rows, the quadratic sums and the bracket residuals) is one ``combine`` of
 products. The Gram reaches ``gram_select`` as the integer matrix N: its
 RREF, hence the selection and the expansions, does not change under
@@ -89,7 +90,7 @@ class TruncatedModule:
     highest_weight: int
     depth: int
     graded_dims: list
-    graded_bases: list          # labels (k, gen, parent_index) per degree; degree 0: V indices
+    graded_bases: list          # labels (1, gen, parent_index) per degree; degree 0: V indices
     vlambda: object
     _grams: list                # Gram matrix per degree, as (N, D)
     _tables: dict = field(default_factory=dict)   # (gen, n, src) -> (N, D)
@@ -137,7 +138,6 @@ def truncated_module(level, m, depth, depth_guard=6):
     alg = build_algebra("A", 1)
     vl = irrep(alg, (m,))
     d0 = vl.dim
-    ell = Fraction(level)
 
     mod = TruncatedModule(
         algebra=alg,
@@ -151,28 +151,19 @@ def truncated_module(level, m, depth, depth_guard=6):
             (idxs, idxs, vl.integer_grams[w]) for w, idxs in vl.basis_by_weight.items()
         ])],
     )
-    mod._tables[("e", 0, 0)] = integer_rep_matrix(vl, ("e", 1, 2))
-    mod._tables[("f", 0, 0)] = integer_rep_matrix(vl, ("f", 1, 2))
-    mod._tables[("h", 0, 0)] = integer_rep_matrix(vl, ("h", 1))
+    for label in (("e", 1, 2), ("f", 1, 2), ("h", 1)):
+        mod._tables[(label[0], 0, 0)] = integer_rep_matrix(vl, label)
 
     for deg in range(1, depth + 1):
-        _grow_one_degree(mod, deg, ell)
+        _grow_one_degree(mod, deg)
     return mod
 
 
-_GEN_WEIGHT = {"e": 2, "f": -2, "h": 0}
-
-
 def graded_weights(mod):
-    """Per degree, the h-weight of every basis vector (labels carry pure
-    weights, so this is a recursion over the construction provenance)."""
-    out = [[mod.vlambda.cartan_diagonal[0][b] for b in mod.graded_bases[0]]]
-    for deg in range(1, mod.depth + 1):
-        level_w = []
-        for k, gen, b in mod.graded_bases[deg]:
-            level_w.append(out[deg - k][b] + _GEN_WEIGHT[gen])
-        out.append(level_w)
-    return out
+    """Per degree, the h-weight of every basis vector: the diagonal of h(0),
+    whose entries are integers as every basis vector is an h-weight vector."""
+    tables = (mod._tables[("h", 0, deg)] for deg in range(mod.depth + 1))
+    return [[w // den for w in num.diagonal()] for num, den in tables]
 
 
 def graded_character(mod):
@@ -184,61 +175,65 @@ def graded_character(mod):
     return char
 
 
-def _commute(mod, x, n, k, y, deg, ell, cols):
-    """x(n) on the spanning vectors y(-k) b of degree deg, for the b of
-    degree deg - k listed in ``cols``, as (N, D) with one column per b, by
-    the commutation rule
+def _commute(mod, x, n, deg):
+    """x(n), n in {0, 1}, on the spanning list y(-1) b of degree deg, as
+    (N, D) with one column per vector, by the commutation rule
 
-        x(n) y(-k) b = y(-k) x(n) b + [x, y](n-k) b + n d_{n,k} kappa(x, y) l b.
+        x(n) y(-1) b = y(-1) x(n) b + [x, y](n-1) b + n kappa(x, y) l b.
 
-    Every table it reads maps out of a degree below deg, except y(-k) and
-    [x, y](-k) into deg itself when n = 0; those must be stored first.
+    Every table it reads maps out of degree deg - 1 or below, except y(-1)
+    and [x, y](-1) into deg itself when n = 0; those must be stored first.
     """
-    src = deg - k
+    src = deg - 1
     tables = mod._tables
-
-    def on_cols(key):
-        num, den = tables[key]
-        return num[:, cols], den
-
-    terms = [(coeff, (on_cols((g, n - k, src)),)) for g, coeff in _BRACKET.get((x, y), ())]
-    if src >= n:
-        terms.append((1, (tables[(y, -k, src - n)], on_cols((x, n, src)))))
-    if n == k and (x, y) in _KAPPA:
-        unit = np.eye(mod.graded_dims[src], dtype=object)[:, cols], 1
-        terms.append((n * _KAPPA[(x, y)] * ell, (unit,)))
-    return combine(terms, (mod.graded_dims[deg - n], len(cols)))
+    blocks = []
+    for y in GENS:
+        terms = [(coeff, (tables[(g, n - 1, src)],)) for g, coeff in _BRACKET.get((x, y), ())]
+        if src >= n:
+            terms.append((1, (tables[(y, -1, src - n)], tables[(x, n, src)])))
+        if n and (x, y) in _KAPPA:
+            terms.append((_KAPPA[(x, y)] * mod.level, ()))
+        blocks.append(combine(terms, (mod.graded_dims[deg - n], mod.graded_dims[src])))
+    return concat(blocks, axis=1)
 
 
-def _grow_one_degree(mod, deg, ell):
-    dims = mod.graded_dims
-    blocks = [(k, gen) for k in range(deg, 0, -1) for gen in GENS]
-    spanning = [(k, gen, b) for k, gen in blocks for b in range(dims[deg - k])]
-
-    def on_labels(x, n, labels):
-        # x(n) on the spanning labels given, in their order, one column each
-        return concat([
-            _commute(mod, x, n, k, y, deg, ell,
-                     [b for kb, yb, b in labels if (kb, yb) == (k, y)])
-            for k, y in blocks
-        ], axis=1)
-
-    modes = {(x, n): on_labels(x, n, spanning) for n in range(1, deg + 1) for x in GENS}
-    # <X(-k) b, v> = <b, tauX(k) v>; the expansions give the negative modes
+def _grow_one_degree(mod, deg):
+    spanning = [(1, y, b) for y in GENS for b in range(mod.graded_dims[deg - 1])]
+    raising = {x: _commute(mod, x, 1, deg) for x in GENS}
+    # <y(-1) b, v> = <b, tauy(1) v>; the expansions give y(-1) into deg
     selected, gram, tables = quotient_step(
-        [(mod._grams[deg - k], modes[(_TAU[gen], k)]) for k, gen in blocks]
+        [(mod._grams[deg - 1], raising[_TAU[y]]) for y in GENS]
     )
-    dims.append(len(selected))
+    mod.graded_dims.append(len(selected))
     mod.graded_bases.append([spanning[j] for j in selected])
     mod._grams.append(gram)
-    for (k, gen), table in zip(blocks, tables):
-        mod._tables[(gen, -k, deg - k)] = table
-    # zero modes on the new degree, which need the negative modes above
+    for y, table in zip(GENS, tables):
+        mod._tables[(y, -1, deg - 1)] = table
+    # the tables out of the new degree are the kept columns
     for x in GENS:
-        mod._tables[(x, 0, deg)] = on_labels(x, 0, mod.graded_bases[deg])
-    # positive modes out of the new degree: the selected mode columns
-    for (x, n), (num, den) in modes.items():
-        mod._tables[(x, n, deg)] = num[:, selected], den
+        for n, (num, den) in ((0, _commute(mod, x, 0, deg)), (1, raising[x])):
+            mod._tables[(x, n, deg)] = num[:, selected], den
+
+
+# x(n) = c [a(s), b(n-s)] for |n| >= 2, s = sign n, as x -> (a, b, c)
+_DERIVE = {"e": ("h", "e", Fraction(1, 2)), "f": ("h", "f", Fraction(-1, 2)), "h": ("e", "f", 1)}
+
+
+def _table(mod, gen, n, src):
+    """gen(n) from degree src to src - n as (N, D), both degrees inside the
+    truncation; |n| >= 2 is derived and cached, via degrees between the two."""
+    key = (gen, n, src)
+    cached = mod._tables.get(key)
+    if cached is not None:
+        return cached
+    a, b, c = _DERIVE[gen]
+    s = 1 if n > 0 else -1
+    table = combine([
+        (c, (_table(mod, a, s, src - n + s), _table(mod, b, n - s, src))),
+        (-c, (_table(mod, b, n - s, src - s), _table(mod, a, s, src))),
+    ], (mod.graded_dims[src - n], mod.graded_dims[src]))
+    mod._tables[key] = table
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +265,6 @@ def ln_operator(mod, n):
     if n in cache:
         return cache[n]
     norm = Fraction(1, 2 * (mod.level + 2))
-    tables = mod._tables
     blocks = {}
     for src in range(mod.depth + 1):
         tgt = src - n
@@ -280,7 +274,7 @@ def ln_operator(mod, n):
         # pair q = n - q is counted once, every other pair twice
         blocks[src] = combine([
             ((norm if 2 * q == n else 2 * norm) * coeff,
-             (tables[(x, n - q, src - q)], tables[(y, q, src)]))
+             (_table(mod, x, n - q, src - q), _table(mod, y, q, src)))
             for q in range(-(-n // 2), src + 1)
             for x, y, coeff in _DUAL_TERMS
         ], (mod.graded_dims[tgt], mod.graded_dims[src]))
@@ -289,15 +283,11 @@ def ln_operator(mod, n):
     return op
 
 
-def _dim(mod, deg):
-    return mod.graded_dims[deg] if 0 <= deg <= mod.depth else 0
-
-
 def _mode(mod, gen, n):
     """gen(n) as an operator (index, block getter) for _block."""
     if gen not in _TAU:
         raise DomainError(f"unknown sl2 generator {gen!r}")
-    return n, lambda src: mod._tables[(gen, n, src)]
+    return n, lambda src: _table(mod, gen, n, src)
 
 
 def _block(mod, op, src):
@@ -312,7 +302,8 @@ def _block(mod, op, src):
     if src > mod.depth or tgt > mod.depth:
         return None
     if src < 0 or tgt < 0:
-        return np.zeros((_dim(mod, tgt), _dim(mod, src)), dtype=object), 1
+        shape = [mod.graded_dims[d] if d >= 0 else 0 for d in (tgt, src)]
+        return np.zeros(shape, dtype=object), 1
     return get(src)
 
 
@@ -344,11 +335,15 @@ def _bracket_residual(mod, a, b, rhs, central):
     return worst
 
 
-def virasoro_bracket_check(mod, p, q):
-    """Max residual of [L_p, L_q] = (p-q) L_{p+q} + d_{p+q,0} (p^3-p)/12 c_v."""
-    for idx in (p, q, p + q):
+def _check_indices(mod, *indices):
+    for idx in indices:
         if abs(idx) > mod.depth:
             raise DomainError(f"index {idx} exceeds the truncation depth")
+
+
+def virasoro_bracket_check(mod, p, q):
+    """Max residual of [L_p, L_q] = (p-q) L_{p+q} + d_{p+q,0} (p^3-p)/12 c_v."""
+    _check_indices(mod, p, q, p + q)
     lp, lq, lpq = ((i, ln_operator(mod, i).blocks.get) for i in (p, q, p + q))
     central = Fraction(p**3 - p, 12) * central_charge(mod.level)
     return _bracket_residual(mod, lp, lq, [(p - q, lpq)], central)
@@ -356,6 +351,7 @@ def virasoro_bracket_check(mod, p, q):
 
 def lx_commutator_check(mod, n, gen, k):
     """Max residual of [L_n, X(k)] = -k X(n+k) over fully defined blocks."""
+    _check_indices(mod, k)
     ln = ln_operator(mod, n)
     return _bracket_residual(mod, (n, ln.blocks.get), _mode(mod, gen, k),
                              [(-k, _mode(mod, gen, n + k))], ZERO)
@@ -363,6 +359,7 @@ def lx_commutator_check(mod, n, gen, k):
 
 def affine_bracket_check(mod, x, p, y, q):
     """Max residual of [X(p), Y(q)] = [X,Y](p+q) + p d_{p+q,0} kappa(X,Y) l."""
+    _check_indices(mod, p, q)
     rhs = [(coeff, _mode(mod, g, p + q)) for g, coeff in _BRACKET.get((x, y), ())]
     central = p * _KAPPA.get((x, y), ZERO) * mod.level
     return _bracket_residual(mod, _mode(mod, x, p), _mode(mod, y, q), rhs, central)

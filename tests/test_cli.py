@@ -216,6 +216,18 @@ class TestOtherCommands:
         assert set(data["bracket_residuals"].values()) == {"0"}
         assert set(data["lx_residuals"].values()) == {"0"}
 
+    def test_sugawara_check_depth_zero(self, capsys):
+        # only the zero modes act inside a depth-0 truncation
+        code, out, _ = capture(
+            capsys, ["sugawara", "check", "--level", "1", "--weight", "0", "--depth", "0"]
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["graded_dims"] == [1]
+        assert data["bracket_residuals"] == {"0,0": "0"}
+        assert data["lx_residuals"] == {f"0,{g},0": "0" for g in "efh"}
+        assert data["affine_residuals"] == {}
+
     def test_symbols_check(self, capsys):
         code, out, _ = capture(
             capsys, ["symbols", "check", "--rank", "1", "--trials", "25", "--seed", "11"]

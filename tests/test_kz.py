@@ -230,6 +230,13 @@ class TestTransport:
         hol = parallel_transport(sys11, path, 1e-8)
         assert np.array_equal(hol.matrix, np.eye(1, dtype=complex))
 
+    def test_one_point_identity(self, a1):
+        # a single point has no pairs, so no diagonal and no connection
+        sys = kz_system(a1, [(0,)], 3)
+        path = path_through([(0j,), (1 + 1j,), (2 + 0j,)])
+        hol = parallel_transport(sys, path, 1e-8)
+        assert np.array_equal(hol.matrix, np.eye(1, dtype=complex))
+
     def test_full_loop_closed_form(self, sys11):
         # one counterclockwise turn: exp(2 pi i (-3/2) / 3) = -1
         hol = braid_monodromy(sys11, 0, 1, 1e-8)

@@ -57,6 +57,15 @@ class TestConstruction:
             mod = truncated_module(level, m, 4)
             assert wk_character_holds(level, m, 4, graded_character(mod))
 
+    def test_degrees_spanned_by_minus_one_modes(self):
+        # every basis vector above the top is y(-1) b, b a degree D - 1 index
+        for level, m, depth in [(1, 0, 4), (2, 1, 4), (2, 2, 3)]:
+            mod = truncated_module(level, m, depth)
+            for deg in range(1, depth + 1):
+                for k, gen, b in mod.graded_bases[deg]:
+                    assert (k, gen) in {(1, "f"), (1, "h"), (1, "e")}
+                    assert 0 <= b < mod.graded_dims[deg - 1]
+
     def test_gram_blocks_nonsingular(self, vacuum):
         from kzmono.numerics import exact_rank
 
@@ -134,9 +143,23 @@ class TestModeOperators:
         mod = truncated_module(1, 0, 3)
         num, den = mod._tables[("e", -1, 1)]
         num[0, 0] += den  # the (0, 0) entry, N / D, goes up by exactly 1
-        assert affine_bracket_check(mod, "f", 1, "e", -1) == 2
+        assert affine_bracket_check(mod, "f", 1, "e", -1) == 4
         assert lx_commutator_check(mod, 1, "e", -1) == 2
-        assert virasoro_bracket_check(mod, 1, -1) == Fraction(4, 3)
+        assert virasoro_bracket_check(mod, 1, -1) == Fraction(8, 3)
+
+    def test_checks_reject_modes_beyond_depth(self):
+        # no block of e(9) exists in a depth-2 truncation, so a residual of 0
+        # would certify nothing
+        mod = truncated_module(1, 0, 2)
+        calls = [
+            lambda: lx_commutator_check(mod, 0, "e", 9),
+            lambda: lx_commutator_check(mod, 1, "e", -3),
+            lambda: affine_bracket_check(mod, "e", 3, "f", -1),
+            lambda: affine_bracket_check(mod, "e", 1, "f", -3),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="exceeds the truncation depth"):
+                call()
 
     def test_central_term_level_dependence(self):
         # [e(1), f(-1)] = h(0) + level on the vacuum vector
