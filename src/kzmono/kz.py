@@ -25,7 +25,9 @@ from .errors import ConsistencyError, DomainError, SingularityError
 from .invariants import invariant_basis, omega_pair, restrict, tensor_system
 from .liealg import weight_form
 from .numerics import (
+    INT64_LIMIT,
     exact_rank,
+    max_abs,
     np,
     ode_transport,
     rat_commutator,
@@ -261,7 +263,9 @@ def flatness_residual(sys, exact=True):
     Relations: [W_ij, W_ik + W_jk] for distinct i, j, k, and [W_ij, W_kl]
     for disjoint pairs. Vacuously zero for n = 2. Exact mode evaluates all
     relations at once as integer commutators of D W_ij, whose entries are
-    D^2 times the exact ones, so the residual is max|C| / D^2.
+    D^2 times the exact ones, so the residual is max|C| / D^2. They run on
+    int64 when the largest |entry| m of the D W_ij gives 4 m^2 dim < 2^62,
+    and on Python ints otherwise.
     """
     worst = Fraction(0) if exact else 0.0
     if sys.dim == 0:
@@ -287,8 +291,14 @@ def flatness_residual(sys, exact=True):
     left, right, extra = (list(x) for x in zip(*rel))
     if exact:
         stack, den = _integer_stack(sys)
-        comm = rat_commutator(stack[left], stack[right] + stack[extra])
-        return Fraction(int(np.abs(comm).max()), den * den)
+        m = max_abs(stack)
+        if 4 * m * m * sys.dim < INT64_LIMIT:
+            # no commutator entry or partial sum below exceeds 4 m^2 dim
+            stack = stack.astype(np.int64)
+        x, y = stack[left], stack[right]
+        y += stack[extra]
+        comm = rat_commutator(x, y)
+        return Fraction(max_abs(comm), den * den)
     stack = np.concatenate([sys.omega_stack, np.zeros((1, sys.dim, sys.dim))])
     x, y = stack[left], stack[right] + stack[extra]
     return float(np.max(np.abs(x @ y - y @ x)))

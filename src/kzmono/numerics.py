@@ -9,14 +9,17 @@ Every exact elimination (ranks, null spaces, solves, basis selection from a
 Gram matrix) runs on one routine, :func:`sparse_eliminate`, which returns the
 reduced row echelon form as pivot rows.
 
-The exact kernels run on Python integers, which have no fixed width and so
-cannot overflow. ``sparse_eliminate`` scales each row by the lcm of its
-denominators and eliminates fraction free, by cross-multiplication, keeping
-its pivot rows primitive; ``Fraction`` appears only in the RREF it returns.
-Dense exact matrices are held as pairs (N, D): N is a numpy object array of
-Python ints and D > 0 a common denominator, so the matrix is N / D.
-:func:`combine` evaluates every sum of products, sum coeff * (F_1 @ F_2 @ ...),
-in lowest terms, gcd(N, D) = 1; :func:`concat` and :func:`block_matrix`
+The exact kernels run on integers that cannot overflow: Python integers,
+which have no fixed width, or int64 where an a-priori bound proves that no
+intermediate reaches 2^62, falling back to Python integers otherwise.
+``sparse_eliminate`` scales each row by the lcm of its denominators and
+eliminates fraction free, by cross-multiplication, keeping its pivot rows
+primitive; ``Fraction`` appears only in the RREF it returns. Dense exact
+matrices are held as pairs (N, D): N is a numpy object array of Python ints
+and D > 0 a common denominator, so the matrix is N / D. :func:`combine`
+evaluates every sum of products, sum coeff * (F_1 @ F_2 @ ...), in lowest
+terms, gcd(N, D) = 1, on int64 when its work and that bound allow and on
+Python ints otherwise; :func:`concat` and :func:`block_matrix`
 assemble blocks over the lcm of their denominators, and
 :func:`integer_matrix` and :func:`fraction_rows` convert to and from rows of
 ``Fraction``. Representation matrices and the irrep, affine, Casimir and
@@ -35,8 +38,10 @@ touch it start without it. The lazy loader is not thread-safe under CPython
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -103,9 +108,14 @@ def rat_mul(a, b):
 
 
 def rat_commutator(a, b):
-    """[a, b] = ab - ba of (stacks of) integer matrices held as numpy object
-    arrays of Python ints, so no width can overflow."""
-    return a @ b - b @ a
+    """[a, b] = ab - ba of (stacks of) integer matrices, held either as
+    numpy object arrays of Python ints, which cannot overflow, or as int64
+    arrays; for int64 the caller proves that no entry of ab or ba, nor any
+    partial sum of either or their difference, leaves the int64 range
+    (exact flatness converts only when 4 m^2 dim < 2^62, m = max|entry|)."""
+    comm = a @ b
+    comm -= b @ a
+    return comm
 
 
 # ---------------------------------------------------------------------------
@@ -148,25 +158,109 @@ def concat(mats, axis):
     return np.concatenate([n * (den // d) for n, d in mats], axis=axis), den
 
 
+# Work, in multiply-adds (rows * inner * cols summed over the products of a
+# call), from which combine converts to int64. Measured on a 2-vCPU x86-64
+# VM, CPython 3.11, numpy 2.4: per call the int64 path is 0.6-0.8x as fast
+# as Python ints on one 6x6x6 product (216), 1.4x on 8x8x8 (512), 4-5x on
+# 16x16x16 (4096) and about 20x on two 69x69x69 products. But the first
+# int64 product in a process adds about 0.17 MB of peak RSS, and the
+# benchmark's affine workload ran as fast at 4096 as at 512, so the small
+# irrep blocks (such as the 8x8 commutators of sl3 adjoint matrices) stay on
+# Python ints.
+_INT64_MIN_WORK = 4096
+# every int64 intermediate of an exact kernel stays below this, proved
+# before the kernel runs
+INT64_LIMIT = 2 ** 62
+
+
+def max_abs(a):
+    """max |a_ij| of an integer array as a Python int, 0 for an empty one;
+    unlike ``np.abs``, exact at the most negative int64."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _int64_chains(scales, chains):
+    """The factors of every chain as int64 arrays, or None when a factor
+    does not fit int64 or the bound below reaches ``INT64_LIMIT``.
+
+    Each |entry| of a product of factors with max |F_i| <= M_i and inner
+    dimensions k_j is at most prod M_i * prod k_j, and so is every partial
+    sum the product forms; with every M_i, k_j and |scale| raised to at
+    least 1 the same bound covers each partial product of a chain, and the
+    sum over terms bounds every partial sum of the total. A zero factor or
+    a zero product cannot hide a large intermediate, nor a large scale."""
+    ints = {}
+    bound = 0
+    for scale, chain in zip(scales, chains):
+        term = max(abs(scale), 1)
+        for i, n in enumerate(chain):
+            if id(n) not in ints:
+                try:
+                    ints[id(n)] = n.astype(np.int64)
+                except OverflowError:
+                    return None
+            term *= max(max_abs(ints[id(n)]), 1)
+            if i:
+                term *= max(n.shape[0], 1)
+        bound += term
+    if bound >= INT64_LIMIT:
+        return None
+    return [[ints[id(n)] for n in chain] for chain in chains]
+
+
+def _sum_products(total, scales, chains):
+    """Add scale * (F_1 @ F_2 @ ...) into ``total`` for each chain; an empty
+    chain is the identity."""
+    for scale, chain in zip(scales, chains):
+        if chain:
+            total += scale * functools.reduce(operator.matmul, chain)
+        else:
+            total[np.diag_indices(len(total))] += scale
+    return total
+
+
 def combine(terms, shape):
     """sum coeff * (F_1 @ F_2 @ ...) over ``terms`` = [(coeff, (F_1, ...))],
     each F an (N, D) pair and coeff rational, as (N, D) of the given shape in
-    lowest terms. An empty product stands for the identity."""
-    parts = []
+    lowest terms; N holds Python ints. An empty product stands for the
+    identity. Raises ShapeError unless every chain runs from shape[0] rows
+    to shape[1] columns through agreeing inner dimensions (so an identity
+    term needs a square shape).
+
+    With every term scaled to the common denominator D, the sum is formed
+    on int64 when its products do at least ``_INT64_MIN_WORK``
+    multiply-adds and an a-priori bound, sum_t max(|scale_t|, 1) *
+    prod_i max(max|F_i|, 1) * prod max(inner dim, 1), shows that no
+    partial product or partial sum reaches 2^62; otherwise, or when a
+    factor does not fit int64, on Python ints. Both give the same exact
+    result."""
+    rows, cols = shape
+    nums, dens, chains, work = [], [], [], 0
     for coeff, factors in terms:
-        prod, den = None, coeff.denominator
+        den, width, chain = coeff.denominator, rows, []
         for n, d in factors:
-            prod = n if prod is None else prod @ n
+            r, c = n.shape
+            if r != width:
+                raise ShapeError(f"factor {len(chain)} of a product has {r} rows, not {width}")
+            if chain:
+                work += rows * r * c
+            chain.append(n)
+            width = c
             den *= d
-        parts.append((coeff.numerator, den, prod))
-    den = math.lcm(*(d for _, d, _ in parts))
-    total = np.zeros(shape, dtype=object)
-    for c, d, prod in parts:
-        scale = c * (den // d)
-        if prod is None:
-            total[np.diag_indices(shape[0])] += scale
-        else:
-            total += scale * prod
+        if width != cols:
+            raise ShapeError(f"a product with {width} columns cannot fill shape {shape}")
+        nums.append(coeff.numerator)
+        dens.append(den)
+        chains.append(chain)
+    den = math.lcm(*dens)
+    scales = [c * (den // d) for c, d in zip(nums, dens)]
+    if work >= _INT64_MIN_WORK:
+        ints = _int64_chains(scales, chains)
+        if ints is not None:
+            total = _sum_products(np.zeros(shape, dtype=np.int64), scales, ints)
+            g = math.gcd(den, int(np.gcd.reduce(total.ravel())))
+            return (total // g).astype(object), den // g
+    total = _sum_products(np.zeros(shape, dtype=object), scales, chains)
     g = math.gcd(den, *total.flat)
     return total // g, den // g
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kzmono import kz
 from kzmono.errors import DomainError, SingularityError
 from kzmono.kz import (
     ArcSegment,
@@ -24,7 +25,7 @@ from kzmono.kz import (
     path_through,
 )
 from kzmono.liealg import build_algebra
-from kzmono.numerics import rat_mul
+from kzmono.numerics import rat_commutator, rat_mul
 from kzmono.reps import casimir_value, irrep
 
 from oracles import rat_add, rat_sub
@@ -151,10 +152,19 @@ class TestFlatness:
         sys = kz_system(a1, [(1,)] * 4, 3)
         assert flatness_residual(sys, exact=False) < 1e-12
 
-    @pytest.mark.parametrize("scale", [1, 2**40])
-    def test_perturbed_omega_matches_list_reference(self, a1, scale):
+    @pytest.mark.parametrize("scale", [1, 2**28, 2**29, 2**40])
+    def test_perturbed_omega_matches_list_reference(self, a1, scale, monkeypatch):
         # a W_ij moved by 1/2 breaks flatness by an exact amount; scaled by
-        # 2^40 the products pass 2^63, and the value must stay exact
+        # 2^40 the products pass 2^63, and the value must stay exact. Up to
+        # 2^28 the bound 4 m^2 dim < 2^62 holds and the commutators run on
+        # int64; from 2^29 on it fails and they run on Python ints
+        dtypes = []
+
+        def spy(a, b):
+            dtypes.append(a.dtype)
+            return rat_commutator(a, b)
+
+        monkeypatch.setattr(kz, "rat_commutator", spy)
         sys = kz_system(a1, [(1,)] * 4, 3)
         for m in sys.omegas.values():
             for row in m:
@@ -183,6 +193,7 @@ class TestFlatness:
         assert expected > 0
         got = flatness_residual(sys, exact=True)
         assert isinstance(got, Fraction) and got == expected
+        assert dtypes == [np.dtype(np.int64) if scale <= 2**28 else np.dtype(object)]
 
 
 class TestPaths:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kzmono import numerics
 from kzmono.errors import ShapeError, SingularityError
 from kzmono.numerics import (
     QuadExt,
@@ -181,6 +182,95 @@ def reference_combine(terms, shape):
     return total
 
 
+def small(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+
+
+def small_int(rng):
+    return rng.randint(-9, 9)
+
+
+def near_2_31(rng):
+    return rng.choice([-1, 1]) * rng.randint(2**31 - 9, 2**31)
+
+
+def just_below_2_31(rng):
+    return rng.randint(2**31 - 9, 2**31 - 1)
+
+
+def above_2_40(rng):
+    return rng.randint(2**40, 2**41)
+
+
+def zero(rng):
+    return 0
+
+
+# Sums of products whose work reaches numerics._INT64_MIN_WORK, and whether
+# the int64 bound admits them. Each term is (coeff, chain of dims, an entry
+# function per factor, {(factor, row, col): entry}); an empty chain is the
+# identity.
+WIDE_CASES = [
+    # small entries over small denominators
+    (True, [
+        (Fraction(3, 2), [16, 20, 16], [small, small], {}),
+        (Fraction(-1, 3), [16, 16], [small], {}),
+    ]),
+    (True, [
+        (Fraction(5, 7), [18, 18, 18, 18], [small, small, small], {}),
+        (Fraction(-4, 5), [], [], {}),
+        (Fraction(2), [18, 24, 18], [small, small], {}),
+    ]),
+    # entries up to 2^24 keep the bound below 2^62
+    (True, [(Fraction(-1), [12, 16, 24], [lambda rng: rng.randint(-2**24, 2**24)] * 2, {})]),
+    # entries near 2^31: products pass 2^62; through an inner dimension of
+    # 2 their sums pass 2^63 - 1 and would wrap on int64
+    (False, [(Fraction(1), [12, 24, 16], [near_2_31, near_2_31], {})]),
+    (False, [
+        (Fraction(1), [24, 2, 24], [just_below_2_31, just_below_2_31], {}),
+        (Fraction(1), [24, 12, 24], [small_int, small_int], {}),
+    ]),
+    # an entry above 2^63 does not convert to int64
+    (False, [(Fraction(1), [16, 20, 16], [small_int, small_int], {(0, 3, 4): 2**63 + 5})]),
+    # -2^63 converts, but its absolute value does not fit int64
+    (False, [(Fraction(1), [16, 20, 16], [small_int, small_int], {(1, 2, 5): -2**63})]),
+    # a zero coefficient does not cover an overflowing product
+    (False, [
+        (Fraction(0), [16, 20, 16], [near_2_31, near_2_31], {}),
+        (Fraction(1), [16, 20, 16], [small, small], {}),
+    ]),
+    # a zero last factor must not hide the overflowing product before it
+    (False, [
+        (Fraction(1), [12, 16, 16, 12], [above_2_40, above_2_40, zero], {}),
+        (Fraction(1, 2), [12, 20, 12], [small, small], {}),
+    ]),
+    # nor a zero product a huge coefficient
+    (False, [
+        (Fraction(2**70, 3), [12, 16, 12], [small, zero], {}),
+        (Fraction(1), [12, 16, 12], [small, small], {}),
+    ]),
+]
+
+
+def wide_terms(rng, case):
+    """(terms, reference terms, shape) of one WIDE_CASES entry."""
+    terms, ref_terms = [], []
+    shape = (case[0][1][0], case[0][1][-1])
+    for coeff, chain, entries, special in case:
+        mats = [
+            [[entry(rng) for _ in range(b)] for _ in range(a)]
+            for a, b, entry in zip(chain, chain[1:], entries)
+        ]
+        for (f, i, j), x in special.items():
+            mats[f][i][j] = x
+        mats = [[[Fraction(x) for x in row] for row in m] for m in mats]
+        terms.append((coeff, tuple(
+            integer_matrix(m, (a, b)) for m, a, b in zip(mats, chain, chain[1:])
+        )))
+        ref_terms.append((coeff, list(zip(mats, chain, chain[1:]))))
+    return terms, ref_terms, shape
+
+
 def assert_lowest_terms(num, den):
     assert den >= 1 and math.gcd(den, *num.flat) == 1
     assert all(type(x) is int for x in num.flat)
@@ -197,7 +287,7 @@ class TestDenseExact:
             back = fraction_rows(num, den)
             assert back == m and all(type(x) is Fraction for row in back for x in row)
 
-    def test_combine_matches_reference(self):
+    def test_combine_matches_reference(self, monkeypatch):
         rng = random.Random(37)
         for _ in range(60):
             dims = [rng.randint(0, 4) for _ in range(4)]
@@ -222,6 +312,47 @@ class TestDenseExact:
             assert num.shape == (rows, cols)
             assert_lowest_terms(num, den)
             assert fraction_rows(num, den) == reference_combine(ref_terms, (rows, cols))
+
+        # above the crossover: int64 where the bound admits it, Python ints
+        # otherwise, and the same exact result either way
+        fast = []
+
+        def spy(*args):
+            ints = real(*args)
+            fast.append(ints is not None)
+            return ints
+
+        real = numerics._int64_chains
+        monkeypatch.setattr(numerics, "_int64_chains", spy)
+        for expect_fast, case in WIDE_CASES:
+            terms, ref_terms, shape = wide_terms(rng, case)
+            fast.clear()
+            num, den = combine(terms, shape)
+            assert fast == [expect_fast]
+            assert num.shape == shape
+            assert_lowest_terms(num, den)
+            assert fraction_rows(num, den) == reference_combine(ref_terms, shape)
+
+    def test_combine_rejects_mismatched_chains(self):
+        def ones(rows, cols):
+            return np.ones((rows, cols), dtype=object), 1
+
+        bad = [
+            # a 1x3 product would broadcast into 3x3, and so would a 3x1
+            ([(Fraction(1), (ones(1, 2), ones(2, 3)))], (3, 3)),
+            ([(Fraction(1), (ones(3, 1),))], (3, 3)),
+            ([(Fraction(1), (ones(3, 2), ones(3, 3)))], (3, 3)),
+            # the identity needs a square shape
+            ([(Fraction(1), ())], (2, 3)),
+            ([(Fraction(1), (ones(2, 3),)), (Fraction(2), ())], (2, 3)),
+            # above the crossover the same checks hold
+            ([(Fraction(1), (ones(20, 20), ones(20, 20)))], (20, 21)),
+            ([(Fraction(1), (ones(20, 20), ones(21, 20)))], (20, 20)),
+            ([(Fraction(1), (ones(1, 20), ones(20, 20)))], (20, 20)),
+        ]
+        for terms, shape in bad:
+            with pytest.raises(ShapeError):
+                combine(terms, shape)
 
     def test_commutator_and_cancellation(self):
         rng = random.Random(41)
