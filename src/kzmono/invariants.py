@@ -19,11 +19,15 @@ need without building it; the ambient sparse matrix is only built when
 asked for. A local factor is built from the (N, D) matrices of
 :func:`kzmono.reps.integer_rep_matrix` and held as Python integers over one
 denominator, so the kernel rows, the restriction and its certificate
-Omega.B = B.R, an integer identity, all run on integers.
+Omega.B = B.R, an integer identity, all run on integers. The restriction
+forms Omega.B in one vectorised gather of the factor's entries over the
+ambient indices B touches, on int64 when a bound computed beforehand shows
+that no entry or partial sum can reach 2^62, and on Python ints otherwise.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -31,9 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError
-from .liealg import dual_pairs
-from .numerics import SparseOperator, combine, fraction_rows, np, nullspace_exact_sparse
-from .reps import integer_rep_matrix
+from .numerics import (
+    INT64_LIMIT, SparseOperator, fraction_rows, max_abs, np, nullspace_exact_sparse,
+)
+from .reps import integer_dual_matrix, integer_rep_matrix
 
 
 @dataclass(eq=False)
@@ -65,16 +70,20 @@ class InvariantSpace:
 
     @functools.cached_property
     def integer_rows(self):
-        """(L, rows): L is the lcm of the basis denominators and rows[idx]
-        is row idx of L.B as an object array of Python ints, for every
-        ambient index the basis touches, in increasing order."""
+        """(L, support, rows, free): L is the lcm of the basis denominators,
+        ``support`` the ambient indices the basis touches, in increasing
+        order, ``rows`` the matching rows of L.B as an object array of
+        Python ints, and ``free`` the positions of the free positions in
+        ``support``."""
         den = math.lcm(*(v.denominator for col in self.basis for v in col.values()))
-        rows = {idx: np.zeros(self.dim, dtype=object)
-                for idx in sorted(set().union(*self.basis))}
+        support = sorted(set().union(*self.basis))
+        at = {idx: p for p, idx in enumerate(support)}
+        rows = np.zeros((len(support), self.dim), dtype=object)
         for c, col in enumerate(self.basis):
             for idx, v in col.items():
-                rows[idx][c] = v.numerator * (den // v.denominator)
-        return den, rows
+                rows[at[idx], c] = v.numerator * (den // v.denominator)
+        support = np.array(support, dtype=np.intp)
+        return den, support, rows, [at[idx] for idx in self.free_positions]
 
 
 @dataclass(eq=False)
@@ -188,14 +197,8 @@ def omega_pair(sys, i, j):
     alg = sys.factors[0].algebra
     vi, vj = sys.factors[i], sys.factors[j]
     local = _local_factor(sys, [
-        {
-            i: integer_rep_matrix(vi, alg.basis_labels[a]),
-            j: combine([
-                (coeff, (integer_rep_matrix(vj, alg.basis_labels[b]),))
-                for b, coeff in dual.items()
-            ], (vj.dim, vj.dim)),
-        }
-        for a, dual in dual_pairs(alg)
+        {i: integer_rep_matrix(vi, label), j: integer_dual_matrix(vj, a)}
+        for a, label in enumerate(alg.basis_labels)
     ])
     return TwoSiteOperator(i=i, j=j, system=sys, local=local)
 
@@ -249,6 +252,19 @@ def invariant_basis(sys):
     )
 
 
+def _factor_arrays(local):
+    """The entries of a local factor's columns, {column offset: [(row
+    offset, value)]}, as three lists (column offsets, row offsets, values)
+    sorted by column offset."""
+    cos, ros, vals = [], [], []
+    for co in sorted(local):
+        for ro, v in local[co]:
+            cos.append(co)
+            ros.append(ro)
+            vals.append(v)
+    return cos, ros, vals
+
+
 def restrict(op, inv):
     """Restriction R of a two-site operator to invariant coordinates, exact.
 
@@ -258,25 +274,58 @@ def restrict(op, inv):
     lcm of the denominators of B and D that of op's local factor,
     B~ = L B and the local integers op~ = D op give op~.B~ = D L op.B. So
     S = (op~.B~)[free] = D L R, and the identity holds exactly when
-    L (op~.B~) == B~.S on every row that either side touches.
+    L (op~.B~) == B~.S on the rows B touches and op~.B~ vanishes on every
+    other row.
+
+    op~.B~ is one gather over the ambient indices B touches: each index
+    selects, by ``searchsorted`` on the sorted column offsets of the local
+    factor, the entries of its column, and ``np.add.at`` sums their
+    products with the rows of B~ into the target rows. Every entry of
+    op~.B~ and of its partial sums is at most m |op~| |B~|, with m the most
+    entries in a row of the local factor, and every entry of L (op~.B~)
+    and of B~.S (and of the partial sums of B~.S) at most
+    max(L, k |B~|) m |op~| |B~| for k = dim B. When that bound is below
+    2^62, so that their difference stays below 2^63, this runs on int64;
+    otherwise the same code runs on Python ints.
+    An empty local factor (a trivial slot) counts as m = |op~| = 1.
     """
     if op.system is not inv.ambient:
         raise DomainError("operator and invariant space live on different systems")
     r = []
     if inv.dim:
-        den_b, brows = inv.integer_rows
+        sys = op.system
+        den_b, support, bt, free = inv.integer_rows
         den_w, local = op.local
-        # rows of op~.B~, from the columns of op that B touches
-        img = {}
-        for idx, brow in brows.items():
-            for row, w in _slot_column(op.system, (op.i, op.j), local, idx):
-                acc = img.get(row)
-                img[row] = w * brow if acc is None else acc + w * brow
-        zero = np.zeros(inv.dim, dtype=object)
-        s = np.array([img.get(fp, zero) for fp in inv.free_positions], dtype=object)
-        lhs = np.array([img.get(idx, zero) for idx in brows], dtype=object) * den_b
-        leaves = any(row.any() for idx, row in img.items() if idx not in brows)
-        if leaves or not np.array_equal(lhs, np.array(list(brows.values())) @ s):
+        cos, ros, vals = _factor_arrays(local)
+        width = max(collections.Counter(ros).values(), default=1)
+        wmax = max(map(abs, vals), default=1)
+        bmax = max_abs(bt)
+        bound = max(den_b, inv.dim * bmax) * width * wmax * bmax
+        dtype = np.int64 if bound < INT64_LIMIT else object
+        bt = bt.astype(dtype)
+        # column offset of every index B touches; the index less it is the
+        # base its column is shifted by
+        co = sum(support // sys.strides[x] % sys.factor_dims[x] * sys.strides[x]
+                 for x in (op.i, op.j))
+        # column co of the factor is cos[lo:lo + count]; entry e of the
+        # gather takes factor entry pos[e] times row src[e] of B~
+        cos = np.array(cos, dtype=np.intp)
+        lo = np.searchsorted(cos, co, "left")
+        count = np.searchsorted(cos, co, "right") - lo
+        n = len(support)
+        src = np.repeat(np.arange(n), count)
+        pos = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(src))
+        tgt = (support - co)[src] + np.array(ros, dtype=np.intp)[pos]
+        terms = np.array(vals, dtype=dtype)[pos, None] * bt[src]
+        # every target row gets a slot past the support, then the rows of
+        # the support take back their own
+        slot = np.zeros(sys.dim, dtype=np.intp)
+        slot[tgt] = np.arange(n, n + len(tgt))
+        slot[support] = np.arange(n)
+        img = np.zeros((n + len(tgt), inv.dim), dtype=dtype)
+        np.add.at(img, slot[tgt], terms)
+        s = img[free]
+        if np.count_nonzero(img[n:]) or np.count_nonzero(img[:n] * den_b - bt @ s):
             raise ConsistencyError(
                 "two-site operator does not preserve the invariant space"
             )

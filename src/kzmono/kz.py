@@ -518,6 +518,17 @@ def braid_monodromy(sys, i, j, tol, basepoint=None):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _spectrum_candidates(alg, li, lj):
+    """The candidate eigenvalues (c_nu - c_i - c_j)/2 of W_ij over the
+    components nu of V_li (x) V_lj, ascending; cached per algebra and pair
+    of weights."""
+    ci = casimir_value(alg, li)
+    cj = casimir_value(alg, lj)
+    return tuple(sorted({(casimir_value(alg, nu) - ci - cj) / 2
+                         for nu in tensor_decompose(alg, li, lj)}))
+
+
 def exact_local_spectrum(sys, i, j):
     """Eigenvalues (with multiplicity) of the restricted W_ij.
 
@@ -526,15 +537,10 @@ def exact_local_spectrum(sys, i, j):
     spectrum is certified, not floated.
     """
     mat = sys.omega(i, j)
-    alg = sys.algebra
-    li, lj = sys.weights[i], sys.weights[j]
-    comps = tensor_decompose(alg, li, lj)
-    ci = casimir_value(alg, li)
-    cj = casimir_value(alg, lj)
+    cands = _spectrum_candidates(sys.algebra, tuple(sys.weights[i]), tuple(sys.weights[j]))
     d = sys.dim
     if d == 0:
         return []
-    cands = sorted({(casimir_value(alg, nu) - ci - cj) / 2 for nu in comps})
     out = []
     total = 0
     for mu in cands:

@@ -14,7 +14,10 @@ which have no fixed width, or int64 where an a-priori bound proves that no
 intermediate reaches 2^62, falling back to Python integers otherwise.
 ``sparse_eliminate`` scales each row by the lcm of its denominators and
 eliminates fraction free, by cross-multiplication, keeping its pivot rows
-primitive; ``Fraction`` appears only in the RREF it returns. Dense exact
+primitive; ``Fraction`` appears only in the RREF it returns. It takes the
+rows in order of decreasing leading column, which spares almost every
+back-reduction, and returns the pivots in increasing column order, so its
+result does not depend on the order of its input rows. Dense exact
 matrices are held as pairs (N, D): N is a numpy object array of Python ints
 and D > 0 a common denominator, so the matrix is N / D. :func:`combine`
 evaluates every sum of products, sum coeff * (F_1 @ F_2 @ ...), in lowest
@@ -316,28 +319,39 @@ def sparse_eliminate(rows, ncols):
 
     ``rows`` is a list of {column: rational} dicts. Returns the reduced row
     echelon form as a dict mapping pivot column -> pivot row of ``Fraction``
-    entries (leading coefficient 1), pivots in the order they were found.
+    entries (leading coefficient 1), pivots in increasing column order; the
+    result does not depend on the order of ``rows``.
 
     Each row is scaled to integers and reduced by cross-multiplication, and
     every pivot row is kept primitive with a positive leading entry, so the
     loop runs on Python integers only; the RREF is unique, so dividing each
-    pivot row by its leading entry at the end gives it exactly.
+    pivot row by its leading entry at the end gives it exactly. The rows are
+    taken in order of decreasing leading column: a new pivot then usually
+    lies left of every entry of the earlier pivot rows, and they need no
+    back-reduction against it. Only a row whose leading column was already a
+    pivot can land right of the leftmost pivot, and only then are the
+    earlier pivot rows reduced again.
     """
+    rows = [row for row in map(_integer_row, rows) if row]
+    rows.sort(key=min, reverse=True)
     pivots = {}
+    leftmost = ncols
     for row in rows:
-        row = _integer_row(row)
         row = _cancel(row, [k for k in row if k in pivots], pivots)
         if not row:
             continue
         c = min(row)
         pivots[c] = _primitive(row, c)
+        if c < leftmost:
+            leftmost = c
+            continue
         # keep earlier pivot rows reduced against the new one
         for pc, prow in pivots.items():
             if c in prow and pc != c:
                 pivots[pc] = _primitive(_cancel(prow, [c], pivots), pc)
     return {
         c: {k: Fraction(v, prow[c]) for k, v in prow.items()}
-        for c, prow in pivots.items()
+        for c, prow in sorted(pivots.items())
     }
 
 

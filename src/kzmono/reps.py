@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError
-from .liealg import LieAlgebra, build_algebra, weight_form
+from .liealg import LieAlgebra, build_algebra, dual_pairs, weight_form
 from .numerics import (
     block_matrix, combine, concat, fraction_rows, gram_select, integer_matrix, np,
 )
@@ -50,6 +50,7 @@ class Irrep:
     # label -> (N, D); the build stores the simple e_i and f_i here
     _matrices: dict = field(default_factory=dict)
     _rows: dict = field(default_factory=dict)    # label -> rep_matrix view
+    _duals: dict = field(default_factory=dict)   # a -> integer_dual_matrix
 
     @functools.cached_property
     def raising(self):
@@ -198,6 +199,19 @@ def integer_rep_matrix(rep, label):
         m = combine([(1, (a, b)), (-1, (b, a))], (rep.dim, rep.dim))
     rep._matrices[label] = m
     return m
+
+
+def integer_dual_matrix(rep, a):
+    """Matrix of x~_a, the dual of basis element ``a`` under the invariant
+    form (see :func:`kzmono.liealg.dual_pairs`), as (N, D); cached, exact."""
+    cached = rep._duals.get(a)
+    if cached is None:
+        labels = rep.algebra.basis_labels
+        _, dual = dual_pairs(rep.algebra)[a]
+        cached = rep._duals[a] = combine([
+            (coeff, (integer_rep_matrix(rep, labels[b]),)) for b, coeff in dual.items()
+        ], (rep.dim, rep.dim))
+    return cached
 
 
 def rep_matrix(rep, label):

@@ -260,8 +260,9 @@ def rat_sub(a, b):
 
 def dense_rref(rows, ncols):
     """RREF of sparse rows {column: value}, by dense Gauss-Jordan elimination
-    with the pivot taken in the first remaining row that has one. Returns
-    {pivot column: {column: Fraction}} with zero entries left out."""
+    with the pivot taken in the first remaining row that has one; an update
+    skips the zero entries of the pivot row, which it would leave unchanged.
+    Returns {pivot column: {column: Fraction}} with zero entries left out."""
     m = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
     top = 0
     for c in range(ncols):
@@ -270,11 +271,11 @@ def dense_rref(rows, ncols):
             continue
         m[top], m[r] = m[r], m[top]
         lead = m[top][c]
-        m[top] = [x / lead for x in m[top]]
+        m[top] = [x / lead if x else x for x in m[top]]
         for k in range(len(m)):
             if k != top and m[k][c]:
                 f = m[k][c]
-                m[k] = [x - f * y for x, y in zip(m[k], m[top])]
+                m[k] = [x - f * y if y else x for x, y in zip(m[k], m[top])]
         top += 1
     out = {}
     for row in m[:top]:

@@ -4,8 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kzmono.errors import DomainError
+from kzmono import invariants
+from kzmono.errors import ConsistencyError, DomainError
 from kzmono.invariants import (
+    InvariantSpace,
+    TwoSiteOperator,
     diagonal_action,
     invariant_basis,
     omega_pair,
@@ -113,6 +116,7 @@ class TestInvariantBasis:
     @pytest.mark.parametrize("rank,weights", [
         (1, [(1,)] * 6),
         (2, [(1, 0), (0, 1), (1, 0), (0, 1)]),
+        (1, [(1,)] * 10),
     ])
     def test_zero_weight_kernel_matches_dense_oracle(self, rank, weights):
         alg = build_algebra("A", rank)
@@ -280,3 +284,78 @@ class TestRestrict:
             )
             with pytest.raises(ConsistencyError):
                 restrict(omega_pair(sys, 0, 1), fake)
+
+    def test_off_by_a_third_raises_on_python_ints(self, a1, monkeypatch):
+        # the same broken bases through the Python-int path of the gather
+        monkeypatch.setattr(invariants, "INT64_LIMIT", 1)
+        self.test_exact_basis_off_by_a_third_raises(a1)
+
+
+def spy_restrict_dtype(monkeypatch):
+    """Record the dtype of the integer matrix S each restrict call divides."""
+    seen = []
+    real = invariants.fraction_rows
+
+    def spy(num, den):
+        seen.append(num.dtype)
+        return real(num, den)
+
+    monkeypatch.setattr(invariants, "fraction_rows", spy)
+    return seen
+
+
+class TestRestrictPaths:
+    @pytest.mark.parametrize("rank,weights", [
+        (1, [(1,)] * 4),
+        (1, [(1,), (2,), (1,), (2,)]),
+        (1, [(0,), (1,), (1,)]),  # trivial slot: an empty local factor
+        (2, [(1, 0), (0, 1), (1, 1), (1, 1)]),
+        (2, [(0, 0), (1, 1), (1, 1)]),
+    ])
+    def test_python_ints_give_the_same_rows(self, rank, weights, monkeypatch):
+        alg = build_algebra("A", rank)
+        sys = tensor_system([irrep(alg, w) for w in weights])
+        inv = invariant_basis(sys)
+        seen = spy_restrict_dtype(monkeypatch)
+        pairs = list(itertools.combinations(range(len(weights)), 2))
+        fast = [restrict(omega_pair(sys, i, j), inv) for i, j in pairs]
+        monkeypatch.setattr(invariants, "INT64_LIMIT", 1)
+        slow = [restrict(omega_pair(sys, i, j), inv) for i, j in pairs]
+        assert fast == slow
+        assert seen == [np.int64] * len(pairs) + [object] * len(pairs)
+
+    @pytest.mark.parametrize("scale,dtype", [(2**58, np.int64), (2**59, object)])
+    def test_scaled_operator_crosses_the_bound(self, a1, scale, dtype, monkeypatch):
+        # V1^4: L = 1, k = 2, max|B~| = 1, and every local factor has D = 2,
+        # at most 2 entries a row and max|Omega~| = 2, so the bound is
+        # max(1, 2) * 2 * 2 * 1 * scale = 8 * scale: 2^61 runs on int64,
+        # 2^62 on Python ints
+        sys = a1_system(a1, [1, 1, 1, 1])
+        inv = invariant_basis(sys)
+        seen = spy_restrict_dtype(monkeypatch)
+        for i, j in itertools.combinations(range(4), 2):
+            op = omega_pair(sys, i, j)
+            den, local = op.local
+            big = TwoSiteOperator(i=i, j=j, system=sys, local=(den, {
+                co: [(ro, v * scale) for ro, v in col] for co, col in local.items()
+            }))
+            assert restrict(big, inv) == [[x * scale for x in row] for row in restrict(op, inv)]
+        assert seen == [dtype, np.int64] * 6
+
+    @pytest.mark.parametrize("scale", [2**20, 2**40])
+    def test_scaled_basis_raises_on_both_paths(self, a1, scale, monkeypatch):
+        # 2^20 B (bound 2^43, int64) and 2^40 B (bound 2^83, Python ints)
+        # span the invariants but carry scale, not 1, at the free positions,
+        # so op.B = B.R fails for every pair
+        sys = a1_system(a1, [1, 1, 1, 1])
+        inv = invariant_basis(sys)
+        scaled = InvariantSpace(
+            ambient=sys,
+            basis=[{k: v * scale for k, v in col.items()} for col in inv.basis],
+            free_positions=inv.free_positions,
+        )
+        for limit in (invariants.INT64_LIMIT, 1):
+            monkeypatch.setattr(invariants, "INT64_LIMIT", limit)
+            for i, j in itertools.combinations(range(4), 2):
+                with pytest.raises(ConsistencyError):
+                    restrict(omega_pair(sys, i, j), scaled)

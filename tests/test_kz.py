@@ -555,3 +555,17 @@ class TestEigenvalueCheck:
         mu0 = (casimir_value(a1, (0,)) - 2 * c1) / 2
         mu2 = (casimir_value(a1, (2,)) - 2 * c1) / 2
         assert spec == {mu0: 1, mu2: 1}
+
+    def test_spectrum_outside_candidates_raises(self, a1):
+        # the candidates are cached per weight pair, but the rank
+        # certificate runs on every call: W_12 + diag(1/7, 0) keeps only the
+        # eigenvalue 1/2 among them
+        from kzmono.errors import ConsistencyError
+        from kzmono.kz import exact_local_spectrum
+
+        sys = kz_system(a1, [(1,), (1,), (1,), (1,)], 3)
+        exact_local_spectrum(sys, 0, 1)
+        sys.omegas[(0, 1)][0][0] += Fraction(1, 7)
+        for _ in range(2):
+            with pytest.raises(ConsistencyError):
+                exact_local_spectrum(sys, 0, 1)

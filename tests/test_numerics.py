@@ -108,6 +108,21 @@ class TestEliminationOracle:
             rows = random_sparse_rows(rng, rng.randint(0, 10), ncols)
             assert sparse_eliminate(rows, ncols) == dense_rref(rows, ncols)
 
+    def test_row_order_does_not_matter(self):
+        # the same seeded matrices, each fed in three row orders: the RREF is
+        # the dense oracle's, with its pivots in increasing column order
+        rng, shuffle = random.Random(23), random.Random(29)
+        for _ in range(120):
+            ncols = rng.randint(1, 10)
+            rows = random_sparse_rows(rng, rng.randint(0, 10), ncols)
+            expect = dense_rref(rows, ncols)
+            for _ in range(3):
+                order = rows[:]
+                shuffle.shuffle(order)
+                got = sparse_eliminate(order, ncols)
+                assert got == expect
+                assert list(got) == sorted(got)
+
     def test_big_entries_stay_exact(self):
         # 2^70-sized entries whose combination is a small rational
         big = 2**70 + 1
