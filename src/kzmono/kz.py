@@ -8,7 +8,11 @@ algebraically: [W_ij, W_ik + W_jk] = 0 for distinct i, j, k and [W_ij, W_kl]
 z(t) = z0 + t dz every pair contributes one simple pole, so transport solves
 the Fuchsian system dF/dt = (1/kappa) sum_p W_p/(t - t_p) F with
 t_p = -w0_p/dw_p by local Taylor series; an arc is transported along chords
-of at most pi/4 of sweep, each homotopic to its piece of the arc.
+of at most pi/4 of sweep, each homotopic to its piece of the arc. Each line
+is one call of :func:`numerics.ode_transport`, which fixes the line's steps
+from its poles alone and sums the series of all of them together, so
+``steps_taken`` counts those steps, a quarter of the distance to the nearest
+pole each.
 """
 
 from __future__ import annotations

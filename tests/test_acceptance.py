@@ -18,6 +18,7 @@ import numpy as np
 import kzmono
 from kzmono.invariants import invariant_basis, tensor_system
 from kzmono.kz import (
+    braid_monodromy,
     default_basepoint,
     eigenvalue_check,
     flatness_residual,
@@ -234,3 +235,58 @@ def test_criterion_8_determinism():
         and json.loads(first.stdout)["failed"] == 0
     )
     report(8, "selftest byte-identical reports", ok, time.time() - t0, 600)
+
+
+# (weights, kappa) of the A1 systems whose whole pure-braid representation
+# the global transport oracles check
+GLOBAL_SYSTEMS = [([(1,)] * 4, 3.5), ([(1,), (2,), (1,), (2,)], 4.25)]
+
+
+def test_criterion_9_dilation_line():
+    # z -> lam z moves every pair along w0 (1 + t (lam - 1)): all poles
+    # coincide and the total residue is the scalar -sum_i c_i/(2 kappa), so
+    # the holonomy is lam^(-sum_i c_i/(2 kappa)) I
+    t0 = time.time()
+    worst = 0.0
+    for weights, kappa in GLOBAL_SYSTEMS:
+        sys_ = kz_system(A1, weights, kappa)
+        z = default_basepoint(4)
+        total = float(sum(casimir_value(A1, w) for w in weights))
+        for lam in (2, 0.5 + 0.5j, 3 - 1j):
+            path = path_through([z, tuple(lam * x for x in z)])
+            hol = parallel_transport(sys_, path, 1e-10)
+            expected = lam ** (-total / (2 * kappa)) * np.eye(sys_.dim)
+            worst = max(worst, float(np.max(np.abs(hol.matrix - expected))))
+    report(9, f"dilation line holonomy (worst {worst:.2e})", worst < 1e-9,
+           time.time() - t0, 10)
+
+
+def test_criterion_10_pure_braid_relations():
+    # Artin's relations of the pure braid group on the generators A_ij, the
+    # rightmost factor applied first; the reversed cyclic order and an
+    # interleaved pair are not relations, and must fail
+    t0 = time.time()
+    ok = True
+    worst = 0.0
+    for weights, kappa in GLOBAL_SYSTEMS:
+        sys_ = kz_system(A1, weights, kappa)
+        a = {
+            (i + 1, j + 1): braid_monodromy(sys_, i, j, 1e-10).matrix
+            for i, j in itertools.combinations(range(4), 2)
+        }
+
+        def off(x, y):
+            return float(np.max(np.abs(x - y)))
+
+        relations = [
+            off(a[1, 2] @ a[3, 4], a[3, 4] @ a[1, 2]),
+            off(a[1, 4] @ a[2, 3], a[2, 3] @ a[1, 4]),
+            off(a[1, 2] @ a[1, 3] @ a[2, 3], a[2, 3] @ a[1, 2] @ a[1, 3]),
+        ]
+        controls = [
+            off(a[2, 3] @ a[1, 3] @ a[1, 2], a[1, 2] @ a[2, 3] @ a[1, 3]),
+            off(a[1, 3] @ a[2, 4], a[2, 4] @ a[1, 3]),
+        ]
+        worst = max(worst, *relations)
+        ok = ok and max(relations) < 1e-9 and min(controls) > 0.1
+    report(10, f"pure braid relations (worst {worst:.2e})", ok, time.time() - t0, 30)

@@ -520,3 +520,64 @@ class TestTransport:
     def test_pole_on_segment_raises(self):
         with pytest.raises(SingularityError):
             ode_transport([[[1.0]]], [0.25], np.eye(1, dtype=complex), 1e-8)
+
+    def test_majorant_overflow_raises(self):
+        # ||R|| = 3000 overflows the majorant's coefficients before they shrink
+        with pytest.raises(SingularityError):
+            ode_transport([[[3000j]]], [0.5 + 0.5j], np.eye(1, dtype=complex), 1e-8)
+
+    def test_mismatched_shapes_raise(self):
+        f0 = np.eye(3, dtype=complex)
+        # two residues for three poles
+        with pytest.raises(ShapeError):
+            ode_transport(np.zeros((2, 3, 3)), [0.5j, 2.0, -1.0], f0, 1e-8)
+        # residues of size 2 against an f0 of 3 rows
+        with pytest.raises(ShapeError):
+            ode_transport(np.zeros((1, 2, 2)), [0.5j], f0, 1e-8)
+
+    @pytest.mark.parametrize("layout", ["near_and_far", "close_to_segment", "equal"])
+    def test_commuting_residues_match_closed_form(self, layout):
+        # diagonal residues: F(1) = diag prod_p ((1 - t_p)/(-t_p))^(a_pk), and
+        # the bound covers truncation and rounding, so it must hold alone
+        rng = np.random.default_rng(11)
+        if layout == "near_and_far":
+            # far poles with large residues add little to a step's exponent
+            poles = [0.5 + 0.05j, 3 + 1j, -2 - 2j, 5j, 4.0]
+            scale = [0.3, 4.0, 4.0, 4.0, 4.0]
+        elif layout == "close_to_segment":
+            poles = [0.3 + 1e-3j, 0.7 - 0.5j]
+            scale = [1.0, 1.0]
+        else:
+            poles = [0.5 - 0.4j] * 3
+            scale = [1.0, 1.0, 1.0]
+        diag = (rng.normal(size=(len(poles), 3)) + 1j * rng.normal(size=(len(poles), 3)))
+        diag *= np.array(scale)[:, None]
+        res = np.array([np.diag(x) for x in diag])
+        f1, err, _ = ode_transport(res, poles, np.eye(3, dtype=complex), 1e-10)
+        exact = [
+            math.prod(scalar_power(x, tp) for x, tp in zip(diag[:, k], poles))
+            for k in range(3)
+        ]
+        assert np.max(np.abs(f1 - np.diag(exact))) <= err
+        # and the bound keeps the tol-per-unit-length contract: truncation
+        # adds at most tol, rounding far less
+        assert err <= 2e-10
+
+    def test_initial_frame_multiplies_through(self):
+        rng = np.random.default_rng(3)
+        res = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+        poles = [0.3 + 0.4j, 0.8 - 0.2j, 1.6 + 0.1j]
+        f0 = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        fi, err_i, _ = ode_transport(res, poles, np.eye(3, dtype=complex), 1e-10)
+        ff, err_f, _ = ode_transport(res, poles, f0, 1e-10)
+        bound = err_f + err_i * np.abs(f0).sum(axis=1).max()
+        assert np.max(np.abs(ff - fi @ f0)) <= bound
+
+    def test_no_poles_returns_f0(self):
+        f0 = np.array([[1 + 2j, 3], [0.25, -1j]])
+        f1, err, steps = ode_transport(np.zeros((0, 2, 2)), [], f0, 1e-10)
+        assert np.array_equal(f1, f0) and f1 is not f0
+        assert err == 0.0 and steps == 1
+        # a zero-dimensional frame has nothing to transport either
+        f1, err, _ = ode_transport(np.zeros((2, 0, 0)), [0.5j, 2.0], np.zeros((0, 0)), 1e-10)
+        assert f1.shape == (0, 0) and err == 0.0
