@@ -83,9 +83,12 @@ def _parse_kappa(text):
         raise argparse.ArgumentTypeError(f"malformed complex number {text!r}")
 
     def num(s):
-        if "/" in s:
+        # correctly rounded, as float(s) is for a decimal
+        try:
             return float(Fraction(s))
-        return float(s)
+        except (ZeroDivisionError, OverflowError):
+            # p/0, or a number too large for a float
+            raise argparse.ArgumentTypeError(f"complex number {text!r} is out of range") from None
 
     re_part = num(m.group("re")) if m.group("re") is not None else 0.0
     im = m.group("im")
@@ -96,6 +99,16 @@ def _parse_kappa(text):
     else:
         im_part = num(im)
     return complex(re_part, im_part)
+
+
+def _parse_count(text):
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"malformed integer {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {n}")
+    return n
 
 
 def _parse_braid(text):
@@ -187,7 +200,7 @@ def build_parser():
     py_sub = py.add_subparsers(dest="subcommand", required=True)
     pyc = py_sub.add_parser("check")
     pyc.add_argument("--rank", type=int, default=1)
-    pyc.add_argument("--trials", type=int, default=100)
+    pyc.add_argument("--trials", type=_parse_count, default=100)
     pyc.add_argument("--seed", type=int, default=0)
 
     pv = sub.add_parser("verlinde", help="fusion ranks and invariant dimensions")

@@ -11,17 +11,15 @@ rational arithmetic.
 
 An operator that acts on a few slots and by the identity on the others is
 kept as its local factor: for Omega_ij the matrix of
-sum_a rho_i(J^a) (x) rho_j(J_a) on V_i (x) V_j, with its row and column
-indices written as offsets in ambient strides. One ambient column is then the
-local column its slot digits select, shifted by the offset of the remaining
-digits, so the exact paths apply an operator to the ambient columns they
-need without building it; the ambient sparse matrix is only built when
-asked for. A local factor is built from the (N, D) matrices of
-:func:`kzmono.reps.integer_rep_matrix` and held as Python integers over one
-denominator, so the kernel rows, the restriction and its certificate
-Omega.B = B.R, an integer identity, all run on integers. The restriction
-forms Omega.B in one vectorised gather of the factor's entries over the
-ambient indices B touches, on int64 when a bound computed beforehand shows
+sum_a rho_i(J^a) (x) rho_j(J_a) on V_i (x) V_j, from the (N, D) matrices of
+:func:`kzmono.reps.integer_rep_matrix`, as Python integers over one
+denominator with their column and row offsets in ambient strides. One
+ambient column is the local column its slot digits select, shifted by the
+offset of the remaining digits; :func:`_gather` applies that map to any set
+of columns at once, and the kernel rows, the restriction and the ambient
+sparse matrix (built only when asked for) all read a factor through it. So
+the kernel rows, the restriction and its certificate Omega.B = B.R all run
+on integers, the last two on int64 when a bound computed beforehand shows
 that no entry or partial sum can reach 2^62, and on Python ints otherwise.
 """
 
@@ -122,9 +120,11 @@ def _local_factor(sys, terms):
     ``mats[slot]``, an (N, D) pair, in each slot of a term and by the
     identity elsewhere.
 
-    Returned as (D, {column offset: [(row offset, integer)]}): the factor is
-    those integers over D, and an offset is sum_s k_s * stride_s over the
-    slots s the factor acts on.
+    Returned as (D, cos, ros, vals): the factor is the integers ``vals``
+    over D, entry e sitting at column offset cos[e] and row offset ros[e],
+    sorted by column and then row offset. An offset is sum_s k_s * stride_s
+    over the slots s the factor acts on; ``cos`` and ``ros`` are np.intp
+    arrays and ``vals`` a list of Python ints.
     """
     parts = []
     for mats in terms:
@@ -132,43 +132,47 @@ def _local_factor(sys, terms):
         for slot, (num, d) in mats.items():
             st = sys.strides[slot]
             nnz = [
-                (st * r, st * c, v)
+                (st * c, st * r, v)
                 for r, row in enumerate(num.tolist())
                 for c, v in enumerate(row)
                 if v
             ]
-            local = [(ro + r, co + c, w * v) for ro, co, w in local for r, c, v in nnz]
+            local = [(co + c, ro + r, w * v) for co, ro, w in local for c, r, v in nnz]
             den *= d
         parts.append((den, local))
     den = math.lcm(*(d for d, _ in parts))
-    acc = {}
+    acc = collections.Counter()
     for d, local in parts:
-        for ro, co, v in local:
-            col = acc.setdefault(co, {})
-            col[ro] = col.get(ro, 0) + v * (den // d)
-    return den, {
-        co: [(ro, v) for ro, v in col.items() if v]
-        for co, col in acc.items()
-        if any(col.values())
-    }
+        for co, ro, v in local:
+            acc[co, ro] += v * (den // d)
+    entries = sorted(k for k, v in acc.items() if v)
+    cos, ros = np.array(entries, dtype=np.intp).reshape(-1, 2).T.copy()
+    return den, cos, ros, [acc[e] for e in entries]
 
 
-def _slot_column(sys, slots, local, idx):
-    """Ambient column ``idx`` of the operator whose local factor on ``slots``
-    has the columns ``local``, as [(row, value)]."""
+def _gather(sys, slots, factor, idx):
+    """The entries of a local factor on ``slots`` in the ambient columns
+    ``idx`` (np.intp) as arrays (src, tgt, pos): factor entry pos[e] lies in
+    column idx[src[e]] and ambient row tgt[e]. The column offset of an index
+    selects its local column from the sorted ``cos`` by ``searchsorted``."""
+    _, cos, ros, _ = factor
     co = sum(idx // sys.strides[s] % sys.factor_dims[s] * sys.strides[s] for s in slots)
-    base = idx - co
-    return [(base + ro, v) for ro, v in local.get(co, ())]
+    lo = np.searchsorted(cos, co, "left")
+    count = np.searchsorted(cos, co, "right") - lo
+    src = np.repeat(np.arange(len(idx)), count)
+    pos = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(src))
+    return src, (idx - co)[src] + ros[pos], pos
 
 
 def _ambient(sys, factors):
     """Ambient SparseOperator of a sum of local factors, [(slots, factor)]."""
-    entries = (
-        (r, idx, Fraction(v, den))
-        for idx in range(sys.dim)
-        for slots, (den, local) in factors
-        for r, v in _slot_column(sys, slots, local, idx)
-    )
+    idx = np.arange(sys.dim)
+    entries = []
+    for slots, factor in factors:
+        den, _, _, vals = factor
+        fracs = [Fraction(v, den) for v in vals]
+        src, tgt, pos = _gather(sys, slots, factor, idx)
+        entries += zip(tgt.tolist(), src.tolist(), (fracs[e] for e in pos.tolist()))
     return SparseOperator((sys.dim, sys.dim), entries)
 
 
@@ -223,16 +227,20 @@ def raising_rows(sys):
     invariant vectors. Only the zero-weight columns of each e_i are built.
     """
     zw = zero_weight_indices(sys)
-    rows = {}
+    idx = np.array(zw, dtype=np.intp)
+    out = []
     for i in range(1, sys.factors[0].algebra.rank + 1):
         factors = _diagonal_factors(sys, ("e", i, i + 1))
-        den = math.lcm(*(d for _, (d, _) in factors))
-        for p, idx in enumerate(zw):
-            for slots, (d, local) in factors:
-                for tgt, v in _slot_column(sys, slots, local, idx):
-                    row = rows.setdefault((i, tgt), {})
-                    row[p] = row.get(p, 0) + v * (den // d)
-    return [{p: v for p, v in rows[k].items() if v} for k in sorted(rows)], zw
+        den = math.lcm(*(f[0] for _, f in factors))
+        rows = {}
+        for slots, factor in factors:
+            d, _, _, vals = factor
+            src, tgt, pos = _gather(sys, slots, factor, idx)
+            for p, t, e in zip(src.tolist(), tgt.tolist(), pos.tolist()):
+                row = rows.setdefault(t, {})
+                row[p] = row.get(p, 0) + vals[e] * (den // d)
+        out += [{p: row[p] for p in sorted(row) if row[p]} for _, row in sorted(rows.items())]
+    return out, zw
 
 
 def invariant_basis(sys):
@@ -252,19 +260,6 @@ def invariant_basis(sys):
     )
 
 
-def _factor_arrays(local):
-    """The entries of a local factor's columns, {column offset: [(row
-    offset, value)]}, as three lists (column offsets, row offsets, values)
-    sorted by column offset."""
-    cos, ros, vals = [], [], []
-    for co in sorted(local):
-        for ro, v in local[co]:
-            cos.append(co)
-            ros.append(ro)
-            vals.append(v)
-    return cos, ros, vals
-
-
 def restrict(op, inv):
     """Restriction R of a two-site operator to invariant coordinates, exact.
 
@@ -277,10 +272,9 @@ def restrict(op, inv):
     L (op~.B~) == B~.S on the rows B touches and op~.B~ vanishes on every
     other row.
 
-    op~.B~ is one gather over the ambient indices B touches: each index
-    selects, by ``searchsorted`` on the sorted column offsets of the local
-    factor, the entries of its column, and ``np.add.at`` sums their
-    products with the rows of B~ into the target rows. Every entry of
+    op~.B~ is one :func:`_gather` over the ambient indices B touches, and
+    ``np.add.at`` sums the products of the entries it selects with the rows
+    of B~ into their target rows. Every entry of
     op~.B~ and of its partial sums is at most m |op~| |B~|, with m the most
     entries in a row of the local factor, and every entry of L (op~.B~)
     and of B~.S (and of the partial sums of B~.S) at most
@@ -295,27 +289,17 @@ def restrict(op, inv):
     if inv.dim:
         sys = op.system
         den_b, support, bt, free = inv.integer_rows
-        den_w, local = op.local
-        cos, ros, vals = _factor_arrays(local)
-        width = max(collections.Counter(ros).values(), default=1)
+        den_w, _, ros, vals = op.local
+        width = max(collections.Counter(ros.tolist()).values(), default=1)
         wmax = max(map(abs, vals), default=1)
         bmax = max_abs(bt)
         bound = max(den_b, inv.dim * bmax) * width * wmax * bmax
         dtype = np.int64 if bound < INT64_LIMIT else object
         bt = bt.astype(dtype)
-        # column offset of every index B touches; the index less it is the
-        # base its column is shifted by
-        co = sum(support // sys.strides[x] % sys.factor_dims[x] * sys.strides[x]
-                 for x in (op.i, op.j))
-        # column co of the factor is cos[lo:lo + count]; entry e of the
-        # gather takes factor entry pos[e] times row src[e] of B~
-        cos = np.array(cos, dtype=np.intp)
-        lo = np.searchsorted(cos, co, "left")
-        count = np.searchsorted(cos, co, "right") - lo
+        # entry e of the gather takes factor entry pos[e] times row src[e]
+        # of B~ into ambient row tgt[e]
+        src, tgt, pos = _gather(sys, (op.i, op.j), op.local, support)
         n = len(support)
-        src = np.repeat(np.arange(n), count)
-        pos = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(src))
-        tgt = (support - co)[src] + np.array(ros, dtype=np.intp)[pos]
         terms = np.array(vals, dtype=dtype)[pos, None] * bt[src]
         # every target row gets a slot past the support, then the rows of
         # the support take back their own

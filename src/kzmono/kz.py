@@ -31,6 +31,7 @@ from .liealg import weight_form
 from .numerics import (
     INT64_LIMIT,
     exact_rank,
+    integer_matrix,
     max_abs,
     np,
     ode_transport,
@@ -252,12 +253,12 @@ def _integer_stack(sys):
     """Every W_ij, as read from ``omegas`` now, as one object array of
     Python ints of shape (pairs + 1, dim, dim) over the common denominator D
     of all entries; the last slice is zero. Returns (array, D)."""
-    mats = list(sys.omegas.values())
-    den = math.lcm(*(x.denominator for m in mats for row in m for x in row))
     d = sys.dim
+    mats = [integer_matrix(m, (d, d)) for m in sys.omegas.values()]
+    den = math.lcm(*(dk for _, dk in mats))
     stack = np.zeros((len(mats) + 1, d, d), dtype=object)
-    for k, m in enumerate(mats):
-        stack[k] = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+    for k, (num, dk) in enumerate(mats):
+        stack[k] = num * (den // dk)
     return stack, den
 
 
@@ -545,14 +546,19 @@ def exact_local_spectrum(sys, i, j):
     d = sys.dim
     if d == 0:
         return []
+    num, den = integer_matrix(mat, (d, d))
+    rows = num.tolist()
     out = []
     total = 0
     for mu in cands:
-        rows = [
-            {c: y for c, x in enumerate(row) if (y := x - mu if c == r else x)}
-            for r, row in enumerate(mat)
-        ]
-        mult = d - exact_rank(rows, d)
+        # c (D W - D mu I) with c = lcm(D, den mu) / D, an integer matrix
+        # with the kernel of W - mu
+        lcm = math.lcm(den, mu.denominator)
+        c, shift = lcm // den, mu.numerator * (lcm // mu.denominator)
+        mult = d - exact_rank([
+            {k: y for k, x in enumerate(row) if (y := c * x - shift if k == r else c * x)}
+            for r, row in enumerate(rows)
+        ], d)
         if mult:
             out.append((mu, mult))
             total += mult

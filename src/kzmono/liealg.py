@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConfigurationError, DomainError, ShapeError
-from .numerics import QuadExt, rat_identity, rat_zeros, solve_exact
+from .numerics import QuadExt, rat_zeros
 
 
 @dataclass(eq=False)
@@ -150,16 +150,24 @@ def build_algebra(series, rank):
                 for k in range(n)
             )
             gram[a][b] = gram[b][a] = v
-    gram_inv = solve_exact(gram, rat_identity(dim))
 
     cartan = [
         [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(rank)]
         for i in range(rank)
     ]
-    weight_gram = solve_exact(
-        [[Fraction(x) for x in row] for row in cartan],
-        rat_identity(rank),
-    )
+    # the inverse Cartan matrix in closed form, (A^-1)_ij = min(i, j)(n - max(i, j))/n
+    weight_gram = [
+        [Fraction(min(i, j) * (n - max(i, j)), n) for j in range(1, n)]
+        for i in range(1, n)
+    ]
+    # the form pairs E_ij with E_ji alone, with value 1, and is the Cartan
+    # matrix on the coroots, so its inverse swaps e and f and is A^-1 there
+    m = (dim - rank) // 2   # e labels at 0..m-1, f at m..2m-1, h from 2m
+    gram_inv = rat_zeros(dim, dim)
+    for a in range(m):
+        gram_inv[a][m + a] = gram_inv[m + a][a] = Fraction(1)
+    for i in range(rank):
+        gram_inv[2 * m + i][2 * m:] = weight_gram[i]
 
     pos_roots = []
     for span in range(1, n):

@@ -5,8 +5,8 @@ transport of Fuchsian linear systems by local Taylor series.
 Sparse operators are stored compressed by column, so applying one to a
 sparse vector reads only the columns that vector touches.
 
-Every exact elimination (ranks, null spaces, solves, basis selection from a
-Gram matrix) runs on one routine, :func:`sparse_eliminate`, which returns the
+Every exact elimination (ranks, null spaces, basis selection from a Gram
+matrix) runs on one routine, :func:`sparse_eliminate`, which returns the
 reduced row echelon form as pivot rows.
 
 The exact kernels run on integers that cannot overflow: Python integers,
@@ -28,9 +28,9 @@ assemble blocks over the lcm of their denominators, and
 ``Fraction``. Representation matrices and the irrep, affine, Casimir and
 Omega-sum algebra run on (N, D), and ``rat_commutator`` takes the integer
 stacks exact flatness builds. Rows of ``Fraction`` remain the public views
-of exact matrices and the format of the Lie algebra builder, which uses
-``rat_zeros`` and ``rat_identity``; ``rat_mul`` has no caller in the
-package and serves the tests. Complex numerics use numpy. Nothing here
+of exact matrices and of the Lie algebra's structure data, whose inverse
+forms have closed forms and need no solver; ``rat_mul`` has no caller in
+the package and serves the tests and the benchmark. Complex numerics use numpy. Nothing here
 mutates its inputs; scratch space is per call.
 
 numpy is bound lazily: ``np`` here (and in the modules that import it from
@@ -83,13 +83,6 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 
 def rat_zeros(rows, cols):
     return [[ZERO] * cols for _ in range(rows)]
-
-
-def rat_identity(n):
-    m = rat_zeros(n, n)
-    for i in range(n):
-        m[i][i] = ONE
-    return m
 
 
 def rat_mul(a, b):
@@ -269,8 +262,8 @@ def combine(terms, shape):
 
 
 # ---------------------------------------------------------------------------
-# exact elimination: one sparse RREF routine for ranks, null spaces, solves
-# and Gram-matrix basis selection
+# exact elimination: one sparse RREF routine for ranks, null spaces and
+# Gram-matrix basis selection
 # ---------------------------------------------------------------------------
 
 def _integer_row(row):
@@ -381,23 +374,6 @@ def nullspace_exact_sparse(rows, ncols):
 
 def _sparse_rows(mat):
     return [{j: x for j, x in enumerate(row) if x} for row in mat]
-
-
-def solve_exact(a, b):
-    """Solve the square system a.x = b exactly, as the RREF of [a | b].
-
-    ``b`` may be a vector or a matrix of right-hand sides. Raises ShapeError
-    when ``a`` is singular.
-    """
-    n = len(a)
-    vec = b and not isinstance(b[0], list)
-    rhs = [[x] for x in b] if vec else b
-    w = len(rhs[0])
-    pivots = sparse_eliminate(_sparse_rows(a[i] + rhs[i] for i in range(n)), n + w)
-    if sorted(pivots) != list(range(n)):
-        raise ShapeError("singular system in solve_exact")
-    sol = [[pivots[i].get(n + k, ZERO) for k in range(w)] for i in range(n)]
-    return [row[0] for row in sol] if vec else sol
 
 
 def gram_select(gram):

@@ -4,8 +4,10 @@ Nothing here reuses the package's construction paths: weight multiplicities
 come from the Freudenthal recursion, graded dimensions of the affine
 truncations from the alternating character identity over the translation
 orbit, invariant dimensions from hand-written ladder matrices densified with
-numpy, A_1 pairing values from the trace form of 2x2 matrices, and reduced
-row echelon forms from textbook dense Gauss-Jordan elimination over Fraction.
+numpy, ambient tensor-product operators from ``np.kron`` of their factor
+matrices with identities, A_1 pairing values from the trace form of 2x2
+matrices, and reduced row echelon forms and inverses from textbook dense
+Gauss-Jordan elimination over Fraction.
 """
 
 from fractions import Fraction
@@ -56,6 +58,24 @@ def brute_invariant_dim_a1(ms):
     return total - rank
 
 
+def kron_operator(dims, terms):
+    """The dense ambient matrix, as rows of Fraction, of the sum over
+    ``terms`` of the operator on the tensor product of spaces of dimensions
+    ``dims`` that acts by ``mats[slot]`` in each slot of a term mats and by
+    the identity elsewhere. A factor is a pair (N, D) of an integer array
+    and a denominator; each term is the ``np.kron`` of its factors."""
+    size = int(np.prod(dims))
+    total = np.full((size, size), Fraction(0), dtype=object)
+    for mats in terms:
+        term, den = np.ones((1, 1), dtype=object), 1
+        for slot, d in enumerate(dims):
+            num, dd = mats.get(slot, (np.eye(d, dtype=object), 1))
+            term = np.kron(term, np.asarray(num, dtype=object))
+            den *= dd
+        total = total + term * Fraction(1, den)
+    return total.tolist()
+
+
 def freudenthal_multiplicities(cartan, lam):
     """Weight multiplicities of the irreducible with highest weight lam.
 
@@ -66,7 +86,7 @@ def freudenthal_multiplicities(cartan, lam):
     r = len(cartan)
     cart = [[Fraction(x) for x in row] for row in cartan]
     # inverse Cartan = Gram of fundamental weights
-    inv = _invert(cart)
+    inv = rat_inverse(cart)
 
     def form(u, v):
         return sum(
@@ -127,7 +147,9 @@ def freudenthal_multiplicities(cartan, lam):
     return mults
 
 
-def _invert(m):
+def rat_inverse(m):
+    """Inverse of a nonsingular square matrix of Fraction, by Gauss-Jordan
+    elimination of [m | I]."""
     n = len(m)
     aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, row in enumerate(m)]
     for c in range(n):
@@ -166,7 +188,7 @@ def _positive_roots(cartan, alpha, form):
 def _max_depth(cartan, lam):
     # height of lam - w0(lam) <= 2 * height(lam expressed in simple roots)
     r = len(cartan)
-    inv = _invert([[Fraction(x) for x in row] for row in cartan])
+    inv = rat_inverse([[Fraction(x) for x in row] for row in cartan])
     coords = [
         sum(inv[i][j] * Fraction(lam[j]) for j in range(r)) for i in range(r)
     ]
@@ -249,6 +271,10 @@ A1_H = ((1, 0), (0, -1))
 # exact linear algebra: entrywise sums and dense Gauss-Jordan elimination
 # over Fraction
 # ---------------------------------------------------------------------------
+
+def rat_identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
 
 def rat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]

@@ -183,6 +183,18 @@ class TestKzCommands:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "domain"
 
+    @pytest.mark.parametrize("kappa", ["1/0", "0/0", "1+1/0i", "1" + "0" * 400 + "/3", "1" + "0" * 400],
+                             ids=["1/0", "0/0", "imaginary-1/0", "rational-beyond-float", "beyond-float"])
+    def test_kappa_out_of_range_is_usage_error(self, capsys, kappa):
+        code, out, err = capture(
+            capsys,
+            ["kz", "monodromy", "--rank", "1", "--weights", "1,1",
+             "--kappa", kappa, "--braid", "A12"],
+        )
+        assert code == 64
+        assert "--kappa" in err and "out of range" in err
+        assert out == ""
+
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, err = capture(capsys, ["kz", "flatness", "--bogus", "1"])
         assert code == 64
@@ -236,6 +248,12 @@ class TestOtherCommands:
         data = json.loads(out)
         assert data["passed"] is True
         assert data["max_deviation"] == "0"
+
+    def test_negative_trials_is_usage_error(self, capsys):
+        code, out, err = capture(capsys, ["symbols", "check", "--trials", "-3"])
+        assert code == 64
+        assert "--trials" in err
+        assert out == ""
 
     def test_verlinde(self, capsys):
         code, out, _ = capture(capsys, ["verlinde", "--level", "1", "--weights", "1,1,1"])

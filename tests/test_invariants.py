@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,10 +18,10 @@ from kzmono.invariants import (
     tensor_system,
 )
 from kzmono.liealg import build_algebra
-from kzmono.numerics import nullspace_exact_sparse, rat_identity
-from kzmono.reps import casimir_value, irrep, rep_matrix
+from kzmono.numerics import nullspace_exact_sparse
+from kzmono.reps import casimir_value, integer_rep_matrix, irrep
 
-from oracles import CATALAN, brute_invariant_dim_a1, dense_kernel, rat_add
+from oracles import CATALAN, brute_invariant_dim_a1, dense_kernel, kron_operator
 
 
 @pytest.fixture(scope="module")
@@ -37,16 +38,24 @@ def a1_system(a1, ms):
     return tensor_system([irrep(a1, (m,)) for m in ms])
 
 
-def kron(a, b):
-    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+# A1 V1^4, A1 (1, 1, 2) and A2 (1,0), (0,1), (1,1), for the Kronecker oracle
+ORACLE_CASES = [
+    (1, [(1,)] * 4),
+    (1, [(1,), (1,), (2,)]),
+    (2, [(1, 0), (0, 1), (1, 1)]),
+]
 
 
-def embedded(sys, mats):
-    """Dense Kronecker product: mats[slot] in the given slots, identity elsewhere."""
-    out = [[Fraction(1)]]
-    for slot, rep in enumerate(sys.factors):
-        out = kron(out, mats.get(slot, rat_identity(rep.dim)))
-    return out
+def oracle_system(rank, weights):
+    alg = build_algebra("A", rank)
+    return alg, tensor_system([irrep(alg, w) for w in weights])
+
+
+def kron_diagonal(sys, label):
+    """sum_slots 1 (x) ... rho_s(label) ... (x) 1 from the Kronecker oracle."""
+    return kron_operator(sys.factor_dims, [
+        {slot: integer_rep_matrix(rep, label)} for slot, rep in enumerate(sys.factors)
+    ])
 
 
 class TestTensorSystem:
@@ -125,6 +134,26 @@ class TestInvariantBasis:
         assert nullspace_exact_sparse(rows, len(zw)) == dense_kernel(rows, len(zw))
 
 
+class TestRaisingRows:
+    @pytest.mark.parametrize("rank,weights", ORACLE_CASES)
+    def test_zero_weight_block_matches_kronecker_oracle(self, rank, weights):
+        # the rows of each e_i are the nonzero rows of its ambient matrix on
+        # the zero-weight columns, times the lcm of its slot denominators
+        _, sys = oracle_system(rank, weights)
+        rows, zw = raising_rows(sys)
+        expect = []
+        for i in range(1, rank + 1):
+            label = ("e", i, i + 1)
+            den = math.lcm(*(integer_rep_matrix(rep, label)[1] for rep in sys.factors))
+            for row in kron_diagonal(sys, label):
+                block = {p: row[idx] * den for p, idx in enumerate(zw) if row[idx]}
+                if block:
+                    expect.append(block)
+        assert rows == expect
+        coroots = [kron_diagonal(sys, ("h", i)) for i in range(1, rank + 1)]
+        assert zw == [idx for idx in range(sys.dim) if not any(h[idx][idx] for h in coroots)]
+
+
 class TestOmegaPair:
     def test_rejects_equal_slots(self, a1):
         sys = a1_system(a1, [1, 1])
@@ -136,34 +165,27 @@ class TestOmegaPair:
         for i, j in itertools.combinations(range(3), 2):
             assert omega_pair(sys, i, j).matrix.equals(omega_pair(sys, j, i).matrix)
 
-    def test_matches_kronecker_reference(self, a1, a2):
+    def test_matches_kronecker_reference(self):
         # Omega_ij = sum_ab G^{-1}[b][a] x_a at slot i, x_b at slot j, and the
-        # diagonal action sums x at each slot, both against dense Kronecker
-        # products of the factor matrices
-        cases = [
-            (a1, [(1,), (2,), (1,)], [(0, 2), (2, 0)]),
-            (a2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (2, 0), (1, 2)]),
-        ]
-        for alg, ws, pairs in cases:
-            sys = tensor_system([irrep(alg, w) for w in ws])
+        # diagonal action sums x at each slot, both against np.kron of the
+        # factor matrices with identities
+        for rank, weights in ORACLE_CASES:
+            alg, sys = oracle_system(rank, weights)
             labels = alg.basis_labels
-            for i, j in pairs:
-                ref = [[Fraction(0)] * sys.dim for _ in range(sys.dim)]
+            for i, j in itertools.permutations(range(len(weights)), 2):
+                terms = []
                 for a, b in itertools.product(range(alg.dim), repeat=2):
                     g = alg.gram_inverse[b][a]
                     if g:
-                        xb = rep_matrix(sys.factors[j], labels[b])
-                        term = embedded(sys, {
-                            i: rep_matrix(sys.factors[i], labels[a]),
-                            j: [[g * x for x in row] for row in xb],
+                        num, den = integer_rep_matrix(sys.factors[j], labels[b])
+                        terms.append({
+                            i: integer_rep_matrix(sys.factors[i], labels[a]),
+                            j: (num * g.numerator, den * g.denominator),
                         })
-                        ref = rat_add(ref, term)
+                ref = kron_operator(sys.factor_dims, terms)
                 assert omega_pair(sys, i, j).matrix.to_dense_rat() == ref
             for lab in labels:
-                ref = [[Fraction(0)] * sys.dim for _ in range(sys.dim)]
-                for slot, rep in enumerate(sys.factors):
-                    ref = rat_add(ref, embedded(sys, {slot: rep_matrix(rep, lab)}))
-                assert diagonal_action(sys, lab).to_dense_rat() == ref
+                assert diagonal_action(sys, lab).to_dense_rat() == kron_diagonal(sys, lab)
 
     def test_commutes_with_diagonal_action(self, a1):
         sys = a1_system(a1, [1, 1, 2])
@@ -335,10 +357,9 @@ class TestRestrictPaths:
         seen = spy_restrict_dtype(monkeypatch)
         for i, j in itertools.combinations(range(4), 2):
             op = omega_pair(sys, i, j)
-            den, local = op.local
-            big = TwoSiteOperator(i=i, j=j, system=sys, local=(den, {
-                co: [(ro, v * scale) for ro, v in col] for co, col in local.items()
-            }))
+            den, cos, ros, vals = op.local
+            big = TwoSiteOperator(i=i, j=j, system=sys,
+                                  local=(den, cos, ros, [v * scale for v in vals]))
             assert restrict(big, inv) == [[x * scale for x in row] for row in restrict(op, inv)]
         assert seen == [dtype, np.int64] * 6
 

@@ -13,8 +13,9 @@ from kzmono.liealg import (
     orthonormal_basis,
     weight_form,
 )
+from kzmono.numerics import rat_mul
 
-from oracles import A1_E, A1_F, A1_H, a1_trace_form
+from oracles import A1_E, A1_F, A1_H, a1_trace_form, rat_identity, rat_inverse
 
 
 @pytest.fixture(scope="module")
@@ -29,13 +30,10 @@ def a2():
 
 def coxeter_from_root_data(alg):
     """Independent derivation: 1 + height of the highest root."""
-    theta = alg.highest_root
-    # solve cartan . x = theta to express theta over the simple roots
-    r = alg.rank
-    from kzmono.numerics import solve_exact
-
-    cart = [[Fraction(x) for x in row] for row in alg.cartan_matrix]
-    coords = solve_exact(cart, [Fraction(t) for t in theta])
+    # theta over the simple roots: x = A^-1 theta, the Cartan matrix A being
+    # symmetric in type A
+    inv = rat_inverse([[Fraction(x) for x in row] for row in alg.cartan_matrix])
+    coords = [sum(a * t for a, t in zip(row, alg.highest_root)) for row in inv]
     assert all(c.denominator == 1 for c in coords)
     return 1 + int(sum(coords))
 
@@ -60,19 +58,14 @@ class TestBuild:
         with pytest.raises(DomainError):
             build_algebra("A", 0)
 
-    def test_gram_symmetric_nondegenerate(self, a2):
-        g = a2.gram_matrix
-        assert g == [list(row) for row in zip(*g)]
-        prod = [
-            [
-                sum(g[i][k] * a2.gram_inverse[k][j] for k in range(a2.dim))
-                for j in range(a2.dim)
-            ]
-            for i in range(a2.dim)
-        ]
-        assert prod == [
-            [Fraction(int(i == j)) for j in range(a2.dim)] for i in range(a2.dim)
-        ]
+    def test_gram_symmetric_nondegenerate(self):
+        # G G^-1 = I on the algebra and A A^-1 = I on weight space, exactly
+        for rank in range(1, 6):
+            alg = build_algebra("A", rank)
+            g = alg.gram_matrix
+            assert g == [list(row) for row in zip(*g)]
+            assert rat_mul(g, alg.gram_inverse) == rat_identity(alg.dim)
+            assert rat_mul(alg.cartan_matrix, alg.weight_gram) == rat_identity(rank)
 
 
 class TestKillingForm:

@@ -13,21 +13,18 @@ from kzmono.numerics import (
     SparseOperator,
     combine,
     concat,
-    exact_rank,
     frac_sqrt,
     fraction_rows,
     gram_select,
     integer_matrix,
     nullspace_exact_sparse,
     ode_transport,
-    rat_identity,
     rat_mul,
     rat_zeros,
-    solve_exact,
     sparse_eliminate,
 )
 
-from oracles import dense_rref, rat_add, rat_sub
+from oracles import dense_rref, rat_add, rat_identity, rat_sub
 
 
 def rand_matrix(rng, rows, cols, bound=4):
@@ -394,23 +391,6 @@ class TestDenseExact:
         c = big_matrix(rng, 3, 3)
         num, den = concat([integer_matrix(a, (2, 3)), integer_matrix(c, (3, 3))], axis=0)
         assert fraction_rows(num, den) == a + c
-
-
-class TestSolve:
-    def test_solve_round_trip(self):
-        rng = random.Random(9)
-        a = rand_matrix(rng, 5, 5)
-        while exact_rank(sparse_rows(a), 5) != 5:
-            a = rand_matrix(rng, 5, 5)
-        x = [Fraction(rng.randint(-5, 5)) for _ in range(5)]
-        b = [sum(a[i][j] * x[j] for j in range(5)) for i in range(5)]
-        assert solve_exact(a, b) == x
-
-    def test_singular_system_raises(self):
-        a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-        for b in ([Fraction(1), Fraction(2)], [Fraction(1), Fraction(0)]):
-            with pytest.raises(ShapeError):
-                solve_exact(a, b)
 
 
 class TestQuadExt:
