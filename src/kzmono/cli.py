@@ -106,8 +106,9 @@ def _parse_count(text):
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"malformed integer {text!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {n}")
+    if n < 1:
+        # no trials would certify nothing
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {n}")
     return n
 
 

@@ -19,8 +19,10 @@ offset of the remaining digits; :func:`_gather` applies that map to any set
 of columns at once, and the kernel rows, the restriction and the ambient
 sparse matrix (built only when asked for) all read a factor through it. So
 the kernel rows, the restriction and its certificate Omega.B = B.R all run
-on integers, the last two on int64 when a bound computed beforehand shows
-that no entry or partial sum can reach 2^62, and on Python ints otherwise.
+on integers: the last two on int64 when a bound computed beforehand shows
+that no entry or partial sum can reach 2^62, with the certificate's dense
+product on float64 when the same bound is below 2^53, and on Python ints
+otherwise.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError
 from .numerics import (
-    INT64_LIMIT, SparseOperator, fraction_rows, max_abs, np, nullspace_exact_sparse,
+    SparseOperator, fraction_rows, max_abs, np, nullspace_exact_sparse, product_dtype,
 )
 from .reps import integer_dual_matrix, integer_rep_matrix
 
@@ -278,9 +280,11 @@ def restrict(op, inv):
     op~.B~ and of its partial sums is at most m |op~| |B~|, with m the most
     entries in a row of the local factor, and every entry of L (op~.B~)
     and of B~.S (and of the partial sums of B~.S) at most
-    max(L, k |B~|) m |op~| |B~| for k = dim B. When that bound is below
-    2^62, so that their difference stays below 2^63, this runs on int64;
-    otherwise the same code runs on Python ints.
+    max(L, k |B~|) m |op~| |B~| for k = dim B. The bound picks the type
+    through :func:`numerics.product_dtype`. Below 2^62, so that their
+    difference stays below 2^63, the gather runs on int64, and B~.S on
+    float64 below 2^53 and on int64 above; otherwise the same code runs on
+    Python ints.
     An empty local factor (a trivial slot) counts as m = |op~| = 1.
     """
     if op.system is not inv.ambient:
@@ -294,7 +298,8 @@ def restrict(op, inv):
         wmax = max(map(abs, vals), default=1)
         bmax = max_abs(bt)
         bound = max(den_b, inv.dim * bmax) * width * wmax * bmax
-        dtype = np.int64 if bound < INT64_LIMIT else object
+        tier = product_dtype(bound)
+        dtype = object if tier is object else np.int64
         bt = bt.astype(dtype)
         # entry e of the gather takes factor entry pos[e] times row src[e]
         # of B~ into ambient row tgt[e]
@@ -309,7 +314,8 @@ def restrict(op, inv):
         img = np.zeros((n + len(tgt), inv.dim), dtype=dtype)
         np.add.at(img, slot[tgt], terms)
         s = img[free]
-        if np.count_nonzero(img[n:]) or np.count_nonzero(img[:n] * den_b - bt @ s):
+        bs = (bt.astype(tier, copy=False) @ s.astype(tier, copy=False)).astype(dtype, copy=False)
+        if np.count_nonzero(img[n:]) or np.count_nonzero(img[:n] * den_b - bs):
             raise ConsistencyError(
                 "two-site operator does not preserve the invariant space"
             )

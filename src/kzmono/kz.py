@@ -29,12 +29,12 @@ from .errors import ConsistencyError, DomainError, SingularityError
 from .invariants import invariant_basis, omega_pair, restrict, tensor_system
 from .liealg import weight_form
 from .numerics import (
-    INT64_LIMIT,
     exact_rank,
     integer_matrix,
     max_abs,
     np,
     ode_transport,
+    product_dtype,
     rat_commutator,
 )
 from .reps import casimir_value, irrep, tensor_decompose
@@ -262,15 +262,23 @@ def _integer_stack(sys):
     return stack, den
 
 
+# Exact flatness forms its commutators on at most this many matrix entries
+# of relations at a time (32 MiB per stack on a machine type): V1^12 has
+# 2145 relations of 132 x 132, and at once its stacks would take 1.2 GB.
+_RELATION_ENTRIES = 2 ** 22
+
+
 def flatness_residual(sys, exact=True):
     """Max norm over the commutator relation set certifying flatness.
 
     Relations: [W_ij, W_ik + W_jk] for distinct i, j, k, and [W_ij, W_kl]
     for disjoint pairs. Vacuously zero for n = 2. Exact mode evaluates all
-    relations at once as integer commutators of D W_ij, whose entries are
-    D^2 times the exact ones, so the residual is max|C| / D^2. They run on
-    int64 when the largest |entry| m of the D W_ij gives 4 m^2 dim < 2^62,
-    and on Python ints otherwise.
+    relations as stacks of integer commutators of D W_ij, whose entries are
+    D^2 times the exact ones, so the residual is max|C| / D^2. With m the
+    largest |entry| of the D W_ij, no entry of a commutator, nor any partial
+    sum or product it forms, exceeds 4 m^2 dim, and they run on the type
+    :func:`numerics.product_dtype` picks from that bound: float64 below
+    2^53, int64 below 2^62 and Python ints otherwise.
     """
     worst = Fraction(0) if exact else 0.0
     if sys.dim == 0:
@@ -297,13 +305,13 @@ def flatness_residual(sys, exact=True):
     if exact:
         stack, den = _integer_stack(sys)
         m = max_abs(stack)
-        if 4 * m * m * sys.dim < INT64_LIMIT:
-            # no commutator entry or partial sum below exceeds 4 m^2 dim
-            stack = stack.astype(np.int64)
-        x, y = stack[left], stack[right]
-        y += stack[extra]
-        comm = rat_commutator(x, y)
-        return Fraction(max_abs(comm), den * den)
+        stack = stack.astype(product_dtype(4 * m * m * sys.dim), copy=False)
+        step = max(1, _RELATION_ENTRIES // sys.dim ** 2)
+        for lo in range(0, len(rel), step):
+            x, y = stack[left[lo:lo + step]], stack[right[lo:lo + step]]
+            y += stack[extra[lo:lo + step]]
+            worst = max(worst, Fraction(max_abs(rat_commutator(x, y)), den * den))
+        return worst
     stack = np.concatenate([sys.omega_stack, np.zeros((1, sys.dim, sys.dim))])
     x, y = stack[left], stack[right] + stack[extra]
     return float(np.max(np.abs(x @ y - y @ x)))

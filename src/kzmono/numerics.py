@@ -9,29 +9,33 @@ Every exact elimination (ranks, null spaces, basis selection from a Gram
 matrix) runs on one routine, :func:`sparse_eliminate`, which returns the
 reduced row echelon form as pivot rows.
 
-The exact kernels run on integers that cannot overflow: Python integers,
-which have no fixed width, or int64 where an a-priori bound proves that no
-intermediate reaches 2^62, falling back to Python integers otherwise.
-``sparse_eliminate`` scales each row by the lcm of its denominators and
-eliminates fraction free, by cross-multiplication, keeping its pivot rows
-primitive; ``Fraction`` appears only in the RREF it returns. It takes the
-rows in order of decreasing leading column, which spares almost every
-back-reduction, and returns the pivots in increasing column order, so its
-result does not depend on the order of its input rows. Dense exact
-matrices are held as pairs (N, D): N is a numpy object array of Python ints
-and D > 0 a common denominator, so the matrix is N / D. :func:`combine`
-evaluates every sum of products, sum coeff * (F_1 @ F_2 @ ...), in lowest
-terms, gcd(N, D) = 1, on int64 when its work and that bound allow and on
-Python ints otherwise; :func:`concat` and :func:`block_matrix`
-assemble blocks over the lcm of their denominators, and
-:func:`integer_matrix` and :func:`fraction_rows` convert to and from rows of
-``Fraction``. Representation matrices and the irrep, affine, Casimir and
-Omega-sum algebra run on (N, D), and ``rat_commutator`` takes the integer
-stacks exact flatness builds. Rows of ``Fraction`` remain the public views
-of exact matrices and of the Lie algebra's structure data, whose inverse
-forms have closed forms and need no solver; ``rat_mul`` has no caller in
-the package and serves the tests and the benchmark. Complex numerics use numpy. Nothing here
-mutates its inputs; scratch space is per call.
+The exact kernels run on integers that cannot overflow. A dense integer
+product runs on the type :func:`product_dtype` picks from a bound proved
+before it runs: float64 (BLAS dgemm) below 2^53, where every partial sum is
+an integer float64 holds exactly, int64 below 2^62, and Python integers,
+which have no fixed width, otherwise. ``sparse_eliminate`` scales each row
+by the lcm of its denominators and eliminates fraction free, by
+cross-multiplication, keeping its pivot rows primitive; ``Fraction``
+appears only in the RREF it returns. It takes the rows in order of
+decreasing leading column, which spares almost every back-reduction, and
+returns the pivots in increasing column order, so its result does not
+depend on the order of its input rows. Dense exact matrices are held as
+pairs (N, D): N is a numpy integer array, of Python ints (dtype object) or
+int64, and D > 0 a common denominator, so the matrix is N / D; a
+:class:`Held` pair keeps a matrix that is used again with N read-only,
+int64 when it fits, and its max|N|. :func:`combine` evaluates every sum of
+products, sum coeff * (F_1 @ F_2 @ ...), in lowest terms, gcd(N, D) = 1,
+and returns N of Python ints (:func:`combine_held` a held pair);
+:func:`concat` and :func:`block_matrix` assemble blocks over the lcm of
+their denominators, scaling a block on Python ints where it needs it, and :func:`integer_matrix` and :func:`fraction_rows`
+convert to and from rows of ``Fraction``. Representation matrices and the
+irrep, affine, Casimir and Omega-sum algebra run on (N, D), and
+``rat_commutator`` takes the integer stacks exact flatness builds. Rows of
+``Fraction`` remain the public views of exact matrices and of the Lie
+algebra's structure data, whose inverse forms have closed forms and need no
+solver; ``rat_mul`` has no caller in the package and serves the tests and
+the benchmark. Complex numerics use numpy. Nothing here mutates its inputs
+(a :class:`Held` pair takes its N over); scratch space is per call.
 
 numpy is bound lazily: ``np`` here (and in the modules that import it from
 here) loads numpy on its first attribute access, so the commands that never
@@ -104,11 +108,11 @@ def rat_mul(a, b):
 
 
 def rat_commutator(a, b):
-    """[a, b] = ab - ba of (stacks of) integer matrices, held either as
-    numpy object arrays of Python ints, which cannot overflow, or as int64
-    arrays; for int64 the caller proves that no entry of ab or ba, nor any
-    partial sum of either or their difference, leaves the int64 range
-    (exact flatness converts only when 4 m^2 dim < 2^62, m = max|entry|)."""
+    """[a, b] = ab - ba of (stacks of) integer matrices, held as numpy
+    object arrays of Python ints, which cannot overflow, or on the machine
+    type :func:`product_dtype` picks from a bound the caller proves on every
+    entry of ab and ba, their partial sums and their difference (exact
+    flatness proves 4 m^2 dim, m = max|entry|)."""
     comm = a @ b
     comm -= b @ a
     return comm
@@ -140,68 +144,137 @@ def fraction_rows(num, den):
 def block_matrix(shape, blocks):
     """(N, D) of the given shape with each block of ``blocks`` =
     [(rows, cols, (N, D))] placed at rows x cols and zeros elsewhere, over
-    the lcm of their D."""
+    the lcm of their D; N holds Python ints, and every block is scaled on
+    them."""
     den = math.lcm(*(d for _, _, (_, d) in blocks))
     num = np.zeros(shape, dtype=object)
     for rows, cols, (n, d) in blocks:
-        num[np.ix_(rows, cols)] = n * (den // d)
+        num[np.ix_(rows, cols)] = n.astype(object, copy=False) * (den // d)
     return num, den
 
 
 def concat(mats, axis):
-    """(N, D) blocks joined along ``axis`` over the lcm of their D."""
+    """(N, D) blocks joined along ``axis`` over the lcm of their D; a block
+    over another D is scaled on Python ints, so int64 blocks stay int64
+    only when none needs scaling."""
     den = math.lcm(*(d for _, d in mats))
-    return np.concatenate([n * (den // d) for n, d in mats], axis=axis), den
+    return np.concatenate([
+        n if d == den else n.astype(object, copy=False) * (den // d) for n, d in mats
+    ], axis=axis), den
 
 
 # Work, in multiply-adds (rows * inner * cols summed over the products of a
-# call), from which combine converts to int64. Measured on a 2-vCPU x86-64
-# VM, CPython 3.11, numpy 2.4: per call the int64 path is 0.6-0.8x as fast
-# as Python ints on one 6x6x6 product (216), 1.4x on 8x8x8 (512), 4-5x on
-# 16x16x16 (4096) and about 20x on two 69x69x69 products. But the first
-# int64 product in a process adds about 0.17 MB of peak RSS, and the
-# benchmark's affine workload ran as fast at 4096 as at 512, so the small
-# irrep blocks (such as the 8x8 commutators of sl3 adjoint matrices) stay on
-# Python ints.
+# call), from which combine converts factors of Python ints to int64;
+# factors held as int64 need no conversion and skip this gate. Measured on
+# a 2-vCPU x86-64 VM, CPython 3.11, numpy 2.4, for [A, B] of two n x n
+# factors of Python ints: converted and run on float64 it is 0.56x as fast
+# as on Python ints at n = 2 (work 16), 1.0x at 6 (432), 1.6x at 8 (1024),
+# 3.7x at 12 and 11x at 20, as one call costs about 14 us however small.
+# Building the A1 irreps to V5 and the A2 irreps to (2, 2) and (3, 0), with
+# their dual matrices and Casimirs, took 9.1 ms at 512 and at 4096 and 11.1
+# ms without the gate: their many small blocks stay on Python ints.
 _INT64_MIN_WORK = 4096
-# every int64 intermediate of an exact kernel stays below this, proved
-# before the kernel runs
+# An exact integer product whose bound stays below FLOAT64_LIMIT runs on
+# float64, below INT64_LIMIT on int64, and otherwise on Python ints; see
+# product_dtype.
+FLOAT64_LIMIT = 2 ** 53
 INT64_LIMIT = 2 ** 62
 
 
+def product_dtype(bound):
+    """The type an exact integer product runs on, given a bound, proved
+    before it runs, on every |entry| of its factors and on every partial
+    product and partial sum it forms.
+
+    Below 2^53 every such integer is a float64, and so is the exact result
+    of each multiply, add or fused multiply-add of two of them: float64
+    (BLAS dgemm) is exact whatever the summation order, and ``astype(np.int64)``
+    takes the result back. Below ``INT64_LIMIT`` int64 is exact; otherwise
+    Python ints, which have no fixed width. A bound at or above
+    ``INT64_LIMIT`` rules out both machine types. The bounds hold for the
+    classical product, whose intermediates are partial sums of products of
+    entries; a Strassen-type BLAS forms sums of entries first and would need
+    slack."""
+    if bound >= INT64_LIMIT:
+        return object
+    return np.float64 if bound < FLOAT64_LIMIT else np.int64
+
+
 def max_abs(a):
-    """max |a_ij| of an integer array as a Python int, 0 for an empty one;
-    unlike ``np.abs``, exact at the most negative int64."""
+    """max |a_ij| of an integer array (or a float64 one of integers) as a
+    Python int, 0 for an empty one; unlike ``np.abs``, exact at the most
+    negative int64."""
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-def _int64_chains(scales, chains):
-    """The factors of every chain as int64 arrays, or None when a factor
-    does not fit int64 or the bound below reaches ``INT64_LIMIT``.
+def as_int64(num):
+    """An integer array as int64 when every entry fits, else as it is."""
+    if num.dtype == object:
+        try:
+            return num.astype(np.int64)
+        except OverflowError:
+            pass
+    return num
+
+
+class Held(tuple):
+    """An exact matrix (N, D) held for reuse, with N int64 when every entry
+    fits and Python ints otherwise, made read-only, and ``max_abs`` = max|N|
+    formed once: :func:`combine` bounds a held factor without reading it
+    again, and the read-only N keeps that bound true. A held matrix is an
+    (N, D) pair wherever one is taken."""
+
+    def __new__(cls, num, den):
+        num = as_int64(num)
+        num.flags.writeable = False
+        held = super().__new__(cls, (num, den))
+        held.max_abs = max_abs(num)
+        return held
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a held pair through __new__
+        return tuple(self)
+
+
+def _tier_chains(scales, chains, convert):
+    """The type of :func:`product_dtype` for sum_t scale_t * (product of
+    chain_t), each chain a list of (N, D) factors, and the N of every chain
+    on that type.
 
     Each |entry| of a product of factors with max |F_i| <= M_i and inner
     dimensions k_j is at most prod M_i * prod k_j, and so is every partial
     sum the product forms; with every M_i, k_j and |scale| raised to at
     least 1 the same bound covers each partial product of a chain, and the
     sum over terms bounds every partial sum of the total. A zero factor or
-    a zero product cannot hide a large intermediate, nor a large scale."""
-    ints = {}
-    bound = 0
+    a zero product cannot hide a large intermediate, nor a large scale.
+
+    A :class:`Held` factor brings its M; any other int64 factor is bounded
+    as it is. A factor of Python ints is converted to int64 only when
+    ``convert`` is true; one that is not, or does not fit int64, puts the
+    sum on Python ints. On Python ints every int64 factor is converted to
+    object, so that no int64 product runs without the bound."""
+    ints, bound = {}, 0
     for scale, chain in zip(scales, chains):
         term = max(abs(scale), 1)
-        for i, n in enumerate(chain):
+        for i, f in enumerate(chain):
+            n = f[0]
             if id(n) not in ints:
-                try:
-                    ints[id(n)] = n.astype(np.int64)
-                except OverflowError:
-                    return None
-            term *= max(max_abs(ints[id(n)]), 1)
+                m = as_int64(n) if convert else n
+                if m.dtype == object:
+                    return object, [[n.astype(object, copy=False) for n, _ in c] for c in chains]
+                ints[id(n)] = m, f.max_abs if type(f) is Held else max_abs(m)
+            term *= max(ints[id(n)][1], 1)
             if i:
                 term *= max(n.shape[0], 1)
         bound += term
-    if bound >= INT64_LIMIT:
-        return None
-    return [[ints[id(n)] for n in chain] for chain in chains]
+    dtype = product_dtype(bound)
+    typed = {}
+    for chain in chains:
+        for n, _ in chain:
+            if id(n) not in typed:
+                m = n if dtype is object else ints[id(n)][0]
+                typed[id(n)] = m.astype(dtype, copy=False)
+    return dtype, [[typed[id(n)] for n, _ in chain] for chain in chains]
 
 
 def _sum_products(total, scales, chains):
@@ -215,32 +288,20 @@ def _sum_products(total, scales, chains):
     return total
 
 
-def combine(terms, shape):
-    """sum coeff * (F_1 @ F_2 @ ...) over ``terms`` = [(coeff, (F_1, ...))],
-    each F an (N, D) pair and coeff rational, as (N, D) of the given shape in
-    lowest terms; N holds Python ints. An empty product stands for the
-    identity. Raises ShapeError unless every chain runs from shape[0] rows
-    to shape[1] columns through agreeing inner dimensions (so an identity
-    term needs a square shape).
-
-    With every term scaled to the common denominator D, the sum is formed
-    on int64 when its products do at least ``_INT64_MIN_WORK``
-    multiply-adds and an a-priori bound, sum_t max(|scale_t|, 1) *
-    prod_i max(max|F_i|, 1) * prod max(inner dim, 1), shows that no
-    partial product or partial sum reaches 2^62; otherwise, or when a
-    factor does not fit int64, on Python ints. Both give the same exact
-    result."""
+def _combine(terms, shape):
+    """:func:`combine`, with N as int64 when a machine type formed it."""
     rows, cols = shape
     nums, dens, chains, work = [], [], [], 0
     for coeff, factors in terms:
         den, width, chain = coeff.denominator, rows, []
-        for n, d in factors:
+        for f in factors:
+            n, d = f
             r, c = n.shape
             if r != width:
                 raise ShapeError(f"factor {len(chain)} of a product has {r} rows, not {width}")
             if chain:
                 work += rows * r * c
-            chain.append(n)
+            chain.append(f)
             width = c
             den *= d
         if width != cols:
@@ -250,15 +311,41 @@ def combine(terms, shape):
         chains.append(chain)
     den = math.lcm(*dens)
     scales = [c * (den // d) for c, d in zip(nums, dens)]
-    if work >= _INT64_MIN_WORK:
-        ints = _int64_chains(scales, chains)
-        if ints is not None:
-            total = _sum_products(np.zeros(shape, dtype=np.int64), scales, ints)
-            g = math.gcd(den, int(np.gcd.reduce(total.ravel())))
-            return (total // g).astype(object), den // g
-    total = _sum_products(np.zeros(shape, dtype=object), scales, chains)
-    g = math.gcd(den, *total.flat)
+    dtype, chains = _tier_chains(scales, chains, work >= _INT64_MIN_WORK)
+    total = _sum_products(np.zeros(shape, dtype=dtype), scales, chains)
+    if dtype is object:
+        g = math.gcd(den, *total.flat)
+        return total // g, den // g
+    total = total.astype(np.int64, copy=False)
+    if not total.any():
+        return total, 1
+    g = math.gcd(den, int(np.gcd.reduce(total.ravel())))
     return total // g, den // g
+
+
+def combine(terms, shape):
+    """sum coeff * (F_1 @ F_2 @ ...) over ``terms`` = [(coeff, (F_1, ...))],
+    each F an (N, D) pair, N of Python ints or int64, and coeff rational, as
+    (N, D) of the given shape in lowest terms; N holds Python ints. An empty
+    product stands for the identity. Raises ShapeError unless every chain
+    runs from shape[0] rows to shape[1] columns through agreeing inner
+    dimensions (so an identity term needs a square shape).
+
+    With every term scaled to the common denominator D, the sum runs on the
+    type :func:`product_dtype` picks from an a-priori bound, sum_t
+    max(|scale_t|, 1) * prod_i max(max|F_i|, 1) * prod max(inner dim, 1), on
+    every partial product and partial sum: float64 below 2^53, int64 below
+    2^62, Python ints otherwise. Factors of Python ints are converted only
+    when the products do at least ``_INT64_MIN_WORK`` multiply-adds, and a
+    factor that does not fit int64 puts the sum on Python ints. Every type
+    gives the same exact result."""
+    num, den = _combine(terms, shape)
+    return num.astype(object, copy=False), den
+
+
+def combine_held(terms, shape):
+    """:func:`combine` as a :class:`Held` matrix."""
+    return Held(*_combine(terms, shape))
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,17 @@ generalized Verma module. Mode operators are stored per source degree;
 blocks whose target exceeds the truncation are absent, never silently zero.
 
 Every mode table, Gram block and quadratic-operator block is stored in the
-dense exact format (N, D) of :mod:`kzmono.numerics`, and all the algebra
-on them (the commutation and bracket rules, the Gram
-rows, the quadratic sums and the bracket residuals) is one ``combine`` of
-products. The Gram reaches ``gram_select`` as the integer matrix N: its
-RREF, hence the selection and the expansions, does not change under
-scaling. ``action_matrix``, ``shapovalov_gram`` and
-``VirasoroOperator.block`` give rows of ``Fraction``.
+dense exact format (N, D) of :mod:`kzmono.numerics`, held once as a
+:class:`kzmono.numerics.Held` pair: N is int64 when every entry fits and
+Python ints otherwise, read-only, and kept with max|N|. So ``combine``
+takes the tables as they are and bounds them without reading them again,
+and the products run on float64 or int64 when that bound admits it. All
+the algebra on them (the commutation and bracket rules, the Gram rows, the
+quadratic sums and the bracket residuals) is one ``combine`` of products.
+The Gram reaches ``gram_select`` as the integer matrix N: its RREF, hence
+the selection and the expansions, does not change under scaling.
+``action_matrix``, ``shapovalov_gram`` and ``VirasoroOperator.block`` give
+rows of ``Fraction``, and ``graded_weights`` Python ints.
 
 The quadratic operators use the dual-basis contraction sum_ab Ginv_ab
 x_a(p) x_b(q), which equals the orthonormal-basis sum and keeps every entry
@@ -45,7 +49,9 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .liealg import LieAlgebra, build_algebra
-from .numerics import block_matrix, combine, concat, fraction_rows, np
+from .numerics import (
+    Held, block_matrix, combine_held, concat, fraction_rows, np,
+)
 # not called here: the benchmark's tracer wraps kzmono.sugawara.rat_mul and
 # kzmono.sugawara.gram_select
 from .numerics import gram_select, rat_mul  # noqa: F401
@@ -92,8 +98,8 @@ class TruncatedModule:
     graded_dims: list
     graded_bases: list          # labels (1, gen, parent_index) per degree; degree 0: V indices
     vlambda: object
-    _grams: list                # Gram matrix per degree, as (N, D)
-    _tables: dict = field(default_factory=dict)   # (gen, n, src) -> (N, D)
+    _grams: list                # Gram matrix per degree, as a Held (N, D)
+    _tables: dict = field(default_factory=dict)   # (gen, n, src) -> Held (N, D)
     _ln_cache: dict = field(default_factory=dict)
 
     @property
@@ -147,12 +153,12 @@ def truncated_module(level, m, depth, depth_guard=6):
         graded_dims=[d0],
         graded_bases=[list(range(d0))],
         vlambda=vl,
-        _grams=[block_matrix((d0, d0), [
+        _grams=[Held(*block_matrix((d0, d0), [
             (idxs, idxs, vl.integer_grams[w]) for w, idxs in vl.basis_by_weight.items()
-        ])],
+        ]))],
     )
     for label in (("e", 1, 2), ("f", 1, 2), ("h", 1)):
-        mod._tables[(label[0], 0, 0)] = integer_rep_matrix(vl, label)
+        mod._tables[(label[0], 0, 0)] = Held(*integer_rep_matrix(vl, label))
 
     for deg in range(1, depth + 1):
         _grow_one_degree(mod, deg)
@@ -163,7 +169,7 @@ def graded_weights(mod):
     """Per degree, the h-weight of every basis vector: the diagonal of h(0),
     whose entries are integers as every basis vector is an h-weight vector."""
     tables = (mod._tables[("h", 0, deg)] for deg in range(mod.depth + 1))
-    return [[w // den for w in num.diagonal()] for num, den in tables]
+    return [[w // den for w in num.diagonal().tolist()] for num, den in tables]
 
 
 def graded_character(mod):
@@ -193,7 +199,7 @@ def _commute(mod, x, n, deg):
             terms.append((1, (tables[(y, -1, src - n)], tables[(x, n, src)])))
         if n and (x, y) in _KAPPA:
             terms.append((_KAPPA[(x, y)] * mod.level, ()))
-        blocks.append(combine(terms, (mod.graded_dims[deg - n], mod.graded_dims[src])))
+        blocks.append(combine_held(terms, (mod.graded_dims[deg - n], mod.graded_dims[src])))
     return concat(blocks, axis=1)
 
 
@@ -206,13 +212,13 @@ def _grow_one_degree(mod, deg):
     )
     mod.graded_dims.append(len(selected))
     mod.graded_bases.append([spanning[j] for j in selected])
-    mod._grams.append(gram)
+    mod._grams.append(Held(*gram))
     for y, table in zip(GENS, tables):
-        mod._tables[(y, -1, deg - 1)] = table
+        mod._tables[(y, -1, deg - 1)] = Held(*table)
     # the tables out of the new degree are the kept columns
     for x in GENS:
         for n, (num, den) in ((0, _commute(mod, x, 0, deg)), (1, raising[x])):
-            mod._tables[(x, n, deg)] = num[:, selected], den
+            mod._tables[(x, n, deg)] = Held(num[:, selected], den)
 
 
 # x(n) = c [a(s), b(n-s)] for |n| >= 2, s = sign n, as x -> (a, b, c)
@@ -228,7 +234,7 @@ def _table(mod, gen, n, src):
         return cached
     a, b, c = _DERIVE[gen]
     s = 1 if n > 0 else -1
-    table = combine([
+    table = combine_held([
         (c, (_table(mod, a, s, src - n + s), _table(mod, b, n - s, src))),
         (-c, (_table(mod, b, n - s, src - s), _table(mod, a, s, src))),
     ], (mod.graded_dims[src - n], mod.graded_dims[src]))
@@ -244,7 +250,7 @@ def _table(mod, gen, n, src):
 class VirasoroOperator:
     module: TruncatedModule
     index: int
-    blocks: dict   # source degree -> (N, D) of the block degree k -> k - index
+    blocks: dict   # source degree -> Held (N, D) of the block degree k -> k - index
 
     def block(self, src):
         """The block out of degree src as rows of ``Fraction``, or None."""
@@ -272,7 +278,7 @@ def ln_operator(mod, n):
             continue
         # sum_ab Ginv_ab x_a(n-q) x_b(q) with q >= n - q acting first; the
         # pair q = n - q is counted once, every other pair twice
-        blocks[src] = combine([
+        blocks[src] = combine_held([
             ((norm if 2 * q == n else 2 * norm) * coeff,
              (_table(mod, x, n - q, src - q), _table(mod, y, q, src)))
             for q in range(-(-n // 2), src + 1)
@@ -303,7 +309,7 @@ def _block(mod, op, src):
         return None
     if src < 0 or tgt < 0:
         shape = [mod.graded_dims[d] if d >= 0 else 0 for d in (tgt, src)]
-        return np.zeros(shape, dtype=object), 1
+        return Held(np.zeros(shape, dtype=np.int64), 1)
     return get(src)
 
 
@@ -330,8 +336,8 @@ def _bracket_residual(mod, a, b, rhs, central):
         terms += [(-coeff, (blk,)) for (coeff, _), blk in zip(rhs, parts[4:])]
         if tgt == src and central:
             terms.append((-central, ()))
-        num, den = combine(terms, (mod.graded_dims[tgt], mod.graded_dims[src]))
-        worst = max(worst, Fraction(max(map(abs, num.flat), default=0), den))
+        res = combine_held(terms, (mod.graded_dims[tgt], mod.graded_dims[src]))
+        worst = max(worst, Fraction(res.max_abs, res[1]))
     return worst
 
 

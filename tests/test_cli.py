@@ -255,6 +255,13 @@ class TestOtherCommands:
         assert "--trials" in err
         assert out == ""
 
+    def test_zero_trials_is_usage_error(self, capsys):
+        # no trials would print "passed": true having checked nothing
+        code, out, err = capture(capsys, ["symbols", "check", "--trials", "0"])
+        assert code == 64
+        assert "--trials" in err and "positive" in err
+        assert out == ""
+
     def test_verlinde(self, capsys):
         code, out, _ = capture(capsys, ["verlinde", "--level", "1", "--weights", "1,1,1"])
         assert code == 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kzmono import invariants
+from kzmono import invariants, numerics
 from kzmono.errors import ConsistencyError, DomainError
 from kzmono.invariants import (
     InvariantSpace,
@@ -309,7 +309,7 @@ class TestRestrict:
 
     def test_off_by_a_third_raises_on_python_ints(self, a1, monkeypatch):
         # the same broken bases through the Python-int path of the gather
-        monkeypatch.setattr(invariants, "INT64_LIMIT", 1)
+        monkeypatch.setattr(numerics, "INT64_LIMIT", 1)
         self.test_exact_basis_off_by_a_third_raises(a1)
 
 
@@ -341,7 +341,7 @@ class TestRestrictPaths:
         seen = spy_restrict_dtype(monkeypatch)
         pairs = list(itertools.combinations(range(len(weights)), 2))
         fast = [restrict(omega_pair(sys, i, j), inv) for i, j in pairs]
-        monkeypatch.setattr(invariants, "INT64_LIMIT", 1)
+        monkeypatch.setattr(numerics, "INT64_LIMIT", 1)
         slow = [restrict(omega_pair(sys, i, j), inv) for i, j in pairs]
         assert fast == slow
         assert seen == [np.int64] * len(pairs) + [object] * len(pairs)
@@ -363,6 +363,33 @@ class TestRestrictPaths:
             assert restrict(big, inv) == [[x * scale for x in row] for row in restrict(op, inv)]
         assert seen == [dtype, np.int64] * 6
 
+    @pytest.mark.parametrize("scale,tier", [(2**50 - 1, np.float64), (2**50 + 1, np.int64)])
+    def test_scaled_operator_crosses_2_53(self, a1, scale, tier, monkeypatch):
+        # the bound of test_scaled_operator_crosses_the_bound, 8 * scale, is
+        # 2^53 - 8 or 2^53 + 8: the certificate B~.S runs on float64 below
+        # 2^53 and on int64 above, and both give the rows Python ints give
+        sys = a1_system(a1, [1, 1, 1, 1])
+        inv = invariant_basis(sys)
+        tiers = []
+        real = invariants.product_dtype
+
+        def spy(bound):
+            tiers.append(real(bound))
+            return tiers[-1]
+
+        def scaled(i, j):
+            den, cos, ros, vals = omega_pair(sys, i, j).local
+            return TwoSiteOperator(i=i, j=j, system=sys,
+                                   local=(den, cos, ros, [v * scale for v in vals]))
+
+        monkeypatch.setattr(invariants, "product_dtype", spy)
+        pairs = list(itertools.combinations(range(4), 2))
+        fast = [restrict(scaled(i, j), inv) for i, j in pairs]
+        assert tiers == [tier] * len(pairs)
+        monkeypatch.setattr(numerics, "INT64_LIMIT", 1)
+        assert [restrict(scaled(i, j), inv) for i, j in pairs] == fast
+        assert tiers[len(pairs):] == [object] * len(pairs)
+
     @pytest.mark.parametrize("scale", [2**20, 2**40])
     def test_scaled_basis_raises_on_both_paths(self, a1, scale, monkeypatch):
         # 2^20 B (bound 2^43, int64) and 2^40 B (bound 2^83, Python ints)
@@ -375,8 +402,8 @@ class TestRestrictPaths:
             basis=[{k: v * scale for k, v in col.items()} for col in inv.basis],
             free_positions=inv.free_positions,
         )
-        for limit in (invariants.INT64_LIMIT, 1):
-            monkeypatch.setattr(invariants, "INT64_LIMIT", limit)
+        for limit in (numerics.INT64_LIMIT, 1):
+            monkeypatch.setattr(numerics, "INT64_LIMIT", limit)
             for i, j in itertools.combinations(range(4), 2):
                 with pytest.raises(ConsistencyError):
                     restrict(omega_pair(sys, i, j), scaled)

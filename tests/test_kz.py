@@ -152,12 +152,30 @@ class TestFlatness:
         sys = kz_system(a1, [(1,)] * 4, 3)
         assert flatness_residual(sys, exact=False) < 1e-12
 
-    @pytest.mark.parametrize("scale", [1, 2**28, 2**29, 2**40])
+    def test_relations_in_chunks_give_the_same_residual(self, a1, monkeypatch):
+        # one relation per stack gives the residual all relations at once do
+        sys = kz_system(a1, [(1,)] * 6, 3)
+        sys.omegas[(1, 3)][0][1] += Fraction(1, 3)
+        whole = flatness_residual(sys)
+        calls = []
+
+        def spy(a, b):
+            calls.append(len(a))
+            return rat_commutator(a, b)
+
+        monkeypatch.setattr(kz, "rat_commutator", spy)
+        monkeypatch.setattr(kz, "_RELATION_ENTRIES", 1)
+        assert flatness_residual(sys) == whole > 0
+        # 3 C(6, 3) = 60 triples and 15 * 6 / 2 = 45 disjoint pairs
+        assert calls == [1] * (60 + 45)
+
+    @pytest.mark.parametrize("scale", [1, 2**24, 2**25, 2**28, 2**29, 2**40])
     def test_perturbed_omega_matches_list_reference(self, a1, scale, monkeypatch):
         # a W_ij moved by 1/2 breaks flatness by an exact amount; scaled by
-        # 2^40 the products pass 2^63, and the value must stay exact. Up to
-        # 2^28 the bound 4 m^2 dim < 2^62 holds and the commutators run on
-        # int64; from 2^29 on it fails and they run on Python ints
+        # 2^40 the products pass 2^63, and the value must stay exact. Scaled
+        # by s >= 2, m = 3 s / 2 and dim = 2, so the bound 4 m^2 dim is 18 s^2:
+        # below 2^53 up to 2^24 (float64), below 2^62 up to 2^28 (int64),
+        # and from 2^29 on the commutators run on Python ints
         dtypes = []
 
         def spy(a, b):
@@ -193,7 +211,8 @@ class TestFlatness:
         assert expected > 0
         got = flatness_residual(sys, exact=True)
         assert isinstance(got, Fraction) and got == expected
-        assert dtypes == [np.dtype(np.int64) if scale <= 2**28 else np.dtype(object)]
+        tier = np.float64 if scale <= 2**24 else np.int64 if scale <= 2**28 else object
+        assert dtypes == [np.dtype(tier)]
 
 
 class TestPaths:

@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,8 +11,10 @@ import pytest
 from kzmono import numerics
 from kzmono.errors import ShapeError, SingularityError
 from kzmono.numerics import (
+    Held,
     QuadExt,
     SparseOperator,
+    block_matrix,
     combine,
     concat,
     frac_sqrt,
@@ -218,46 +222,70 @@ def zero(rng):
     return 0
 
 
-# Sums of products whose work reaches numerics._INT64_MIN_WORK, and whether
-# the int64 bound admits them. Each term is (coeff, chain of dims, an entry
+def near(top):
+    """Entries in [top - 9, top], of either parity, so that sums of their
+    products come close to the bound."""
+    return lambda rng: rng.randint(top - 9, top)
+
+
+# Sums of products whose work reaches numerics._INT64_MIN_WORK, and the type
+# the bound admits them on: float64 below 2^53, int64 below 2^62, Python
+# ints (object) otherwise. Each term is (coeff, chain of dims, an entry
 # function per factor, {(factor, row, col): entry}); an empty chain is the
 # identity.
 WIDE_CASES = [
     # small entries over small denominators
-    (True, [
+    (np.float64, [
         (Fraction(3, 2), [16, 20, 16], [small, small], {}),
         (Fraction(-1, 3), [16, 16], [small], {}),
     ]),
-    (True, [
+    (np.float64, [
         (Fraction(5, 7), [18, 18, 18, 18], [small, small, small], {}),
         (Fraction(-4, 5), [], [], {}),
         (Fraction(2), [18, 24, 18], [small, small], {}),
     ]),
-    # entries up to 2^24 keep the bound below 2^62
-    (True, [(Fraction(-1), [12, 16, 24], [lambda rng: rng.randint(-2**24, 2**24)] * 2, {})]),
+    # entries up to 2^24 keep the bound below 2^24 * 2^24 * 16 = 2^52
+    (np.float64, [(Fraction(-1), [12, 16, 24], [lambda rng: rng.randint(-2**24, 2**24)] * 2, {})]),
+    # max|F| at most 2^24 and 2^25 - 1 through an inner dimension of 16: the
+    # bound is at most 2^53 - 2^28, and the entries of the product come
+    # within 2^34 of it
+    (np.float64, [(Fraction(1), [16, 16, 16], [near(2**24), near(2**25 - 1)], {})]),
+    # entries from 2^24 and 2^25 up: the bound reaches 2^53, and the
+    # entries pass it, of either parity, so float64 would round them
+    (np.int64, [(Fraction(1), [16, 16, 16], [near(2**24 + 9), near(2**25 + 9)], {})]),
+    # the scales 5 and 3 of the denominators 3 and 5 count in the bound:
+    # 8 * 2^23 * 2^23 * 16 is 2^53 itself, and with 2^23 - 1 it is below
+    (np.float64, [
+        (Fraction(1, 3), [16, 16, 16], [near(2**23 - 1)] * 2, {}),
+        (Fraction(1, 5), [16, 16, 16], [near(2**23 - 1)] * 2, {}),
+    ]),
+    (np.int64, [
+        (Fraction(1, 3), [16, 16, 16], [near(2**23)] * 2, {(0, 0, 0): 2**23, (1, 0, 0): 2**23}),
+        (Fraction(1, 5), [16, 16, 16], [near(2**23)] * 2, {(0, 0, 0): 2**23, (1, 0, 0): 2**23}),
+    ]),
     # entries near 2^31: products pass 2^62; through an inner dimension of
     # 2 their sums pass 2^63 - 1 and would wrap on int64
-    (False, [(Fraction(1), [12, 24, 16], [near_2_31, near_2_31], {})]),
-    (False, [
+    (object, [(Fraction(1), [12, 24, 16], [near_2_31, near_2_31], {})]),
+    (object, [
         (Fraction(1), [24, 2, 24], [just_below_2_31, just_below_2_31], {}),
         (Fraction(1), [24, 12, 24], [small_int, small_int], {}),
     ]),
     # an entry above 2^63 does not convert to int64
-    (False, [(Fraction(1), [16, 20, 16], [small_int, small_int], {(0, 3, 4): 2**63 + 5})]),
+    (object, [(Fraction(1), [16, 20, 16], [small_int, small_int], {(0, 3, 4): 2**63 + 5})]),
     # -2^63 converts, but its absolute value does not fit int64
-    (False, [(Fraction(1), [16, 20, 16], [small_int, small_int], {(1, 2, 5): -2**63})]),
+    (object, [(Fraction(1), [16, 20, 16], [small_int, small_int], {(1, 2, 5): -2**63})]),
     # a zero coefficient does not cover an overflowing product
-    (False, [
+    (object, [
         (Fraction(0), [16, 20, 16], [near_2_31, near_2_31], {}),
         (Fraction(1), [16, 20, 16], [small, small], {}),
     ]),
     # a zero last factor must not hide the overflowing product before it
-    (False, [
+    (object, [
         (Fraction(1), [12, 16, 16, 12], [above_2_40, above_2_40, zero], {}),
         (Fraction(1, 2), [12, 20, 12], [small, small], {}),
     ]),
     # nor a zero product a huge coefficient
-    (False, [
+    (object, [
         (Fraction(2**70, 3), [12, 16, 12], [small, zero], {}),
         (Fraction(1), [12, 16, 12], [small, small], {}),
     ]),
@@ -281,6 +309,31 @@ def wide_terms(rng, case):
         )))
         ref_terms.append((coeff, list(zip(mats, chain, chain[1:]))))
     return terms, ref_terms, shape
+
+
+def held_terms(terms, wrap=None):
+    """``terms`` with every factor's N as int64 where it fits, or wrapped
+    by ``wrap``."""
+    def hold(n, d):
+        return wrap(n, d) if wrap else (numerics.as_int64(n), d)
+
+    return [(c, tuple(hold(n, d) for n, d in chain)) for c, chain in terms]
+
+
+def spy_tiers(monkeypatch):
+    """Record the type every combine call runs on, and check that each
+    factor it multiplies is of that type."""
+    tiers = []
+    real = numerics._tier_chains
+
+    def spy(*args):
+        dtype, chains = real(*args)
+        assert all(n.dtype == np.dtype(dtype) for chain in chains for n in chain)
+        tiers.append(dtype)
+        return dtype, chains
+
+    monkeypatch.setattr(numerics, "_tier_chains", spy)
+    return tiers
 
 
 def assert_lowest_terms(num, den):
@@ -325,25 +378,51 @@ class TestDenseExact:
             assert_lowest_terms(num, den)
             assert fraction_rows(num, den) == reference_combine(ref_terms, (rows, cols))
 
-        # above the crossover: int64 where the bound admits it, Python ints
-        # otherwise, and the same exact result either way
-        fast = []
-
-        def spy(*args):
-            ints = real(*args)
-            fast.append(ints is not None)
-            return ints
-
-        real = numerics._int64_chains
-        monkeypatch.setattr(numerics, "_int64_chains", spy)
-        for expect_fast, case in WIDE_CASES:
+        # above the crossover: the type the bound admits, and the same exact
+        # result on each; held factors (int64 where they fit) and plain
+        # int64 ones take the same type, and on Python ints every factor is
+        # converted to object before it is multiplied
+        tiers = spy_tiers(monkeypatch)
+        for tier, case in WIDE_CASES:
             terms, ref_terms, shape = wide_terms(rng, case)
-            fast.clear()
-            num, den = combine(terms, shape)
-            assert fast == [expect_fast]
-            assert num.shape == shape
+            expected = reference_combine(ref_terms, shape)
+            for variant in (terms, held_terms(terms), held_terms(terms, Held)):
+                tiers.clear()
+                num, den = combine(variant, shape)
+                assert tiers == [tier]
+                assert num.shape == shape
+                assert_lowest_terms(num, den)
+                assert fraction_rows(num, den) == expected
+
+    def test_gate_converts_only_python_ints(self, monkeypatch):
+        # a product under _INT64_MIN_WORK stays on Python ints when its
+        # factors hold Python ints, and runs on float64 when they are held
+        # as int64 already
+        rng = random.Random(47)
+        a, b = rand_matrix(rng, 3, 3), rand_matrix(rng, 3, 3)
+        fa, fb = integer_matrix(a, (3, 3)), integer_matrix(b, (3, 3))
+        expected = rat_sub(rat_mul(a, b), rat_mul(b, a))
+        tiers = spy_tiers(monkeypatch)
+        for pair in ((fa, fb), (Held(*fa), Held(*fb))):
+            x, y = pair
+            num, den = combine([(1, (x, y)), (-1, (y, x))], (3, 3))
             assert_lowest_terms(num, den)
-            assert fraction_rows(num, den) == reference_combine(ref_terms, shape)
+            assert fraction_rows(num, den) == expected
+        assert tiers == [object, np.float64]
+
+    def test_held_pairs(self):
+        num, den = integer_matrix([[Fraction(-7, 2), 0], [1, Fraction(3, 4)]], (2, 2))
+        held = Held(num, den)
+        assert held[0].dtype == np.int64 and held[0].tolist() == [[-14, 0], [4, 3]]
+        assert held[1] == 4 and held.max_abs == 14
+        with pytest.raises(ValueError):
+            held[0][0, 0] = 1
+        big = Held(np.array([[2**63, -1]], dtype=object), 3)
+        assert big[0].dtype == object and big.max_abs == 2**63
+        for h in (held, big):
+            for twin in (copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+                assert type(twin) is Held and twin[1] == h[1] and twin.max_abs == h.max_abs
+                assert twin[0].tolist() == h[0].tolist() and not twin[0].flags.writeable
 
     def test_combine_rejects_mismatched_chains(self):
         def ones(rows, cols):
@@ -391,6 +470,19 @@ class TestDenseExact:
         c = big_matrix(rng, 3, 3)
         num, den = concat([integer_matrix(a, (2, 3)), integer_matrix(c, (3, 3))], axis=0)
         assert fraction_rows(num, den) == a + c
+
+    def test_int64_blocks_scale_on_python_ints(self):
+        # int64 blocks over one D join as int64; a block over another D is
+        # scaled on Python ints, where 2^62 * 4 does not wrap
+        big = np.array([[2**62, -3]], dtype=np.int64)
+        small = np.array([[1, 5]], dtype=np.int64)
+        num, den = concat([(big, 7), (small, 7)], axis=0)
+        assert num.dtype == np.int64 and den == 7
+        num, den = concat([(big, 1), (small, 4)], axis=0)
+        assert den == 4 and num.tolist() == [[2**64, -12], [1, 5]]
+        num, den = block_matrix((2, 3), [([0], [0, 2], (big, 1)), ([1], [1, 2], (small, 4))])
+        assert den == 4 and num.tolist() == [[2**64, 0, -12], [0, 1, 5]]
+        assert all(type(x) is int for x in num.flat)
 
 
 class TestQuadExt:

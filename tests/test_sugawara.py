@@ -1,14 +1,17 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from kzmono import numerics
 from kzmono.errors import DomainError
-from kzmono.numerics import rat_mul
+from kzmono.numerics import Held, rat_mul
 from kzmono.sugawara import (
     affine_bracket_check,
     central_charge,
     conformal_weight,
     graded_character,
+    graded_weights,
     ln_operator,
     lx_commutator_check,
     truncated_module,
@@ -142,7 +145,12 @@ class TestModeOperators:
         # wrong entry of e(-1) on degree 1 produces
         mod = truncated_module(1, 0, 3)
         num, den = mod._tables[("e", -1, 1)]
+        # a held table is read-only, so that the bound it keeps stays true
+        with pytest.raises(ValueError):
+            num[0, 0] += den
+        num = num.copy()
         num[0, 0] += den  # the (0, 0) entry, N / D, goes up by exactly 1
+        mod._tables[("e", -1, 1)] = Held(num, den)
         assert affine_bracket_check(mod, "f", 1, "e", -1) == 4
         assert lx_commutator_check(mod, 1, "e", -1) == 2
         assert virasoro_bracket_check(mod, 1, -1) == Fraction(8, 3)
@@ -242,3 +250,74 @@ class TestVirasoro:
                 for gen in ("e", "f", "h"):
                     for k in range(-2, 3):
                         assert lx_commutator_check(mod, n, gen, k) == 0
+
+
+def residuals(mod):
+    """Bracket residuals that read e(-1) out of degree 1, directly and
+    through the derived modes and L_n."""
+    return [
+        affine_bracket_check(mod, "f", 1, "e", -1),
+        affine_bracket_check(mod, "e", 2, "h", -2),
+        lx_commutator_check(mod, 1, "e", -1),
+        lx_commutator_check(mod, 0, "e", 2),
+        virasoro_bracket_check(mod, 1, -1),
+        virasoro_bracket_check(mod, 2, -1),
+    ]
+
+
+def with_table(key, change):
+    """A fresh vacuum module of depth 3 whose table ``key`` is replaced by
+    ``change(N, D)`` before any derived mode or L_n is formed."""
+    mod = truncated_module(1, 0, 3)
+    mod._tables[key] = Held(*change(*mod._tables[key]))
+    return mod
+
+
+def plus_one(num, den):
+    num = num.astype(object)
+    num[0, 0] += 1
+    return num, den
+
+
+class TestHeldTables:
+    KEY = ("e", -1, 1)
+
+    def test_tables_and_grams_are_read_only_int64(self, l2m1):
+        ln_operator(l2m1, 2)
+        held = list(l2m1._tables.values()) + l2m1._grams
+        held += list(ln_operator(l2m1, 2).blocks.values())
+        for num, _ in held:
+            assert num.dtype == np.int64 and not num.flags.writeable
+
+    def test_broken_entry_matches_python_ints(self, monkeypatch):
+        # one held numerator up by 1 breaks the brackets; forming every
+        # product on Python ints (no machine type admitted) gives the same
+        # nonzero residuals
+        fast = residuals(with_table(self.KEY, plus_one))
+        assert all(fast)
+        monkeypatch.setattr(numerics, "INT64_LIMIT", 1)
+        assert residuals(with_table(self.KEY, plus_one)) == fast
+
+    def test_table_past_int64_stays_python_ints(self):
+        # N k / D k is the same matrix; with k = 2^63 it does not fit int64,
+        # stays Python ints, and gives the same residuals, broken or not
+        k = 2**63
+        for change, expect in (
+            (lambda n, d: (n, d), [0] * 6),
+            (plus_one, residuals(with_table(self.KEY, plus_one))),
+        ):
+            def scaled(num, den, change=change):
+                num, den = change(num, den)
+                return num.astype(object) * k, den * k
+
+            mod = with_table(self.KEY, scaled)
+            assert mod._tables[self.KEY][0].dtype == object
+            assert residuals(mod) == expect
+
+    def test_accessors_give_python_numbers(self, l2m1):
+        weights = graded_weights(l2m1)
+        assert all(type(w) is int for ws in weights for w in ws)
+        assert weights[0] == [1, -1]
+        rows = l2m1.action_matrix("e", -1, 1) + l2m1.shapovalov_gram[2]
+        rows += ln_operator(l2m1, 0).block(2)
+        assert all(type(x) is Fraction for row in rows for x in row)
