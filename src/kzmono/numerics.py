@@ -7,35 +7,36 @@ sparse vector reads only the columns that vector touches.
 
 Every exact elimination (ranks, null spaces, basis selection from a Gram
 matrix) runs on one routine, :func:`sparse_eliminate`, which returns the
-reduced row echelon form as pivot rows.
+reduced row echelon form as primitive integer pivot rows.
 
 The exact kernels run on integers that cannot overflow. A dense integer
 product runs on the type :func:`product_dtype` picks from a bound proved
 before it runs: float64 (BLAS dgemm) below 2^53, where every partial sum is
 an integer float64 holds exactly, int64 below 2^62, and Python integers,
-which have no fixed width, otherwise. ``sparse_eliminate`` scales each row
-by the lcm of its denominators and eliminates fraction free, by
-cross-multiplication, keeping its pivot rows primitive; ``Fraction``
-appears only in the RREF it returns. It takes the rows in order of
-decreasing leading column, which spares almost every back-reduction, and
-returns the pivots in increasing column order, so its result does not
-depend on the order of its input rows. Dense exact matrices are held as
-pairs (N, D): N is a numpy integer array, of Python ints (dtype object) or
-int64, and D > 0 a common denominator, so the matrix is N / D; a
-:class:`Held` pair keeps a matrix that is used again with N read-only,
-int64 when it fits, and its max|N|. :func:`combine` evaluates every sum of
-products, sum coeff * (F_1 @ F_2 @ ...), in lowest terms, gcd(N, D) = 1,
-and returns N of Python ints (:func:`combine_held` a held pair);
-:func:`concat` and :func:`block_matrix` assemble blocks over the lcm of
-their denominators, scaling a block on Python ints where it needs it, and :func:`integer_matrix` and :func:`fraction_rows`
-convert to and from rows of ``Fraction``. Representation matrices and the
-irrep, affine, Casimir and Omega-sum algebra run on (N, D), and
-``rat_commutator`` takes the integer stacks exact flatness builds. Rows of
-``Fraction`` remain the public views of exact matrices and of the Lie
-algebra's structure data, whose inverse forms have closed forms and need no
-solver; ``rat_mul`` has no caller in the package and serves the tests and
-the benchmark. Complex numerics use numpy. Nothing here mutates its inputs
-(a :class:`Held` pair takes its N over); scratch space is per call.
+which have no fixed width, otherwise. ``sparse_eliminate`` takes integer
+rows in order of decreasing leading column, which spares almost every
+back-reduction, eliminates fraction free, by cross-multiplication, keeping
+its pivot rows primitive, and returns the pivots in increasing column order,
+so its result does not depend on the order of its input rows.
+:func:`gram_select` hands its expansions on as (N, D); only the kernel
+vectors of :func:`nullspace_exact_sparse` are ``Fraction``. Dense exact
+matrices are held as pairs (N, D): N is a numpy integer array, of Python
+ints (dtype object) or int64, and D > 0 a common denominator, so the matrix
+is N / D; a :class:`Held` pair keeps a matrix that is used again with N
+read-only, int64 when it fits, and its max|N|. :func:`combine` evaluates
+every sum of products, sum coeff * (F_1 @ F_2 @ ...), in lowest terms,
+gcd(N, D) = 1, and returns N of Python ints (:func:`combine_held` a held
+pair); :func:`concat` and :func:`block_matrix` assemble blocks over the lcm
+of their denominators, scaling a block on Python ints where it needs it, and
+:func:`integer_matrix` and :func:`fraction_rows` convert to and from rows of
+``Fraction``. Representation matrices and the irrep, affine, Casimir and
+Omega-sum algebra run on (N, D), and ``rat_commutator`` takes the integer
+stacks exact flatness builds. Rows of ``Fraction`` remain the public views
+of exact matrices and of the Lie algebra's structure data, whose inverse
+forms have closed forms and need no solver; ``rat_mul`` has no caller in the
+package and serves the tests and the benchmark. Complex numerics use numpy.
+Nothing here mutates its inputs (a :class:`Held` pair takes its N over);
+scratch space is per call.
 
 numpy is bound lazily: ``np`` here (and in the modules that import it from
 here) loads numpy on its first attribute access, so the commands that never
@@ -353,13 +354,6 @@ def combine_held(terms, shape):
 # Gram-matrix basis selection
 # ---------------------------------------------------------------------------
 
-def _integer_row(row):
-    """A rational row {column: value} scaled to integers by the lcm of its
-    denominators, with its zero entries dropped."""
-    den = math.lcm(*(v.denominator for v in row.values()))
-    return {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}
-
-
 def _primitive(row, lead):
     """Divide an integer row by its content, signed so that ``lead`` > 0."""
     g = math.gcd(*row.values())
@@ -395,24 +389,25 @@ def _cancel(row, cols, pivots):
 
 
 def sparse_eliminate(rows, ncols):
-    """Sparse rational Gaussian elimination, fraction free.
+    """Sparse integer Gaussian elimination, fraction free.
 
-    ``rows`` is a list of {column: rational} dicts. Returns the reduced row
-    echelon form as a dict mapping pivot column -> pivot row of ``Fraction``
-    entries (leading coefficient 1), pivots in increasing column order; the
-    result does not depend on the order of ``rows``.
+    ``rows`` is a list of {column: integer} dicts; entries pass through
+    ``operator.index``, so numpy integers become Python ints and a
+    ``Fraction`` raises TypeError. Returns {pivot column: pivot row}, pivots
+    in increasing column order: each row is primitive, positive at its pivot
+    and zero at the other pivots, so dividing it by its leading entry gives
+    the reduced row echelon form. Both are unique, so the result does not
+    depend on the order of ``rows``.
 
-    Each row is scaled to integers and reduced by cross-multiplication, and
-    every pivot row is kept primitive with a positive leading entry, so the
-    loop runs on Python integers only; the RREF is unique, so dividing each
-    pivot row by its leading entry at the end gives it exactly. The rows are
-    taken in order of decreasing leading column: a new pivot then usually
-    lies left of every entry of the earlier pivot rows, and they need no
-    back-reduction against it. Only a row whose leading column was already a
-    pivot can land right of the leftmost pivot, and only then are the
-    earlier pivot rows reduced again.
+    Rows are reduced by cross-multiplication, so the loop runs on Python
+    integers only. The rows are taken in order of decreasing leading column:
+    a new pivot then usually lies left of every entry of the earlier pivot
+    rows, and they need no back-reduction against it. Only a row whose
+    leading column was already a pivot can land right of the leftmost pivot,
+    and only then are the earlier pivot rows reduced again.
     """
-    rows = [row for row in map(_integer_row, rows) if row]
+    # copies, as the reduction runs in place; a zero entry is no entry
+    rows = [r for row in rows if (r := {k: operator.index(v) for k, v in row.items() if v})]
     rows.sort(key=min, reverse=True)
     pivots = {}
     leftmost = ncols
@@ -429,10 +424,7 @@ def sparse_eliminate(rows, ncols):
         for pc, prow in pivots.items():
             if c in prow and pc != c:
                 pivots[pc] = _primitive(_cancel(prow, [c], pivots), pc)
-    return {
-        c: {k: Fraction(v, prow[c]) for k, v in prow.items()}
-        for c, prow in sorted(pivots.items())
-    }
+    return dict(sorted(pivots.items()))
 
 
 def exact_rank(rows, ncols):
@@ -440,11 +432,10 @@ def exact_rank(rows, ncols):
 
 
 def nullspace_exact_sparse(rows, ncols):
-    """Kernel basis of a sparse rational matrix.
-
-    Returns a list of {index: Fraction} column vectors, one per free column,
-    each carrying coefficient 1 at its own free index. Deterministic: free
-    columns are taken in increasing order.
+    """Kernel basis of a sparse integer matrix, rows as for
+    :func:`sparse_eliminate`, as (basis, free): ``free`` lists the free
+    columns in increasing order and ``basis`` holds one {index: Fraction}
+    column vector per free column, 1 at its own free index, 0 at the others.
     """
     pivots = sparse_eliminate(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
@@ -452,34 +443,40 @@ def nullspace_exact_sparse(rows, ncols):
     for f in free:
         vec = {f: ONE}
         for pc, prow in pivots.items():
-            coeff = prow.get(f)
-            if coeff:
-                vec[pc] = -coeff
+            v = prow.get(f)
+            if v:
+                vec[pc] = Fraction(-v, prow[pc])
         basis.append(vec)
     return basis, free
 
 
-def _sparse_rows(mat):
-    return [{j: x for j, x in enumerate(row) if x} for row in mat]
-
-
 def gram_select(gram):
-    """Basis selection from the exact Gram matrix of a spanning list.
+    """Basis selection from the Gram matrix of a spanning list, given as
+    rows of integers.
 
-    Returns (selected, expand): ``selected`` is the leftmost maximal set of
+    Returns (selected, (N, D)): ``selected`` is the leftmost maximal set of
     vectors that stay independent modulo the radical of the form (so their
-    Gram submatrix is nonsingular), and ``expand[j]`` expresses spanning
+    Gram submatrix is nonsingular), and row j of N / D expresses spanning
     vector j over them. Both come from the RREF of the Gram matrix. G.x = 0
     exactly when sum x_i b_i lies in the radical, so the columns of G obey
     the same linear relations as the vectors: the pivot columns are the
     selection and the pivot rows hold the coefficients. Valid for any
     symmetric form, definite or not.
+
+    Column t of N is pivot row t times D over its leading entry, D the lcm
+    of those entries; a prime power exactly dividing D exactly divides some
+    leading entry, and that row is primitive, so gcd(N, D) = 1.
     """
     s = len(gram)
-    pivots = sparse_eliminate(_sparse_rows(gram), s)
-    selected = sorted(pivots)
-    expand = [[pivots[c].get(j, ZERO) for c in selected] for j in range(s)]
-    return selected, expand
+    pivots = sparse_eliminate([dict(enumerate(row)) for row in gram], s)
+    selected = list(pivots)
+    den = math.lcm(*(prow[c] for c, prow in pivots.items()))
+    num = [[0] * len(selected) for _ in range(s)]
+    for t, (c, prow) in enumerate(pivots.items()):
+        scale = den // prow[c]
+        for j, v in prow.items():
+            num[j][t] = v * scale
+    return selected, (np.array(num, dtype=object).reshape(s, len(selected)), den)
 
 
 # ---------------------------------------------------------------------------

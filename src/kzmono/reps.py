@@ -10,10 +10,12 @@ that spanning list come from data one level up,
 :func:`quotient_step` turns those columns into the Gram of the spanning
 list, keeps a maximal subset with nonsingular Gram as the basis and
 expresses the rest over it; the affine truncations of :mod:`kzmono.sugawara`
-grow degree by degree through the same step. Bases are deterministic
-(graded by depth, weights in ascending order within a depth, spanning
-blocks in ascending nu), and the per-weight Gram blocks are retained because
-the affine truncations reuse them.
+grow degree by degree through the same step. The basis and the expansions
+come from the primitive integer pivot rows of the Gram
+(:func:`kzmono.numerics.gram_select`), so no ``Fraction`` is formed in the
+build. Bases are deterministic (graded by depth, weights in ascending order
+within a depth, spanning blocks in ascending nu), and the per-weight Gram
+blocks are retained because the affine truncations reuse them.
 
 Every matrix of a module is held in the dense exact format (N, D) of
 :mod:`kzmono.numerics`: the simple e_i and f_i and the Gram blocks from the
@@ -32,7 +34,7 @@ from fractions import Fraction
 from .errors import ConsistencyError, DomainError
 from .liealg import LieAlgebra, build_algebra, dual_pairs, weight_form
 from .numerics import (
-    block_matrix, combine, concat, fraction_rows, gram_select, integer_matrix, np,
+    block_matrix, combine, concat, fraction_rows, gram_select, np,
 )
 # not called here: the benchmark's tracer wraps kzmono.reps.rat_mul
 from .numerics import rat_mul  # noqa: F401
@@ -90,8 +92,7 @@ def quotient_step(blocks):
     num, den = concat([
         combine([(1, (g, m))], (len(g[0]), m[0].shape[1])) for g, m in blocks
     ], axis=0)
-    selected, expand = gram_select(num.tolist())
-    exp_n, exp_d = integer_matrix(expand, (len(num), len(selected)))
+    selected, (exp_n, exp_d) = gram_select(num.tolist())
     cuts = np.cumsum([len(g[0]) for g, _ in blocks])[:-1]
     tables = [(part.T, exp_d) for part in np.split(exp_n, cuts)]
     return selected, (num[np.ix_(selected, selected)], den), tables

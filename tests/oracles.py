@@ -10,6 +10,7 @@ matrices, and reduced row echelon forms and inverses from textbook dense
 Gauss-Jordan elimination over Fraction.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -282,6 +283,19 @@ def rat_add(a, b):
 
 def rat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def integer_rows(rows):
+    """Each rational row, a dict {column: value} or a list, times the lcm of
+    its denominators. Scaling a row by a nonzero number changes neither the
+    RREF nor the kernel nor the rank, so the integer rows have the same."""
+    out = []
+    for row in rows:
+        vals = [Fraction(v) for v in (row.values() if isinstance(row, dict) else row)]
+        den = math.lcm(*(v.denominator for v in vals))
+        scaled = [int(v * den) for v in vals]
+        out.append(dict(zip(row, scaled)) if isinstance(row, dict) else scaled)
+    return out
 
 
 def dense_rref(rows, ncols):

@@ -28,7 +28,7 @@ from kzmono.numerics import (
     sparse_eliminate,
 )
 
-from oracles import dense_rref, rat_add, rat_identity, rat_sub
+from oracles import dense_kernel, dense_rref, integer_rows, rat_add, rat_identity, rat_sub
 
 
 def rand_matrix(rng, rows, cols, bound=4):
@@ -42,13 +42,33 @@ def sparse_rows(m):
     return [{j: x for j, x in enumerate(row) if x} for row in m]
 
 
+def as_rref(pivots):
+    """The RREF of ``sparse_eliminate``'s pivot rows, after checking that
+    each is primitive with a positive leading entry at its pivot column."""
+    for c, row in pivots.items():
+        assert min(row) == c and row[c] > 0
+        assert math.gcd(*row.values()) == 1
+        assert all(type(v) is int for v in row.values())
+    return {c: {k: Fraction(v, row[c]) for k, v in row.items()} for c, row in pivots.items()}
+
+
+def expansion_rows(expand):
+    """gram_select's expansion (N, D) as rows of Fraction, after checking
+    that it is in lowest terms with N of Python ints."""
+    num, den = expand
+    assert num.dtype == object and den > 0
+    assert math.gcd(den, *num.flat) == 1
+    assert all(type(x) is int for x in num.flat)
+    return fraction_rows(num, den)
+
+
 class TestNullspace:
     def test_identity_has_empty_kernel(self):
         m = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-        assert nullspace_exact_sparse(sparse_rows(m), 4) == ([], [])
+        assert nullspace_exact_sparse(integer_rows(sparse_rows(m)), 4) == ([], [])
 
     def test_zero_matrix_kernel_is_everything(self):
-        basis, free = nullspace_exact_sparse(sparse_rows(rat_zeros(3, 3)), 3)
+        basis, free = nullspace_exact_sparse(integer_rows(sparse_rows(rat_zeros(3, 3))), 3)
         assert free == [0, 1, 2]
         assert basis == [{0: 1}, {1: 1}, {2: 1}]
 
@@ -57,7 +77,8 @@ class TestNullspace:
         a = rand_matrix(rng, 4, 2, bound=3)
         b = rand_matrix(rng, 2, 4, bound=3)
         m = rat_mul(a, b)
-        basis, _ = nullspace_exact_sparse(sparse_rows(m), 4)
+        basis, free = nullspace_exact_sparse(integer_rows(sparse_rows(m)), 4)
+        assert (basis, free) == dense_kernel(sparse_rows(m), 4)
         assert len(basis) == 2
         for col in basis:
             out = [sum(row[j] * v for j, v in col.items()) for row in m]
@@ -71,7 +92,8 @@ class TestNullspace:
                 [Fraction(rng.randint(-2, 2)) for _ in range(cols_n)]
                 for _ in range(rows_n)
             ]
-            cols, _ = nullspace_exact_sparse(sparse_rows(m), cols_n)
+            cols, free = nullspace_exact_sparse(integer_rows(sparse_rows(m)), cols_n)
+            assert (cols, free) == dense_kernel(sparse_rows(m), cols_n)
             a = np.array([[float(x) for x in r] for r in m])
             assert len(cols) == cols_n - np.linalg.matrix_rank(a)
             for col in cols:
@@ -107,7 +129,9 @@ class TestEliminationOracle:
         for _ in range(120):
             ncols = rng.randint(1, 10)
             rows = random_sparse_rows(rng, rng.randint(0, 10), ncols)
-            assert sparse_eliminate(rows, ncols) == dense_rref(rows, ncols)
+            ints = integer_rows(rows)
+            assert as_rref(sparse_eliminate(ints, ncols)) == dense_rref(rows, ncols)
+            assert nullspace_exact_sparse(ints, ncols) == dense_kernel(rows, ncols)
 
     def test_row_order_does_not_matter(self):
         # the same seeded matrices, each fed in three row orders: the RREF is
@@ -118,10 +142,10 @@ class TestEliminationOracle:
             rows = random_sparse_rows(rng, rng.randint(0, 10), ncols)
             expect = dense_rref(rows, ncols)
             for _ in range(3):
-                order = rows[:]
+                order = integer_rows(rows)
                 shuffle.shuffle(order)
                 got = sparse_eliminate(order, ncols)
-                assert got == expect
+                assert as_rref(got) == expect
                 assert list(got) == sorted(got)
 
     def test_big_entries_stay_exact(self):
@@ -129,7 +153,49 @@ class TestEliminationOracle:
         big = 2**70 + 1
         rows = [{0: Fraction(big, 3), 1: Fraction(big + 1, 7)},
                 {0: Fraction(big, 6), 1: Fraction(big, 14), 2: Fraction(1, 5)}]
-        assert sparse_eliminate(rows, 3) == dense_rref(rows, 3)
+        assert as_rref(sparse_eliminate(integer_rows(rows), 3)) == dense_rref(rows, 3)
+        assert nullspace_exact_sparse(integer_rows(rows), 3) == dense_kernel(rows, 3)
+
+
+class TestEliminationInput:
+    def test_input_rows_unchanged(self):
+        # non-primitive rows, and a row whose reduction lands right of the
+        # leftmost pivot and forces a back-reduction: the elimination works
+        # on copies
+        rows = [{0: 2, 1: 2}, {0: 1, 2: 1}, {2: 4, 3: 6}, {1: -3, 3: 9}]
+        before = copy.deepcopy(rows)
+        sparse_eliminate(rows, 4)
+        nullspace_exact_sparse(rows, 4)
+        gram = [[4, 2, 6], [2, 1, 3], [6, 3, 9]]
+        gram_before = copy.deepcopy(gram)
+        gram_select(gram)
+        assert rows == before
+        assert gram == gram_before
+
+    def test_explicit_zeros_are_no_entries(self):
+        rows = [{0: 0, 1: 3, 2: 6}, {0: 0}, {2: 0, 3: -2}]
+        got = sparse_eliminate(rows, 4)
+        assert got == {1: {1: 1, 2: 2}, 3: {3: 1}}
+        assert got == sparse_eliminate([{1: 3, 2: 6}, {3: -2}], 4)
+        assert nullspace_exact_sparse(rows, 4) == ([{0: 1}, {2: 1, 1: -2}], [0, 2])
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(2), 0.5])
+    def test_non_integer_entry_raises(self, value):
+        with pytest.raises(TypeError):
+            sparse_eliminate([{0: 1, 1: 2}, {0: 3, 1: value}], 2)
+        with pytest.raises(TypeError):
+            nullspace_exact_sparse([{1: value}], 2)
+
+    def test_int64_entries_near_2_62_stay_exact(self):
+        # every cross-multiple of these entries passes 2^63, where int64
+        # products would wrap
+        a, b, c = 2**62 - 1, 2**62 - 57, 2**61 + 3
+        ints = [{0: a, 1: b, 2: 3}, {0: b, 1: c, 3: -a}, {0: c, 1: a, 2: -b, 3: 7}]
+        rows = [{k: np.int64(v) for k, v in row.items()} for row in ints]
+        got = sparse_eliminate(rows, 4)
+        assert as_rref(got) == dense_rref(ints, 4)
+        assert got == sparse_eliminate(ints, 4)
+        assert nullspace_exact_sparse(rows, 4) == dense_kernel(ints, 4)
 
 
 class TestGramSelect:
@@ -140,8 +206,12 @@ class TestGramSelect:
             n = rng.randint(k, 8)
             b = rand_matrix(rng, k, n, bound=2)
             gram = rat_mul([list(r) for r in zip(*b)], b)  # B^T B, PSD
-            selected, expand = gram_select(gram)
+            selected, expand = gram_select(integer_rows(gram))
+            expand = expansion_rows(expand)
             assert 0 < len(selected) <= k
+            rref = dense_rref(sparse_rows(gram), n)
+            assert selected == sorted(rref)
+            assert expand == [[rref[c].get(j, 0) for c in selected] for j in range(n)]
             # every column reconstructs exactly inside the selected span
             for j in range(n):
                 recon = [
@@ -156,23 +226,31 @@ class TestGramSelect:
         b3 = [x - Fraction(3, 2) * y for x, y in zip(b0, b2)]
         vecs = [b0, [0, 0, 0], b2, b3, b4]
         gram = [[Fraction(sum(x * y for x, y in zip(u, v))) for v in vecs] for u in vecs]
-        selected, expand = gram_select(gram)
+        selected, expand = gram_select(integer_rows(gram))
         assert selected == [0, 2, 4]
-        assert expand == [
+        num, den = expand
+        assert den == 2
+        assert num.tolist() == [[2, 0, 0], [0, 0, 0], [0, 2, 0], [2, -3, 0], [0, 0, 2]]
+        assert expansion_rows(expand) == [
             [1, 0, 0],
             [0, 0, 0],
             [0, 1, 0],
             [1, Fraction(-3, 2), 0],
             [0, 0, 1],
         ]
-        assert all(isinstance(x, Fraction) for row in expand for x in row)
 
     def test_indefinite_form_keeps_isotropic_vectors(self):
         # form diag(1, -1): (1, 1) and (1, -1) are isotropic but independent
-        gram = [[Fraction(0), Fraction(2)], [Fraction(2), Fraction(0)]]
+        gram = [[0, 2], [2, 0]]
         selected, expand = gram_select(gram)
         assert selected == [0, 1]
-        assert expand == [[1, 0], [0, 1]]
+        assert expansion_rows(expand) == [[1, 0], [0, 1]]
+
+    def test_empty_and_radical_grams(self):
+        # nothing to select: the expansion is an empty (s, 0) matrix over 1
+        for gram in ([], [[0, 0], [0, 0]]):
+            selected, (num, den) = gram_select(gram)
+            assert selected == [] and num.shape == (len(gram), 0) and den == 1
 
 
 def big_matrix(rng, rows, cols):

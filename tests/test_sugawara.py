@@ -18,7 +18,7 @@ from kzmono.sugawara import (
     virasoro_bracket_check,
 )
 
-from oracles import wk_character_holds
+from oracles import integer_rows, wk_character_holds
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ class TestConstruction:
         for deg, gram in enumerate(vacuum.shapovalov_gram):
             if not gram:
                 continue
-            rows = [{j: x for j, x in enumerate(row) if x} for row in gram]
+            rows = integer_rows([{j: x for j, x in enumerate(row) if x} for row in gram])
             assert exact_rank(rows, len(gram)) == vacuum.graded_dims[deg]
 
 
