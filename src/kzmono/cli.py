@@ -22,7 +22,7 @@ from .errors import KzmonoError, DomainError
 from .invariants import invariant_basis, omega_pair, restrict, tensor_system
 from .kz import braid_monodromy, flatness_residual, kz_system
 from .liealg import build_algebra, level_weights, orthonormal_basis, weight_form
-from .numerics import combine, integer_matrix
+from .numerics import combine
 from .reps import casimir, irrep, rep_matrix
 from .sugawara import (
     affine_bracket_check,
@@ -56,8 +56,7 @@ def _rat_str(x):
 
 def _parse_int_list(text):
     try:
-        parts = [p for p in text.split(",")]
-        return [int(p) for p in parts]
+        return [int(p) for p in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"malformed integer list {text!r}") from None
 
@@ -282,7 +281,7 @@ def _cmd_invariants(args):
     if inv.dim and len(weights) >= 2:
         shape = (inv.dim, inv.dim)
         total, den = combine([
-            (1, (integer_matrix(restrict(omega_pair(sys_, i, j), inv), shape),))
+            (1, (restrict(omega_pair(sys_, i, j), inv),))
             for i, j in itertools.combinations(range(len(weights)), 2)
         ], shape)
         scalar = total[0, 0]

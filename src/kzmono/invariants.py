@@ -5,7 +5,8 @@ space of invariant *vectors* of the tensor product, paired against the
 ambient coordinate basis; this fixes all sign conventions once. Invariant
 vectors are exactly the zero-weight vectors killed by every raising
 generator, so the exact kernel computation runs on the zero-weight block
-only. Two-site operators are assembled through dual bases of the invariant
+only, and gives the basis B as integers L.B; its ``Fraction`` columns are a
+view. Two-site operators are assembled through dual bases of the invariant
 form, which gives the same operator as the orthonormal-basis sum with purely
 rational arithmetic.
 
@@ -22,7 +23,7 @@ the kernel rows, the restriction and its certificate Omega.B = B.R all run
 on integers: the last two on int64 when a bound computed beforehand shows
 that no entry or partial sum can reach 2^62, with the certificate's dense
 product on float64 when the same bound is below 2^53, and on Python ints
-otherwise.
+otherwise. :func:`restrict` hands R on as a held (N, D) pair.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError
 from .numerics import (
-    SparseOperator, fraction_rows, max_abs, np, nullspace_exact_sparse, product_dtype,
+    Held, SparseOperator, lowest_terms, max_abs, np, nullspace_exact_sparse, product_dtype,
 )
 from .reps import integer_dual_matrix, integer_rep_matrix
 
@@ -60,30 +61,28 @@ class TensorSystem:
 
 @dataclass(eq=False)
 class InvariantSpace:
+    """Invariant vectors, basis B held as ``rows``: L.B, L = ``den``, in Python
+    ints on the ambient indices ``support`` (np.intp, increasing) B touches;
+    column c of B is 1 at row free[c] and 0 at the other free rows."""
     ambient: TensorSystem
-    basis: list            # columns as {ambient_index: Fraction}
-    free_positions: list   # ambient indices carrying the identity block
+    den: int
+    support: object
+    rows: object
+    free: list
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.free)
 
     @functools.cached_property
-    def integer_rows(self):
-        """(L, support, rows, free): L is the lcm of the basis denominators,
-        ``support`` the ambient indices the basis touches, in increasing
-        order, ``rows`` the matching rows of L.B as an object array of
-        Python ints, and ``free`` the positions of the free positions in
-        ``support``."""
-        den = math.lcm(*(v.denominator for col in self.basis for v in col.values()))
-        support = sorted(set().union(*self.basis))
-        at = {idx: p for p, idx in enumerate(support)}
-        rows = np.zeros((len(support), self.dim), dtype=object)
-        for c, col in enumerate(self.basis):
-            for idx, v in col.items():
-                rows[at[idx], c] = v.numerator * (den // v.denominator)
-        support = np.array(support, dtype=np.intp)
-        return den, support, rows, [at[idx] for idx in self.free_positions]
+    def basis(self):
+        """The columns of B as {ambient index: Fraction}, each listing its
+        free position first and the others in increasing order."""
+        idx, cols = self.support.tolist(), []
+        for f, col in zip(self.free, self.rows.T.tolist()):
+            keys = [f] + [p for p, v in enumerate(col) if v and p != f]
+            cols.append({idx[p]: Fraction(col[p], self.den) for p in keys})
+        return cols
 
 
 @dataclass(eq=False)
@@ -92,7 +91,6 @@ class TwoSiteOperator:
     j: int
     system: TensorSystem
     local: tuple                 # local two-slot factor, see _local_factor
-    restriction: object = None   # dense matrix, attached by restrict()
 
     @functools.cached_property
     def matrix(self):
@@ -254,11 +252,18 @@ def invariant_basis(sys):
     vector carries 1 at its own free position and 0 at the others.
     """
     row_list, zw = raising_rows(sys)
-    cols, free = nullspace_exact_sparse(row_list, len(zw))
+    den, cols, free = nullspace_exact_sparse(row_list, len(zw))
+    support = sorted(set().union(*cols))
+    at = {p: k for k, p in enumerate(support)}
+    rows = np.zeros((len(support), len(cols)), dtype=object)
+    for c, col in enumerate(cols):
+        rows[[at[p] for p in col], c] = list(col.values())
     return InvariantSpace(
         ambient=sys,
-        basis=[{zw[p]: v for p, v in col.items()} for col in cols],
-        free_positions=[zw[p] for p in free],
+        den=den,
+        support=np.array(zw, dtype=np.intp)[support],
+        rows=rows,
+        free=[at[p] for p in free],
     )
 
 
@@ -268,11 +273,12 @@ def restrict(op, inv):
     Exactness contract: op.B = B.R with B the invariant basis, and a failure
     of this identity raises ConsistencyError (it means the basis is
     broken). R is read off the free rows of op.B, in integers: with L the
-    lcm of the denominators of B and D that of op's local factor,
+    denominator of the held basis and D that of op's local factor,
     B~ = L B and the local integers op~ = D op give op~.B~ = D L op.B. So
     S = (op~.B~)[free] = D L R, and the identity holds exactly when
     L (op~.B~) == B~.S on the rows B touches and op~.B~ vanishes on every
-    other row.
+    other row. R is returned as the :class:`numerics.Held` pair
+    (S, D L) in lowest terms, (0 x 0, 1) on a zero-dimensional space.
 
     op~.B~ is one :func:`_gather` over the ambient indices B touches, and
     ``np.add.at`` sums the products of the entries it selects with the rows
@@ -289,36 +295,34 @@ def restrict(op, inv):
     """
     if op.system is not inv.ambient:
         raise DomainError("operator and invariant space live on different systems")
-    r = []
-    if inv.dim:
-        sys = op.system
-        den_b, support, bt, free = inv.integer_rows
-        den_w, _, ros, vals = op.local
-        width = max(collections.Counter(ros.tolist()).values(), default=1)
-        wmax = max(map(abs, vals), default=1)
-        bmax = max_abs(bt)
-        bound = max(den_b, inv.dim * bmax) * width * wmax * bmax
-        tier = product_dtype(bound)
-        dtype = object if tier is object else np.int64
-        bt = bt.astype(dtype)
-        # entry e of the gather takes factor entry pos[e] times row src[e]
-        # of B~ into ambient row tgt[e]
-        src, tgt, pos = _gather(sys, (op.i, op.j), op.local, support)
-        n = len(support)
-        terms = np.array(vals, dtype=dtype)[pos, None] * bt[src]
-        # every target row gets a slot past the support, then the rows of
-        # the support take back their own
-        slot = np.zeros(sys.dim, dtype=np.intp)
-        slot[tgt] = np.arange(n, n + len(tgt))
-        slot[support] = np.arange(n)
-        img = np.zeros((n + len(tgt), inv.dim), dtype=dtype)
-        np.add.at(img, slot[tgt], terms)
-        s = img[free]
-        bs = (bt.astype(tier, copy=False) @ s.astype(tier, copy=False)).astype(dtype, copy=False)
-        if np.count_nonzero(img[n:]) or np.count_nonzero(img[:n] * den_b - bs):
-            raise ConsistencyError(
-                "two-site operator does not preserve the invariant space"
-            )
-        r = fraction_rows(s, den_b * den_w)
-    op.restriction = r
-    return r
+    if not inv.dim:
+        return Held(np.zeros((0, 0), dtype=np.int64), 1)
+    sys = op.system
+    den_b, support, bt, free = inv.den, inv.support, inv.rows, inv.free
+    den_w, _, ros, vals = op.local
+    width = max(collections.Counter(ros.tolist()).values(), default=1)
+    wmax = max(map(abs, vals), default=1)
+    bmax = max_abs(bt)
+    bound = max(den_b, inv.dim * bmax) * width * wmax * bmax
+    tier = product_dtype(bound)
+    dtype = object if tier is object else np.int64
+    bt = bt.astype(dtype)
+    # entry e of the gather takes factor entry pos[e] times row src[e]
+    # of B~ into ambient row tgt[e]
+    src, tgt, pos = _gather(sys, (op.i, op.j), op.local, support)
+    n = len(support)
+    terms = np.array(vals, dtype=dtype)[pos, None] * bt[src]
+    # every target row gets a slot past the support, then the rows of
+    # the support take back their own
+    slot = np.zeros(sys.dim, dtype=np.intp)
+    slot[tgt] = np.arange(n, n + len(tgt))
+    slot[support] = np.arange(n)
+    img = np.zeros((n + len(tgt), inv.dim), dtype=dtype)
+    np.add.at(img, slot[tgt], terms)
+    s = img[free]
+    bs = (bt.astype(tier, copy=False) @ s.astype(tier, copy=False)).astype(dtype, copy=False)
+    if np.count_nonzero(img[n:]) or np.count_nonzero(img[:n] * den_b - bs):
+        raise ConsistencyError(
+            "two-site operator does not preserve the invariant space"
+        )
+    return Held(*lowest_terms(s, den_b * den_w))

@@ -2,9 +2,10 @@
 algebraic flatness certificate, and braid monodromy by parallel transport.
 
 The connection matrices are A_i(z) = (1/kappa) sum_{j != i} W_ij/(z_i - z_j)
-with W_ij the restricted two-site Casimir operators. Flatness is certified
-algebraically: [W_ij, W_ik + W_jk] = 0 for distinct i, j, k and [W_ij, W_kl]
-= 0 for disjoint pairs, evaluated in exact arithmetic. Along a line segment
+with W_ij the restricted two-site Casimir operators, held as (N, D) with
+``Fraction`` rows as a view. Flatness is certified algebraically:
+[W_ij, W_ik + W_jk] = 0 for distinct i, j, k and [W_ij, W_kl] = 0 for
+disjoint pairs, evaluated in exact arithmetic. Along a line segment
 z(t) = z0 + t dz every pair contributes one simple pole, so transport solves
 the Fuchsian system dF/dt = (1/kappa) sum_p W_p/(t - t_p) F with
 t_p = -w0_p/dw_p by local Taylor series; an arc is transported along chords
@@ -29,8 +30,9 @@ from .errors import ConsistencyError, DomainError, SingularityError
 from .invariants import invariant_basis, omega_pair, restrict, tensor_system
 from .liealg import weight_form
 from .numerics import (
+    concat,
     exact_rank,
-    integer_matrix,
+    fraction_rows,
     max_abs,
     np,
     ode_transport,
@@ -46,25 +48,35 @@ class KZSystem:
     weights: list
     kappa: complex
     invariant_space: object
-    omegas: dict              # (i, j), i < j, combinations order -> exact matrix
+    integer_omegas: dict      # (i, j), i < j, combinations order -> held (N, D)
     n: int
 
     @property
     def dim(self):
         return self.invariant_space.dim
 
-    def omega(self, i, j):
-        """The restricted W_ij, for distinct point indices i, j in 0..n-1."""
+    def _key(self, i, j):
+        """The key (min, max) of distinct point indices i, j in 0..n-1."""
         if i == j or not (0 <= i < self.n and 0 <= j < self.n):
             raise DomainError(f"({i}, {j}) is not a pair of distinct points of {self.n}")
-        return self.omegas[(min(i, j), max(i, j))]
+        return (min(i, j), max(i, j))
+
+    @functools.cached_property
+    def omegas(self):
+        """Every W_ij as rows of ``Fraction``, keyed as ``integer_omegas``."""
+        return {p: fraction_rows(*m) for p, m in self.integer_omegas.items()}
+
+    def omega(self, i, j):
+        """The restricted W_ij as rows of ``Fraction``."""
+        return self.omegas[self._key(i, j)]
 
     @functools.cached_property
     def omega_stack(self):
         """Every W_ij as one complex array of shape (pairs, dim, dim), in
-        the order of ``omegas``."""
+        pair order; each entry is N / D, rounded once as ``float(Fraction)``."""
         d = self.dim
-        mats = list(self.omegas.values())
+        mats = [[[x / den for x in row] for row in num.tolist()]
+                for num, den in self.integer_omegas.values()]
         return np.array(mats, dtype=complex).reshape(len(mats), d, d)
 
 
@@ -97,7 +109,7 @@ def kz_system(alg, weights, kappa, level=None):
         weights=weights,
         kappa=kappa,
         invariant_space=inv,
-        omegas=omegas,
+        integer_omegas=omegas,
         n=len(weights),
     )
 
@@ -240,26 +252,13 @@ def connection_matrix(sys, i, z):
     if not 0 <= i < sys.n:
         raise DomainError(f"point index {i} out of range for {sys.n} points")
     coef = []
-    for a, b in sys.omegas:
+    for a, b in sys.integer_omegas:
         dz = z[a] - z[b]
         if abs(dz) <= 1e-12:
             raise SingularityError(f"z_{a+1} and z_{b+1} are within 1e-12")
         coef.append(((a == i) - (b == i)) / (sys.kappa * dz))
     d = sys.dim
     return (np.array(coef) @ sys.omega_stack.reshape(len(coef), d * d)).reshape(d, d)
-
-
-def _integer_stack(sys):
-    """Every W_ij, as read from ``omegas`` now, as one object array of
-    Python ints of shape (pairs + 1, dim, dim) over the common denominator D
-    of all entries; the last slice is zero. Returns (array, D)."""
-    d = sys.dim
-    mats = [integer_matrix(m, (d, d)) for m in sys.omegas.values()]
-    den = math.lcm(*(dk for _, dk in mats))
-    stack = np.zeros((len(mats) + 1, d, d), dtype=object)
-    for k, (num, dk) in enumerate(mats):
-        stack[k] = num * (den // dk)
-    return stack, den
 
 
 # Exact flatness forms its commutators on at most this many matrix entries
@@ -273,8 +272,8 @@ def flatness_residual(sys, exact=True):
 
     Relations: [W_ij, W_ik + W_jk] for distinct i, j, k, and [W_ij, W_kl]
     for disjoint pairs. Vacuously zero for n = 2. Exact mode evaluates all
-    relations as stacks of integer commutators of D W_ij, whose entries are
-    D^2 times the exact ones, so the residual is max|C| / D^2. With m the
+    relations as stacks of integer commutators of D W_ij, D the lcm of their
+    denominators, so the residual is max|C| / D^2. With m the
     largest |entry| of the D W_ij, no entry of a commutator, nor any partial
     sum or product it forms, exceeds 4 m^2 dim, and they run on the type
     :func:`numerics.product_dtype` picks from that bound: float64 below
@@ -283,27 +282,27 @@ def flatness_residual(sys, exact=True):
     worst = Fraction(0) if exact else 0.0
     if sys.dim == 0:
         return worst
-    index = {p: k for k, p in enumerate(sys.omegas)}
-    zero = len(index)
-
-    def pair(a, b):
-        return index[(min(a, b), max(a, b))]
-
+    # the position of W_ij in pair order, under (i, j) and (j, i)
+    index = {q: k for k, (i, j) in enumerate(sys.integer_omegas) for q in ((i, j), (j, i))}
+    zero = len(sys.integer_omegas)
     rel = [
-        (pair(a, b), pair(a, c), pair(b, c))
+        (index[a, b], index[a, c], index[b, c])
         for i, j, k in itertools.combinations(range(sys.n), 3)
         for a, b, c in ((i, j, k), (i, k, j), (j, k, i))
     ]
     rel += [
         (index[p], index[q], zero)
-        for p, q in itertools.combinations(sys.omegas, 2)
+        for p, q in itertools.combinations(sys.integer_omegas, 2)
         if not set(p) & set(q)
     ]
     if not rel:
         return worst
     left, right, extra = (list(x) for x in zip(*rel))
     if exact:
-        stack, den = _integer_stack(sys)
+        # every W_ij over the common D, and a zero slice last
+        pad = np.zeros((1, sys.dim, sys.dim), dtype=np.int64)
+        stack, den = concat([(n[None], dk) for n, dk in sys.integer_omegas.values()]
+                            + [(pad, 1)], axis=0)
         m = max_abs(stack)
         stack = stack.astype(product_dtype(4 * m * m * sys.dim), copy=False)
         step = max(1, _RELATION_ENTRIES // sys.dim ** 2)
@@ -350,8 +349,8 @@ def _chords(seg):
 def _fuchsian_data(sys, line):
     """Residues W_p/kappa and collision times t_p = -w0_p/dw_p of the pairs
     whose difference w_p = w0_p + t dw_p moves along the line."""
-    w0 = [line.start[i] - line.start[j] for i, j in sys.omegas]
-    dw = [line.end[i] - line.end[j] - w for (i, j), w in zip(sys.omegas, w0)]
+    w0 = [line.start[i] - line.start[j] for i, j in sys.integer_omegas]
+    dw = [line.end[i] - line.end[j] - w for (i, j), w in zip(sys.integer_omegas, w0)]
     keep = [k for k, x in enumerate(dw) if x]
     return sys.omega_stack[keep] / sys.kappa, [-w0[k] / dw[k] for k in keep]
 
@@ -549,12 +548,11 @@ def exact_local_spectrum(sys, i, j):
     V_i (x) V_j; multiplicities come from exact rank computations, so the
     spectrum is certified, not floated.
     """
-    mat = sys.omega(i, j)
+    num, den = sys.integer_omegas[sys._key(i, j)]
     cands = _spectrum_candidates(sys.algebra, tuple(sys.weights[i]), tuple(sys.weights[j]))
     d = sys.dim
     if d == 0:
         return []
-    num, den = integer_matrix(mat, (d, d))
     rows = num.tolist()
     out = []
     total = 0

@@ -198,8 +198,9 @@ def build_algebra(series, rank):
 
 
 def simple_count_to_highest(rank):
-    #.positive_roots lists roots by increasing span; the highest root is the
-    # unique span-rank one, stored last among the "e" labels of that span
+    # ``positive_roots`` lists roots by increasing span; the highest root is
+    # the unique one of span ``rank``, so its index is the number of roots
+    # of shorter span, rank + 1 - span of each span
     count = 0
     for span in range(1, rank):
         count += rank + 1 - span
@@ -286,7 +287,7 @@ def level_weights(alg, level):
             m += 1
 
     rec([])
-    return [w for w in out if weight_form(alg, w, theta) <= level]
+    return out
 
 
 # ---------------------------------------------------------------------------

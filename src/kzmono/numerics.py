@@ -18,23 +18,24 @@ rows in order of decreasing leading column, which spares almost every
 back-reduction, eliminates fraction free, by cross-multiplication, keeping
 its pivot rows primitive, and returns the pivots in increasing column order,
 so its result does not depend on the order of its input rows.
-:func:`gram_select` hands its expansions on as (N, D); only the kernel
-vectors of :func:`nullspace_exact_sparse` are ``Fraction``. Dense exact
+:func:`gram_select` and :func:`nullspace_exact_sparse` hand their results on
+as integers over one denominator, read off those pivot rows. Dense exact
 matrices are held as pairs (N, D): N is a numpy integer array, of Python
 ints (dtype object) or int64, and D > 0 a common denominator, so the matrix
 is N / D; a :class:`Held` pair keeps a matrix that is used again with N
 read-only, int64 when it fits, and its max|N|. :func:`combine` evaluates
 every sum of products, sum coeff * (F_1 @ F_2 @ ...), in lowest terms,
-gcd(N, D) = 1, and returns N of Python ints (:func:`combine_held` a held
-pair); :func:`concat` and :func:`block_matrix` assemble blocks over the lcm
-of their denominators, scaling a block on Python ints where it needs it, and
-:func:`integer_matrix` and :func:`fraction_rows` convert to and from rows of
-``Fraction``. Representation matrices and the irrep, affine, Casimir and
-Omega-sum algebra run on (N, D), and ``rat_commutator`` takes the integer
-stacks exact flatness builds. Rows of ``Fraction`` remain the public views
-of exact matrices and of the Lie algebra's structure data, whose inverse
-forms have closed forms and need no solver; ``rat_mul`` has no caller in the
-package and serves the tests and the benchmark. Complex numerics use numpy.
+gcd(N, D) = 1 (:func:`lowest_terms`), and returns N of Python ints
+(:func:`combine_held` a held pair); :func:`concat` and :func:`block_matrix`
+assemble blocks over the lcm of their denominators, scaling a block on Python
+ints where it needs it, and :func:`fraction_rows` gives the rows of
+``Fraction`` of a pair. Representation matrices, the invariant basis, the
+restricted two-site operators and the irrep, affine, Casimir and Omega-sum
+algebra run on (N, D), and ``rat_commutator`` takes the integer stacks exact
+flatness builds. Rows of ``Fraction`` remain the public views of exact
+matrices and of the Lie algebra's structure data, whose inverse forms have
+closed forms and need no solver; ``rat_mul`` has no caller in the package and
+serves the tests and the benchmark. Complex numerics use numpy.
 Nothing here mutates its inputs (a :class:`Held` pair takes its N over);
 scratch space is per call.
 
@@ -78,7 +79,6 @@ def _lazy_import(name):
 np = _lazy_import("numpy")
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
@@ -124,14 +124,6 @@ def rat_commutator(a, b):
 # of the denominators
 # ---------------------------------------------------------------------------
 
-def integer_matrix(rows, shape):
-    """The matrix with the given rows of ``Fraction`` (or int) entries as
-    (N, D), in lowest terms; ``shape`` fixes the shape of an empty one."""
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    num = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-    return np.array(num, dtype=object).reshape(shape), den
-
-
 def fraction_rows(num, den):
     """The matrix N / D as rows of ``Fraction``; each distinct numerator is
     divided once."""
@@ -140,6 +132,15 @@ def fraction_rows(num, den):
         [fracs[x] if x in fracs else fracs.setdefault(x, Fraction(x, den)) for x in row]
         for row in num.tolist()
     ]
+
+
+def lowest_terms(num, den):
+    """(N, D), N of Python ints or int64, divided by gcd(N, D)."""
+    if num.dtype == object:
+        g = math.gcd(den, *num.flat)
+    else:
+        g = math.gcd(den, int(np.gcd.reduce(num, axis=None)))
+    return num // g, den // g
 
 
 def block_matrix(shape, blocks):
@@ -314,14 +315,9 @@ def _combine(terms, shape):
     scales = [c * (den // d) for c, d in zip(nums, dens)]
     dtype, chains = _tier_chains(scales, chains, work >= _INT64_MIN_WORK)
     total = _sum_products(np.zeros(shape, dtype=dtype), scales, chains)
-    if dtype is object:
-        g = math.gcd(den, *total.flat)
-        return total // g, den // g
-    total = total.astype(np.int64, copy=False)
-    if not total.any():
-        return total, 1
-    g = math.gcd(den, int(np.gcd.reduce(total.ravel())))
-    return total // g, den // g
+    if dtype is not object:
+        total = total.astype(np.int64, copy=False)
+    return lowest_terms(total, den)
 
 
 def combine(terms, shape):
@@ -433,21 +429,25 @@ def exact_rank(rows, ncols):
 
 def nullspace_exact_sparse(rows, ncols):
     """Kernel basis of a sparse integer matrix, rows as for
-    :func:`sparse_eliminate`, as (basis, free): ``free`` lists the free
-    columns in increasing order and ``basis`` holds one {index: Fraction}
-    column vector per free column, 1 at its own free index, 0 at the others.
+    :func:`sparse_eliminate`, as (L, basis, free): ``free`` lists the free
+    columns in increasing order, L is the lcm of the pivot rows' leading
+    entries, and ``basis`` holds, for each free column f, L times the kernel
+    vector that is 1 at f and 0 at the other free columns, as {index: int}:
+    L at f, then -prow[f] * (L // prow[pc]) at each pivot pc where prow has
+    an entry. As in :func:`gram_select`, L is the lcm of its denominators.
     """
     pivots = sparse_eliminate(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
+    den = math.lcm(*(prow[pc] for pc, prow in pivots.items()))
     basis = []
     for f in free:
-        vec = {f: ONE}
+        vec = {f: den}
         for pc, prow in pivots.items():
             v = prow.get(f)
             if v:
-                vec[pc] = Fraction(-v, prow[pc])
+                vec[pc] = -v * (den // prow[pc])
         basis.append(vec)
-    return basis, free
+    return den, basis, free
 
 
 def gram_select(gram):
@@ -557,9 +557,6 @@ class QuadExt:
 
     def __repr__(self):
         return f"QuadExt({self.a}, {self.b})"
-
-    def is_rational(self):
-        return self.b == 0
 
     def rational(self):
         if self.b:

@@ -285,6 +285,15 @@ def rat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def integer_matrix(rows, shape):
+    """The matrix with the given rows of ``Fraction`` (or int) entries as
+    (N, D), N an object array of Python ints, in lowest terms; ``shape``
+    fixes the shape of an empty one."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    num = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    return np.array(num, dtype=object).reshape(shape), den
+
+
 def integer_rows(rows):
     """Each rational row, a dict {column: value} or a list, times the lcm of
     its denominators. Scaling a row by a nonzero number changes neither the
@@ -336,4 +345,17 @@ def dense_kernel(rows, ncols):
             if row.get(f):
                 vec[c] = -row[f]
         basis.append(vec)
+    return basis, free
+
+
+def kernel_fractions(kernel):
+    """The integer kernel (L, columns, free) of ``nullspace_exact_sparse`` as
+    ([{index: Fraction}], free), comparable with ``dense_kernel``, after
+    checking that each column holds Python ints, L at its own free column,
+    and that L is the lcm of the denominators of the vectors."""
+    den, cols, free = kernel
+    assert all(type(v) is int for col in cols for v in col.values())
+    assert [col[f] for col, f in zip(cols, free)] == [den] * len(free)
+    basis = [{k: Fraction(v, den) for k, v in col.items()} for col in cols]
+    assert den == math.lcm(*(v.denominator for vec in basis for v in vec.values()))
     return basis, free

@@ -18,10 +18,12 @@ from kzmono.invariants import (
     tensor_system,
 )
 from kzmono.liealg import build_algebra
-from kzmono.numerics import nullspace_exact_sparse
+from kzmono.numerics import fraction_rows, nullspace_exact_sparse
 from kzmono.reps import casimir_value, integer_rep_matrix, irrep
 
-from oracles import CATALAN, brute_invariant_dim_a1, dense_kernel, kron_operator
+from oracles import (
+    CATALAN, brute_invariant_dim_a1, dense_kernel, kernel_fractions, kron_operator,
+)
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +133,7 @@ class TestInvariantBasis:
         alg = build_algebra("A", rank)
         sys = tensor_system([irrep(alg, w) for w in weights])
         rows, zw = raising_rows(sys)
-        assert nullspace_exact_sparse(rows, len(zw)) == dense_kernel(rows, len(zw))
+        assert kernel_fractions(nullspace_exact_sparse(rows, len(zw))) == dense_kernel(rows, len(zw))
 
 
 class TestRaisingRows:
@@ -231,14 +233,12 @@ class TestRestrict:
         sys = a1_system(a1, [1, 1])
         inv = invariant_basis(sys)
         op = omega_pair(sys, 0, 1)
-        r = restrict(op, inv)
-        assert r == [[Fraction(-3, 2)]]
-        assert op.restriction is r
+        assert fraction_rows(*restrict(op, inv)) == [[Fraction(-3, 2)]]
 
     def test_zero_dimensional_space(self, a1):
         sys = a1_system(a1, [1, 1, 1])
         inv = invariant_basis(sys)
-        assert restrict(omega_pair(sys, 0, 1), inv) == []
+        assert fraction_rows(*restrict(omega_pair(sys, 0, 1), inv)) == []
 
     def test_total_casimir_identity(self, a1):
         # sum_{i<j} restricted pairs = -(1/2) sum_i c_i on invariants
@@ -249,7 +249,7 @@ class TestRestrict:
                 continue
             total = [[Fraction(0)] * inv.dim for _ in range(inv.dim)]
             for i, j in itertools.combinations(range(len(ms)), 2):
-                r = restrict(omega_pair(sys, i, j), inv)
+                r = fraction_rows(*restrict(omega_pair(sys, i, j), inv))
                 for p in range(inv.dim):
                     for q in range(inv.dim):
                         total[p][q] += r[p][q]
@@ -268,26 +268,28 @@ class TestRestrict:
         for op in ops:
             restrict(op, inv)
         # every entry off the identity block, moved by 1/3, breaks op.B = B.R
-        # for some pair; the entry both vectors share breaks it for all
-        for c, col in enumerate(inv.basis):
-            for idx in set(col) - set(inv.free_positions):
-                basis = [dict(b) for b in inv.basis]
-                basis[c][idx] += Fraction(1, 3)
-                broken = InvariantSpace(ambient=sys, basis=basis,
-                                        free_positions=inv.free_positions)
+        # for some pair; the entry both vectors share breaks it for all. B
+        # has L = 1, so the moved basis is 3 B plus 1 at that entry, over 3
+        assert inv.den == 1
+        for c in range(inv.dim):
+            for p in {p for p, v in enumerate(inv.rows[:, c]) if v} - set(inv.free):
+                rows = inv.rows * 3
+                rows[p, c] += 1
+                broken = InvariantSpace(ambient=sys, den=3, support=inv.support,
+                                        rows=rows, free=inv.free)
                 raised = 0
                 for op in ops:
                     try:
                         restrict(op, broken)
                     except ConsistencyError:
                         raised += 1
-                shared = all(idx in b for b in inv.basis)
+                shared = all(inv.rows[p])
                 assert raised == len(ops) if shared else raised > 0
         # the pure tensor 0001 alone: op.B = B.R holds on the one row B
         # covers, but omega_23 also sends it to 0010, outside that row
         idx = sys.flat_index((0, 0, 0, 1))
-        lone = InvariantSpace(ambient=sys, basis=[{idx: Fraction(1)}],
-                              free_positions=[idx])
+        lone = InvariantSpace(ambient=sys, den=1, support=np.array([idx], dtype=np.intp),
+                              rows=np.array([[1]], dtype=object), free=[0])
         with pytest.raises(ConsistencyError):
             restrict(omega_pair(sys, 2, 3), lone)
 
@@ -296,13 +298,16 @@ class TestRestrict:
         from kzmono.invariants import InvariantSpace
 
         sys = a1_system(a1, [1, 1])
-        # a column that is not invariant cannot satisfy op.B = B.R, whichever
-        # of its positions is taken as free
+        # a column that is not invariant, (1, 1/2) on the ambient indices 0
+        # and 1, cannot satisfy op.B = B.R, whichever of its positions is
+        # taken as free
         for free in ([0], [1]):
             fake = InvariantSpace(
                 ambient=sys,
-                basis=[{0: 1, 1: Fraction(1, 2)}],
-                free_positions=free,
+                den=2,
+                support=np.array([0, 1], dtype=np.intp),
+                rows=np.array([[2], [1]], dtype=object),
+                free=free,
             )
             with pytest.raises(ConsistencyError):
                 restrict(omega_pair(sys, 0, 1), fake)
@@ -314,15 +319,16 @@ class TestRestrict:
 
 
 def spy_restrict_dtype(monkeypatch):
-    """Record the dtype of the integer matrix S each restrict call divides."""
+    """Record the dtype of the integer matrix S each restrict call brings to
+    lowest terms."""
     seen = []
-    real = invariants.fraction_rows
+    real = invariants.lowest_terms
 
     def spy(num, den):
         seen.append(num.dtype)
         return real(num, den)
 
-    monkeypatch.setattr(invariants, "fraction_rows", spy)
+    monkeypatch.setattr(invariants, "lowest_terms", spy)
     return seen
 
 
@@ -340,9 +346,9 @@ class TestRestrictPaths:
         inv = invariant_basis(sys)
         seen = spy_restrict_dtype(monkeypatch)
         pairs = list(itertools.combinations(range(len(weights)), 2))
-        fast = [restrict(omega_pair(sys, i, j), inv) for i, j in pairs]
+        fast = [fraction_rows(*restrict(omega_pair(sys, i, j), inv)) for i, j in pairs]
         monkeypatch.setattr(numerics, "INT64_LIMIT", 1)
-        slow = [restrict(omega_pair(sys, i, j), inv) for i, j in pairs]
+        slow = [fraction_rows(*restrict(omega_pair(sys, i, j), inv)) for i, j in pairs]
         assert fast == slow
         assert seen == [np.int64] * len(pairs) + [object] * len(pairs)
 
@@ -360,7 +366,9 @@ class TestRestrictPaths:
             den, cos, ros, vals = op.local
             big = TwoSiteOperator(i=i, j=j, system=sys,
                                   local=(den, cos, ros, [v * scale for v in vals]))
-            assert restrict(big, inv) == [[x * scale for x in row] for row in restrict(op, inv)]
+            assert fraction_rows(*restrict(big, inv)) == [
+                [x * scale for x in row] for row in fraction_rows(*restrict(op, inv))
+            ]
         assert seen == [dtype, np.int64] * 6
 
     @pytest.mark.parametrize("scale,tier", [(2**50 - 1, np.float64), (2**50 + 1, np.int64)])
@@ -384,10 +392,10 @@ class TestRestrictPaths:
 
         monkeypatch.setattr(invariants, "product_dtype", spy)
         pairs = list(itertools.combinations(range(4), 2))
-        fast = [restrict(scaled(i, j), inv) for i, j in pairs]
+        fast = [fraction_rows(*restrict(scaled(i, j), inv)) for i, j in pairs]
         assert tiers == [tier] * len(pairs)
         monkeypatch.setattr(numerics, "INT64_LIMIT", 1)
-        assert [restrict(scaled(i, j), inv) for i, j in pairs] == fast
+        assert [fraction_rows(*restrict(scaled(i, j), inv)) for i, j in pairs] == fast
         assert tiers[len(pairs):] == [object] * len(pairs)
 
     @pytest.mark.parametrize("scale", [2**20, 2**40])
@@ -397,11 +405,9 @@ class TestRestrictPaths:
         # so op.B = B.R fails for every pair
         sys = a1_system(a1, [1, 1, 1, 1])
         inv = invariant_basis(sys)
-        scaled = InvariantSpace(
-            ambient=sys,
-            basis=[{k: v * scale for k, v in col.items()} for col in inv.basis],
-            free_positions=inv.free_positions,
-        )
+        assert inv.den == 1
+        scaled = InvariantSpace(ambient=sys, den=1, support=inv.support,
+                                rows=inv.rows * scale, free=inv.free)
         for limit in (numerics.INT64_LIMIT, 1):
             monkeypatch.setattr(numerics, "INT64_LIMIT", limit)
             for i, j in itertools.combinations(range(4), 2):

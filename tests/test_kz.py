@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -24,11 +25,25 @@ from kzmono.kz import (
     parallel_transport,
     path_through,
 )
+from kzmono.invariants import omega_pair, restrict
 from kzmono.liealg import build_algebra
-from kzmono.numerics import rat_commutator, rat_mul
+from kzmono.numerics import Held, fraction_rows, rat_commutator, rat_mul
 from kzmono.reps import casimir_value, irrep
 
-from oracles import rat_add, rat_sub
+from oracles import integer_matrix, rat_add, rat_sub
+
+
+def with_omegas(sys, omegas):
+    """A copy of ``sys`` whose W_ij are the given rows of ``Fraction``, held
+    as (N, D) in lowest terms, as restrict hands them on."""
+    d = sys.dim
+    return dataclasses.replace(sys, integer_omegas={
+        p: Held(*integer_matrix(m, (d, d))) for p, m in omegas.items()
+    })
+
+
+def copied_omegas(sys):
+    return {p: [list(row) for row in m] for p, m in sys.omegas.items()}
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +170,9 @@ class TestFlatness:
     def test_relations_in_chunks_give_the_same_residual(self, a1, monkeypatch):
         # one relation per stack gives the residual all relations at once do
         sys = kz_system(a1, [(1,)] * 6, 3)
-        sys.omegas[(1, 3)][0][1] += Fraction(1, 3)
+        omegas = copied_omegas(sys)
+        omegas[(1, 3)][0][1] += Fraction(1, 3)
+        sys = with_omegas(sys, omegas)
         whole = flatness_residual(sys)
         calls = []
 
@@ -184,10 +201,9 @@ class TestFlatness:
 
         monkeypatch.setattr(kz, "rat_commutator", spy)
         sys = kz_system(a1, [(1,)] * 4, 3)
-        for m in sys.omegas.values():
-            for row in m:
-                row[:] = [scale * x for x in row]
-        sys.omegas[(0, 1)][0][1] += Fraction(scale, 2)
+        omegas = {p: [[scale * x for x in row] for row in m] for p, m in sys.omegas.items()}
+        omegas[(0, 1)][0][1] += Fraction(scale, 2)
+        sys = with_omegas(sys, omegas)
 
         def om(a, b):
             return sys.omegas[(min(a, b), max(a, b))]
@@ -213,6 +229,26 @@ class TestFlatness:
         assert isinstance(got, Fraction) and got == expected
         tier = np.float64 if scale <= 2**24 else np.int64 if scale <= 2**28 else object
         assert dtypes == [np.dtype(tier)]
+
+
+class TestHeldOmegas:
+    @pytest.mark.parametrize("rank,weights,den", [
+        (1, [(1,)] * 4, 2),
+        (2, [(1, 0), (0, 1), (1, 0), (0, 1)], 3),
+        (2, [(1, 0)] * 3, 3),
+    ])
+    def test_views_match_the_held_pairs(self, rank, weights, den):
+        # an A2 W_ij over D = 3 is no dyadic float: the complex stack must
+        # round each N / D once, as float(Fraction) does
+        sys = kz_system(build_algebra("A", rank), weights, 3)
+        assert {d for _, d in sys.integer_omegas.values()} == {den}
+        assert all(math.gcd(d, *n.ravel().tolist()) == 1 for n, d in sys.integer_omegas.values())
+        expect = np.array(list(sys.omegas.values()), dtype=complex)
+        assert sys.omega_stack.tobytes() == expect.tobytes()
+        inv = sys.invariant_space
+        for (i, j), m in sys.omegas.items():
+            assert fraction_rows(*restrict(omega_pair(inv.ambient, i, j), inv)) == m
+            assert sys.omega(j, i) is m
 
 
 class TestPaths:
@@ -584,7 +620,9 @@ class TestEigenvalueCheck:
 
         sys = kz_system(a1, [(1,), (1,), (1,), (1,)], 3)
         exact_local_spectrum(sys, 0, 1)
-        sys.omegas[(0, 1)][0][0] += Fraction(1, 7)
+        omegas = copied_omegas(sys)
+        omegas[(0, 1)][0][0] += Fraction(1, 7)
+        sys = with_omegas(sys, omegas)
         for _ in range(2):
             with pytest.raises(ConsistencyError):
                 exact_local_spectrum(sys, 0, 1)

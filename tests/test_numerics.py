@@ -20,7 +20,6 @@ from kzmono.numerics import (
     frac_sqrt,
     fraction_rows,
     gram_select,
-    integer_matrix,
     nullspace_exact_sparse,
     ode_transport,
     rat_mul,
@@ -28,7 +27,10 @@ from kzmono.numerics import (
     sparse_eliminate,
 )
 
-from oracles import dense_kernel, dense_rref, integer_rows, rat_add, rat_identity, rat_sub
+from oracles import (
+    dense_kernel, dense_rref, integer_matrix, integer_rows, kernel_fractions, rat_add,
+    rat_identity, rat_sub,
+)
 
 
 def rand_matrix(rng, rows, cols, bound=4):
@@ -65,10 +67,11 @@ def expansion_rows(expand):
 class TestNullspace:
     def test_identity_has_empty_kernel(self):
         m = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-        assert nullspace_exact_sparse(integer_rows(sparse_rows(m)), 4) == ([], [])
+        assert kernel_fractions(nullspace_exact_sparse(integer_rows(sparse_rows(m)), 4)) == ([], [])
 
     def test_zero_matrix_kernel_is_everything(self):
-        basis, free = nullspace_exact_sparse(integer_rows(sparse_rows(rat_zeros(3, 3))), 3)
+        basis, free = kernel_fractions(
+            nullspace_exact_sparse(integer_rows(sparse_rows(rat_zeros(3, 3))), 3))
         assert free == [0, 1, 2]
         assert basis == [{0: 1}, {1: 1}, {2: 1}]
 
@@ -77,7 +80,7 @@ class TestNullspace:
         a = rand_matrix(rng, 4, 2, bound=3)
         b = rand_matrix(rng, 2, 4, bound=3)
         m = rat_mul(a, b)
-        basis, free = nullspace_exact_sparse(integer_rows(sparse_rows(m)), 4)
+        basis, free = kernel_fractions(nullspace_exact_sparse(integer_rows(sparse_rows(m)), 4))
         assert (basis, free) == dense_kernel(sparse_rows(m), 4)
         assert len(basis) == 2
         for col in basis:
@@ -92,7 +95,8 @@ class TestNullspace:
                 [Fraction(rng.randint(-2, 2)) for _ in range(cols_n)]
                 for _ in range(rows_n)
             ]
-            cols, free = nullspace_exact_sparse(integer_rows(sparse_rows(m)), cols_n)
+            cols, free = kernel_fractions(
+                nullspace_exact_sparse(integer_rows(sparse_rows(m)), cols_n))
             assert (cols, free) == dense_kernel(sparse_rows(m), cols_n)
             a = np.array([[float(x) for x in r] for r in m])
             assert len(cols) == cols_n - np.linalg.matrix_rank(a)
@@ -131,7 +135,7 @@ class TestEliminationOracle:
             rows = random_sparse_rows(rng, rng.randint(0, 10), ncols)
             ints = integer_rows(rows)
             assert as_rref(sparse_eliminate(ints, ncols)) == dense_rref(rows, ncols)
-            assert nullspace_exact_sparse(ints, ncols) == dense_kernel(rows, ncols)
+            assert kernel_fractions(nullspace_exact_sparse(ints, ncols)) == dense_kernel(rows, ncols)
 
     def test_row_order_does_not_matter(self):
         # the same seeded matrices, each fed in three row orders: the RREF is
@@ -154,7 +158,7 @@ class TestEliminationOracle:
         rows = [{0: Fraction(big, 3), 1: Fraction(big + 1, 7)},
                 {0: Fraction(big, 6), 1: Fraction(big, 14), 2: Fraction(1, 5)}]
         assert as_rref(sparse_eliminate(integer_rows(rows), 3)) == dense_rref(rows, 3)
-        assert nullspace_exact_sparse(integer_rows(rows), 3) == dense_kernel(rows, 3)
+        assert kernel_fractions(nullspace_exact_sparse(integer_rows(rows), 3)) == dense_kernel(rows, 3)
 
 
 class TestEliminationInput:
@@ -177,7 +181,7 @@ class TestEliminationInput:
         got = sparse_eliminate(rows, 4)
         assert got == {1: {1: 1, 2: 2}, 3: {3: 1}}
         assert got == sparse_eliminate([{1: 3, 2: 6}, {3: -2}], 4)
-        assert nullspace_exact_sparse(rows, 4) == ([{0: 1}, {2: 1, 1: -2}], [0, 2])
+        assert kernel_fractions(nullspace_exact_sparse(rows, 4)) == ([{0: 1}, {2: 1, 1: -2}], [0, 2])
 
     @pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(2), 0.5])
     def test_non_integer_entry_raises(self, value):
@@ -195,7 +199,7 @@ class TestEliminationInput:
         got = sparse_eliminate(rows, 4)
         assert as_rref(got) == dense_rref(ints, 4)
         assert got == sparse_eliminate(ints, 4)
-        assert nullspace_exact_sparse(rows, 4) == dense_kernel(ints, 4)
+        assert kernel_fractions(nullspace_exact_sparse(rows, 4)) == dense_kernel(ints, 4)
 
 
 class TestGramSelect:
