@@ -335,7 +335,7 @@ def _cmd_kz_monodromy(args):
     payload = {
         "mode": "float",
         "kappa": [args.kappa.real, args.kappa.imag],
-        "braid": f"A{i+1}{j+1}",
+        "braid": f"A{i+1}{j+1}" if max(i, j) < 9 else f"A{i+1},{j+1}",
         "matrix": mat,
         "estimated_error": hol.estimated_error,
         "steps_taken": hol.steps_taken,

@@ -28,9 +28,17 @@ class ShapeError(KzmonoError):
 
 
 class SingularityError(KzmonoError):
-    """A configuration hit (or got too close to) a diagonal z_i = z_j."""
+    """A configuration hit (or got too close to) a diagonal z_i = z_j.
+
+    ``line``, when set, is the index of the line of a multi-line transport
+    on which it happened.
+    """
 
     kind = "singularity"
+
+    def __init__(self, *args, line=None):
+        super().__init__(*args)
+        self.line = line
 
 
 class ConsistencyError(KzmonoError):

@@ -9,9 +9,10 @@ disjoint pairs, evaluated in exact arithmetic. Along a line segment
 z(t) = z0 + t dz every pair contributes one simple pole, so transport solves
 the Fuchsian system dF/dt = (1/kappa) sum_p W_p/(t - t_p) F with
 t_p = -w0_p/dw_p by local Taylor series; an arc is transported along chords
-of at most pi/4 of sweep, each homotopic to its piece of the arc. Each line
-is one call of :func:`numerics.ode_transport`, which fixes the line's steps
-from its poles alone and sums the series of all of them together, so
+of at most pi/4 of sweep, each homotopic to its piece of the arc. All the
+lines of a path are one call of :func:`numerics.ode_transport`, which fixes
+each line's steps from that line's poles alone and sums the series of all
+the steps together, in batches that may cross from one line to the next, so
 ``steps_taken`` counts those steps, a quarter of the distance to the nearest
 pole each.
 """
@@ -346,20 +347,15 @@ def _chords(seg):
     return [LineSegment(a, b) for a, b in zip(pts, pts[1:])]
 
 
-def _fuchsian_data(sys, line):
-    """Residues W_p/kappa and collision times t_p = -w0_p/dw_p of the pairs
-    whose difference w_p = w0_p + t dw_p moves along the line."""
-    w0 = [line.start[i] - line.start[j] for i, j in sys.integer_omegas]
-    dw = [line.end[i] - line.end[j] - w for (i, j), w in zip(sys.integer_omegas, w0)]
-    keep = [k for k, x in enumerate(dw) if x]
-    return sys.omega_stack[keep] / sys.kappa, [-w0[k] / dw[k] for k in keep]
-
-
 def parallel_transport(sys, path, tol):
     """Transport the identity frame along the path.
 
     Returns the fundamental solution of dF/dt = (sum_i zdot_i A_i) F at the
-    endpoint, the summed series tail bounds and the step count.
+    endpoint, the summed series tail bounds and the step count. Every chord
+    of every segment is a line of one :func:`numerics.ode_transport` call,
+    with the residues W_p/kappa of the pairs that move on some line; a pair
+    fixed on a line has its pole t_p = -w0_p/dw_p at infinity there. A line
+    gets tol / (segments * chords of its segment).
     """
     if not (0 < tol <= 1e-2):
         raise DomainError(f"tol must lie in (0, 1e-2], got {tol!r}")
@@ -367,19 +363,21 @@ def parallel_transport(sys, path, tol):
     f = np.eye(d, dtype=complex)
     if d == 0:
         return HolonomyResult(matrix=f, estimated_error=0.0, steps_taken=0)
-    err = 0.0
-    steps = 0
+    lines, tols, poles = [], [], []
     for seg in path.segments:
-        lines = _chords(seg)
-        for line in lines:
-            try:
-                f, e, s = ode_transport(
-                    *_fuchsian_data(sys, line), f, tol / len(path.segments) / len(lines)
-                )
-            except SingularityError as exc:
-                raise SingularityError(f"{exc} (segment starting at {line.start})") from exc
-            err += e
-            steps += s
+        chords = _chords(seg)
+        lines += chords
+        tols += [tol / len(path.segments) / len(chords)] * len(chords)
+    for line in lines:
+        w0 = [line.start[i] - line.start[j] for i, j in sys.integer_omegas]
+        dw = [line.end[i] - line.end[j] - w for (i, j), w in zip(sys.integer_omegas, w0)]
+        poles.append([-w / v if v else math.inf for w, v in zip(w0, dw)])
+    poles = np.array(poles, dtype=complex)
+    keep = ~np.isinf(poles).all(axis=0)
+    try:
+        f, err, steps = ode_transport(sys.omega_stack[keep] / sys.kappa, poles[:, keep], f, tols)
+    except SingularityError as exc:
+        raise SingularityError(f"{exc} (segment starting at {lines[exc.line].start})") from exc
     return HolonomyResult(matrix=f, estimated_error=err, steps_taken=steps)
 
 

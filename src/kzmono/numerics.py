@@ -674,24 +674,30 @@ _MAX_TERMS = 2 ** 16
 
 
 def ode_transport(residues, poles, f0, tol):
-    """Transport dF/dt = sum_p R_p/(t - t_p) F from t = 0 to t = 1.
+    """Transport dF/dt = sum_p R_p/(t - t_p) F from t = 0 to t = 1 along each
+    of a sequence of lines, each from the frame the last one ended with.
 
-    ``residues`` stacks the R_p with shape (len(poles), d, d), and ``f0`` has
-    d rows. Returns (F1, error_bound, steps). Raises ShapeError on mismatched
-    shapes and SingularityError when a pole comes within 1e-12 of the path.
+    ``poles`` has shape (lines, P), or (P,) for one line, ``residues`` stacks
+    the R_p with shape (P, d, d), ``tol`` is one tolerance or one per line and
+    ``f0`` has d rows. An infinite t_p is a pair with no pole on that line:
+    its r_p and its share of A_k below are 0. Returns (F1, error_bound,
+    steps). Raises ShapeError on mismatched shapes and SingularityError, with
+    ``line`` the line's index, when a pole comes within 1e-12 of the path or
+    the transport overflows.
 
-    Schedule. The steps depend only on the poles, so they are fixed first:
-    from t_0 = 0, t_(k+1) = t_k + h_k with h_k = min(rho_k/4, 1 - t_k), where
-    rho_k = min_p rho_kp and rho_kp = |t_p - t_k|. h_k is the exact float
-    difference of the two ends, so the expansion point never drifts from the
-    t the series is summed at.
+    Schedule. The steps depend only on the poles, so they are fixed first,
+    line by line: from t_0 = 0, t_(k+1) = t_k + h_k with
+    h_k = min(rho_k/4, 1 - t_k), where rho_k = min_p rho_kp and
+    rho_kp = |t_p - t_k|. h_k is the exact float difference of the two ends,
+    so the expansion point never drifts from the t the series is summed at.
 
     Series. About t_k, with r_p = h_k/(t_p - t_k) and s = (t - t_k)/h_k, the
     propagator Phi_k(s) = sum_m Phi_m s^m, Phi_0 = I, has the running sums
     G_p <- r_p (Phi_m + G_p) and (m+1) Phi_(m+1) = -sum_p R_p G_p: one product
     of [R_1 ... R_P] with the stacked G per order. The increments
-    Phi_k(1) - I of a batch of consecutive steps are summed together, on
-    arrays of shape (steps, P, d, d), to one number M of terms.
+    Phi_k(1) - I of a batch of consecutive steps, of one line or several, are
+    summed together, on arrays of shape (steps, P, d, d), to one number M of
+    terms.
 
     Majorant. With q_p = h_k/rho_kp <= q = h_k/rho_k and row-sum norms
     y_m = ||Phi_m||, let b_j = sum_p ||R_p|| q_p^(j+1); then
@@ -702,11 +708,12 @@ def ode_transport(residues, poles, f0, tol):
     c = binom(A_k+m, m+1) q^(m+1), once theta = max(q, (A_k+m+1)/(m+2) q) < 1.
 
     Stopping. Each step's tail times ||F_k|| must be at most
-    min(tol h_k, 2^-52 ||F_k||). F_k is known only after the sums, so the term
-    count uses the a-priori bound B_k = ||F_c|| prod_(j<k) (1 - q_j)^(-A_j)
-    >= ||F_k||, from the batch's first F_c and with slack for rounding: step k
-    needs c/(1 - theta) <= min(tol h_k/B_k, 2^-52), and M is the largest of
-    these counts. A batch ends where B has grown by 2^16, so that the bound
+    min(tol h_k, 2^-52 ||F_k||), tol that of its line. F_k is known only after
+    the sums, so the term count uses the a-priori bound
+    B_k = ||F_c|| prod_(j<k) (1 - q_j)^(-A_j) >= ||F_k||, from the batch's
+    first F_c and with slack for rounding: step k needs
+    c/(1 - theta) <= min(tol h_k/B_k, 2^-52), and M is the largest of these
+    counts. A batch ends where B has grown by 2^16, so that the bound
     restarts from the real norm, or at 2^20 entries of running sums.
 
     Chaining. F_(k+1) = F_k + (Phi_k(1) - I) F_k; chaining the increments,
@@ -723,31 +730,39 @@ def ode_transport(residues, poles, f0, tol):
     res = np.asarray(residues, dtype=complex)
     poles = np.asarray(poles, dtype=complex)
     f = np.array(f0, dtype=complex)
-    if poles.ndim != 1 or f.ndim != 2:
-        raise ShapeError(f"need a vector of poles and a matrix f0, got shapes "
+    tol = np.asarray(tol, dtype=float)
+    if poles.ndim == 1:
+        poles = poles[None]
+    if poles.ndim != 2 or f.ndim != 2:
+        raise ShapeError(f"need poles of shape (lines, P) and a matrix f0, got shapes "
                          f"{poles.shape} and {f.shape}")
-    d, npoles = f.shape[0], len(poles)
-    if res.shape != (npoles, d, d):
-        raise ShapeError(f"residues of shape {res.shape} do not fit {npoles} poles "
-                         f"and an f0 of {d} rows")
-    pole_list = poles.tolist()
-    starts, nearest, t = [], [], 0.0
-    while t < 1.0:
-        rho = min((abs(p - t) for p in pole_list), default=math.inf)
-        if rho <= 1e-12:
-            raise SingularityError(f"a pole lies within {rho:.3g} of t={t:.6g}")
-        starts.append(t)
-        nearest.append(rho)
-        t = t + rho / _STEP_DIVISOR if rho / _STEP_DIVISOR < 1.0 - t else 1.0
-    t, rho = np.array(starts), np.array(nearest)
-    h = np.diff(np.append(t, 1.0))
-    delta = poles - t[:, None]
+    d, (nlines, npoles) = f.shape[0], poles.shape
+    if res.shape != (npoles, d, d) or tol.shape not in ((), (nlines,)):
+        raise ShapeError(f"residues of shape {res.shape} and tol of shape {tol.shape} do "
+                         f"not fit {nlines} lines of {npoles} poles and an f0 of {d} rows")
+    steps = []
+    for line, row in enumerate(poles.tolist()):
+        t = 0.0
+        while t < 1.0:
+            rho = min((abs(p - t) for p in row), default=math.inf)
+            if rho <= 1e-12:
+                raise SingularityError(f"a pole lies within {rho:.3g} of t={t:.6g}", line=line)
+            end = t + rho / _STEP_DIVISOR if rho / _STEP_DIVISOR < 1.0 - t else 1.0
+            steps.append((line, t, rho, end - t))
+            t = end
+    owner, t, rho, h = (np.array(x) for x in zip(*steps))
+    tol = np.broadcast_to(tol, nlines)[owner]
+    delta = poles[owner] - t[:, None]
+    # a pole at infinity has r_p = 0 and rho_k/rho_kp = 0, also where rho_k
+    # is infinite too
+    far = np.isinf(delta)
     q = h / rho
     norm = np.abs(res).sum(axis=2).max(axis=1, initial=0.0)
-    a = (norm * (rho[:, None] / np.abs(delta))).sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        a = (norm * np.where(far, 0.0, rho[:, None] / np.abs(delta))).sum(axis=1)
     with np.errstate(over="ignore"):
         growth = (1.0 - q) ** -a
-    r = (h[:, None] / delta)[:, :, None, None]
+    r = np.where(far, 0.0, h[:, None] / delta)[:, :, None, None]
     wide = res.transpose(1, 0, 2).reshape(d, npoles * d)
     most = max(1, _BATCH_ENTRIES // max(1, npoles * d * d))
     err, lo = 0.0, 0
@@ -756,19 +771,19 @@ def ode_transport(residues, poles, f0, tol):
         while hi < len(t) and hi - lo < most and grown * growth[hi] <= _GROWTH_CAP:
             grown *= growth[hi]
             hi += 1
-        f, e = _transport_batch(f, wide, t[lo], r[lo:hi], h[lo:hi], q[lo:hi],
-                                a[lo:hi], growth[lo:hi], tol)
+        f, e = _transport_batch(f, wide, t[lo:hi], owner[lo:hi], r[lo:hi], h[lo:hi],
+                                q[lo:hi], a[lo:hi], growth[lo:hi], tol[lo:hi])
         err += e
         lo = hi
     return f, err, len(t)
 
 
-def _transport_batch(f, wide, t0, r, h, q, a, growth, tol):
-    """Chain the steps of one batch, the first at t0, onto F_c = f; returns
-    the new F and the batch's error bound (see :func:`ode_transport`)."""
+def _transport_batch(f, wide, t, line, r, h, q, a, growth, tol):
+    """Chain the steps of one batch, step k at t[k] on line[k], onto F_c = f;
+    returns the new F and the batch's error bound (see :func:`ode_transport`)."""
     fc = float(np.abs(f).sum(axis=1).max(initial=0.0))
     if not math.isfinite(fc):
-        raise SingularityError(f"transport overflowed at t={t0:.6g}")
+        raise SingularityError(f"transport overflowed at t={t[0]:.6g}", line=int(line[0]))
     prior = growth[:-1]
     width = 64
     # an overflow leaves the bound or c infinite, which no goal accepts
@@ -786,7 +801,9 @@ def _transport_batch(f, wide, t0, r, h, q, a, growth, tol):
             if done.any(axis=1).all():
                 break
             if width >= _MAX_TERMS:
-                raise SingularityError(f"the series majorant overflowed at t={t0:.6g}")
+                k = int(done.any(axis=1).argmin())
+                raise SingularityError(f"the series majorant overflowed at t={t[k]:.6g}",
+                                       line=int(line[k]))
             width *= 2
     terms = int(done.argmax(axis=1).max())
     # the tails of the majorant shrink with m once theta < 1

@@ -4,8 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Tolerances are pinned here, not configurable.
 """
 
+import cmath
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -290,3 +292,45 @@ def test_criterion_10_pure_braid_relations():
         worst = max(worst, *relations)
         ok = ok and max(relations) < 1e-9 and min(controls) > 0.1
     report(10, f"pure braid relations (worst {worst:.2e})", ok, time.time() - t0, 30)
+
+
+def test_criterion_11_full_twist():
+    # the full twist, one turn of every point about a centre, is central in
+    # the pure braid group; sum_{i<j} W_ij = -sum_i c_i / 2 on invariants, so
+    # its holonomy is exp(-pi i sum_i c_i / kappa) I. It is taken two ways:
+    # as the product M12.M13.M23.M14.M24.M34 of the generators, the rightmost
+    # factor applied first, and along an 8-chord polygon that turns all four
+    # points by 2 pi about their centroid, on whose chords every pair moves
+    # with one common pole. The reversed product is not the twist, and the
+    # polygon does not give the value at kappa + 1; both must fail
+    t0 = time.time()
+    ok = True
+    worst = 0.0
+    order = [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
+    z = default_basepoint(4)
+    c = sum(z) / 4
+    polygon = path_through([
+        tuple(c + (x - c) * cmath.exp(2j * math.pi * m / 8) for x in z) for m in range(9)
+    ])
+    assert len(polygon.segments) == 8
+    for weights, kappa in GLOBAL_SYSTEMS:
+        sys_ = kz_system(A1, weights, kappa)
+        a = {
+            (i + 1, j + 1): braid_monodromy(sys_, i, j, 1e-10).matrix
+            for i, j in itertools.combinations(range(4), 2)
+        }
+        total = float(sum(casimir_value(A1, w) for w in weights))
+
+        def off(x, k):
+            twist = cmath.exp(-1j * math.pi * total / k) * np.eye(sys_.dim)
+            return float(np.max(np.abs(x - twist)))
+
+        product = np.linalg.multi_dot([a[p] for p in order])
+        reverse = np.linalg.multi_dot([a[p] for p in order[::-1]])
+        rotation = parallel_transport(sys_, polygon, 1e-10).matrix
+        deviations = [off(product, kappa), off(rotation, kappa)]
+        controls = [off(reverse, kappa), off(rotation, kappa + 1)]
+        worst = max(worst, *deviations)
+        ok = ok and max(deviations) < 1e-9 and min(controls) > 0.1
+    report(11, f"full twist, product and rotation (worst {worst:.2e})", ok,
+           time.time() - t0, 30)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import kzmono
-from kzmono.cli import run
+from kzmono.cli import _parse_braid, run
 from kzmono.kz import braid_monodromy, kz_system
 from kzmono.liealg import build_algebra
 
@@ -164,6 +164,19 @@ class TestKzCommands:
         # the one invariant of V1 x V1 x V2 turns by exp(6 pi i / 7)
         z = complex(*data["matrix"][0][0])
         assert abs(z - cmath.exp(6j * cmath.pi / 7)) < 1e-10
+
+    @pytest.mark.parametrize("braid, pair", [("A1,10", (0, 9)), ("A23", (1, 2))])
+    def test_monodromy_label_parses_back(self, capsys, braid, pair):
+        # two-digit indices keep their comma, so the label names one pair
+        code, out, _ = capture(
+            capsys,
+            ["kz", "monodromy", "--rank", "1", "--weights", ",".join(["0"] * 10),
+             "--kappa", "7/2", "--braid", braid],
+        )
+        assert code == 0
+        label = json.loads(out)["braid"]
+        assert label == braid
+        assert _parse_braid(label) == pair
 
     def test_complex_kappa_parse(self, capsys):
         code, out, _ = capture(

@@ -640,6 +640,16 @@ def scalar_power(a, tp):
     return cmath.exp(a * (cmath.log(1 - tp) - cmath.log(-tp)))
 
 
+def diagonal_transport(diag, poles):
+    """F(1) over the lines of ``poles`` for the residues diag(diag[p]): the
+    product of scalar_power over every line's finite poles, entry by entry."""
+    return np.diag([
+        math.prod(scalar_power(x, tp) for row in poles
+                  for x, tp in zip(diag[:, k], row) if math.isfinite(tp.real))
+        for k in range(diag.shape[1])
+    ])
+
+
 class TestTransport:
     def test_zero_field_is_identity(self):
         f0 = np.eye(3, dtype=complex)
@@ -726,6 +736,67 @@ class TestTransport:
         ff, err_f, _ = ode_transport(res, poles, f0, 1e-10)
         bound = err_f + err_i * np.abs(f0).sum(axis=1).max()
         assert np.max(np.abs(ff - fi @ f0)) <= bound
+
+    def test_lines_in_one_call_match_chained_calls(self):
+        # the frame leaving one line enters the next; each result is within
+        # its bound of the exact transport, so the two are within the sum
+        rng = np.random.default_rng(7)
+        res = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+        poles = np.array([[0.3 + 0.4j, 0.8 - 0.2j, 1.6 + 0.1j],
+                          [-0.5 + 0.2j, 0.5 - 0.6j, 2.0 + 1.0j],
+                          [0.1 - 0.3j, 1.2 + 0.2j, -1.0 - 1.0j]])
+        tol = [1e-9, 1e-10, 1e-9]
+        f1, err, steps = ode_transport(res, poles, np.eye(3, dtype=complex), tol)
+        f, total, count = np.eye(3, dtype=complex), 0.0, 0
+        for row, t in zip(poles, tol):
+            f, e, s = ode_transport(res, row, f, t)
+            total += e
+            count += s
+        assert steps == count
+        assert np.max(np.abs(f1 - f)) <= err + total
+
+    def test_pair_fixed_on_a_line_matches_closed_form(self):
+        # a pole at infinity marks a pair fixed on that line: it adds nothing
+        # there, so F(1) is the product over lines of each line's moving
+        # pairs, diag prod ((1 - t_p)/(-t_p))^(a_pk)
+        rng = np.random.default_rng(13)
+        diag = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        res = np.array([np.diag(x) for x in diag])
+        poles = np.array([[0.5 + 0.3j, -0.4 + 0.2j, math.inf],
+                          [math.inf, 1.5 - 0.5j, 0.3 - 0.2j],
+                          [0.6 - 0.1j, 2.0 + 2.0j, -1.0 + 0.5j]])
+        f1, err, _ = ode_transport(res, poles, np.eye(2, dtype=complex), 1e-10)
+        assert np.max(np.abs(f1 - diagonal_transport(diag, poles))) <= err
+        # a line on which every pair is fixed is one step of nothing
+        f2, err2, steps = ode_transport(res, [[math.inf] * 3], f1, 1e-10)
+        assert np.array_equal(f2, f1) and err2 == 0.0 and steps == 1
+
+    def test_per_line_tolerance_bounds_the_error(self):
+        # truncation adds at most each line's tol, rounding far less, as
+        # the one-line contract err <= 2 tol has it
+        rng = np.random.default_rng(19)
+        diag = 0.5 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        res = np.array([np.diag(x) for x in diag])
+        poles = np.array([[0.3 + 1e-3j, 0.7 - 0.5j, 4.0 + 0.5j],
+                          [0.5 + 0.05j, math.inf, -2 - 2j],
+                          [0.5 - 0.4j] * 3])
+        tol = np.array([1e-10, 1e-12, 1e-11])
+        f1, err, _ = ode_transport(res, poles, np.eye(3, dtype=complex), tol)
+        assert np.max(np.abs(f1 - diagonal_transport(diag, poles))) <= err
+        assert err <= 2 * tol.sum()
+
+    def test_failure_names_its_line(self):
+        poles = [[2.0 + 1j], [0.25], [3.0]]
+        with pytest.raises(SingularityError) as info:
+            ode_transport([[[1.0]]], poles, np.eye(1, dtype=complex), 1e-8)
+        assert info.value.line == 1
+        with pytest.raises(SingularityError) as info:
+            ode_transport([[[3000j]]], [[math.inf], [0.5 + 0.5j]],
+                          np.eye(1, dtype=complex), 1e-8)
+        assert info.value.line == 1
+        # one tol per line, or one for all
+        with pytest.raises(ShapeError):
+            ode_transport([[[1.0]]], poles, np.eye(1, dtype=complex), [1e-8, 1e-8])
 
     def test_no_poles_returns_f0(self):
         f0 = np.array([[1 + 2j, 3], [0.25, -1j]])
