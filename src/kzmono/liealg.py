@@ -85,71 +85,51 @@ def build_algebra(series, rank):
     for i in range(1, n):
         labels.append(("h", i))
 
-    def unit_matrix(r, c):
-        m = rat_zeros(n, n)
-        m[r - 1][c - 1] = Fraction(1)
-        return m
-
-    mats = []
+    # each basis matrix as its one or two nonzero entries (row, column, value)
+    entries = []
     for lab in labels:
         if lab[0] == "e":
-            mats.append(unit_matrix(lab[1], lab[2]))
+            entries.append(((lab[1] - 1, lab[2] - 1, 1),))
         elif lab[0] == "f":
-            mats.append(unit_matrix(lab[2], lab[1]))
+            entries.append(((lab[2] - 1, lab[1] - 1, 1),))
         else:
-            i = lab[1]
-            m = rat_zeros(n, n)
-            m[i - 1][i - 1] = Fraction(1)
-            m[i][i] = Fraction(-1)
-            mats.append(m)
+            entries.append(((lab[1] - 1, lab[1] - 1, 1), (lab[1], lab[1], -1)))
+    mats = []
+    for ent in entries:
+        mat = rat_zeros(n, n)
+        for r, c, x in ent:
+            mat[r][c] = Fraction(x)
+        mats.append(mat)
     dim = len(labels)
     index = {lab: a for a, lab in enumerate(labels)}
+    m = (dim - rank) // 2   # e labels at 0..m-1, f at m..2m-1, h from 2m
+    offdiag = {ent[0][:2]: a for a, ent in enumerate(entries[:2 * m])}
 
-    def decompose(m):
-        """Coordinates of a traceless matrix in the chosen basis."""
-        coords = {}
-        for lab, a in index.items():
-            if lab[0] == "e":
-                v = m[lab[1] - 1][lab[2] - 1]
-            elif lab[0] == "f":
-                v = m[lab[2] - 1][lab[1] - 1]
-            else:
-                continue
-            if v:
-                coords[a] = v
-        acc = Fraction(0)
-        for i in range(1, n):
-            acc += m[i - 1][i - 1]
-            if acc:
-                coords[index[("h", i)]] = acc
-        return coords
-
+    # [E_rc, E_st] = delta_cs E_rt - delta_tr E_sc on the sparse entries; an
+    # off-diagonal entry is one e or f coordinate, and the diagonal d is
+    # sum_i (d_1 + ... + d_i) h_i since it is traceless
     structure = {}
-    for a in range(dim):
-        for b in range(dim):
+    for a, ent_a in enumerate(entries):
+        for b, ent_b in enumerate(entries):
             if a == b:
                 continue
-            ma, mb = mats[a], mats[b]
-            comm = [
-                [
-                    sum(ma[i][k] * mb[k][j] - mb[i][k] * ma[k][j] for k in range(n))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            coords = decompose(comm)
-            if coords:
-                structure[(a, b)] = coords
-
-    gram = rat_zeros(dim, dim)
-    for a in range(dim):
-        for b in range(a, dim):
-            v = sum(
-                mats[a][i][k] * mats[b][k][i]
-                for i in range(n)
-                for k in range(n)
+            comm = {}
+            for r, c, x in ent_a:
+                for s, t, y in ent_b:
+                    if c == s:
+                        comm[r, t] = comm.get((r, t), 0) + x * y
+                    if t == r:
+                        comm[s, c] = comm.get((s, c), 0) - x * y
+            coords = sorted(
+                (offdiag[rc], Fraction(v)) for rc, v in comm.items() if v and rc[0] != rc[1]
             )
-            gram[a][b] = gram[b][a] = v
+            acc = 0
+            for i in range(rank):
+                acc += comm.get((i, i), 0)
+                if acc:
+                    coords.append((2 * m + i, Fraction(acc)))
+            if coords:
+                structure[(a, b)] = dict(coords)
 
     cartan = [
         [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(rank)]
@@ -160,13 +140,15 @@ def build_algebra(series, rank):
         [Fraction(min(i, j) * (n - max(i, j)), n) for j in range(1, n)]
         for i in range(1, n)
     ]
-    # the form pairs E_ij with E_ji alone, with value 1, and is the Cartan
+    # tr(xy) pairs E_ij with E_ji alone, with value 1, and is the Cartan
     # matrix on the coroots, so its inverse swaps e and f and is A^-1 there
-    m = (dim - rank) // 2   # e labels at 0..m-1, f at m..2m-1, h from 2m
+    gram = rat_zeros(dim, dim)
     gram_inv = rat_zeros(dim, dim)
     for a in range(m):
+        gram[a][m + a] = gram[m + a][a] = Fraction(1)
         gram_inv[a][m + a] = gram_inv[m + a][a] = Fraction(1)
     for i in range(rank):
+        gram[2 * m + i][2 * m:] = [Fraction(x) for x in cartan[i]]
         gram_inv[2 * m + i][2 * m:] = weight_gram[i]
 
     pos_roots = []

@@ -6,8 +6,9 @@ truncations from the alternating character identity over the translation
 orbit, invariant dimensions from hand-written ladder matrices densified with
 numpy, ambient tensor-product operators from ``np.kron`` of their factor
 matrices with identities, A_1 pairing values from the trace form of 2x2
-matrices, and reduced row echelon forms and inverses from textbook dense
-Gauss-Jordan elimination over Fraction.
+matrices, sl(r+1) structure constants and trace form from dense products of
+its defining matrices, and reduced row echelon forms and inverses from
+textbook dense Gauss-Jordan elimination over Fraction.
 """
 
 import math
@@ -266,6 +267,67 @@ def a1_trace_form(x, y):
 A1_E = ((0, 1), (0, 0))
 A1_F = ((0, 0), (1, 0))
 A1_H = ((1, 0), (0, -1))
+
+
+# ---------------------------------------------------------------------------
+# sl(r+1) structure constants from dense products of its defining matrices
+# ---------------------------------------------------------------------------
+
+def dense_lie_data(rank):
+    """(labels, structure, gram) of sl(rank+1) in the Chevalley basis: e
+    labels by span, then f labels, then the coroots h_i. structure maps
+    (a, b) to the coordinates {c: Fraction} of the dense commutator of the
+    basis matrices, c ascending; gram is the trace form tr(xy)."""
+    n = rank + 1
+    pairs = [(i, i + span) for span in range(1, n) for i in range(1, n - span + 1)]
+    labels = [("e", i, j) for i, j in pairs] + [("f", i, j) for i, j in pairs]
+    labels += [("h", i) for i in range(1, n)]
+    mats = []
+    for lab in labels:
+        m = [[Fraction(0)] * n for _ in range(n)]
+        if lab[0] == "e":
+            m[lab[1] - 1][lab[2] - 1] = Fraction(1)
+        elif lab[0] == "f":
+            m[lab[2] - 1][lab[1] - 1] = Fraction(1)
+        else:
+            m[lab[1] - 1][lab[1] - 1], m[lab[1]][lab[1]] = Fraction(1), Fraction(-1)
+        mats.append(m)
+    dim = len(labels)
+
+    def decompose(m):
+        coords = {}
+        for a, lab in enumerate(labels):
+            if lab[0] != "h":
+                v = m[lab[1] - 1][lab[2] - 1] if lab[0] == "e" else m[lab[2] - 1][lab[1] - 1]
+                if v:
+                    coords[a] = v
+        acc = Fraction(0)
+        for i in range(1, n):
+            acc += m[i - 1][i - 1]
+            if acc:
+                coords[labels.index(("h", i))] = acc
+        return coords
+
+    structure = {}
+    for a in range(dim):
+        for b in range(dim):
+            if a == b:
+                continue
+            ma, mb = mats[a], mats[b]
+            comm = [
+                [sum(ma[i][k] * mb[k][j] - mb[i][k] * ma[k][j] for k in range(n))
+                 for j in range(n)]
+                for i in range(n)
+            ]
+            coords = decompose(comm)
+            if coords:
+                structure[(a, b)] = coords
+    gram = [
+        [sum(mats[a][i][k] * mats[b][k][i] for i in range(n) for k in range(n))
+         for b in range(dim)]
+        for a in range(dim)
+    ]
+    return labels, structure, gram
 
 
 # ---------------------------------------------------------------------------

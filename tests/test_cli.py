@@ -374,6 +374,31 @@ class TestStartup:
         )
         assert self.probe(code) == (0, "False")
 
+    @pytest.mark.parametrize("code, modules", [
+        ("import kzmono", []),
+        ("import kzmono; kzmono.build_algebra('A', 2)", ["liealg", "numerics"]),
+        ("import kzmono; kzmono.kz", ["invariants", "kz", "liealg", "numerics", "reps"]),
+    ], ids=["import", "build_algebra", "submodule"])
+    def test_names_load_their_home_modules(self, code, modules):
+        # a fresh interpreter, since this one has loaded every module
+        code += ("\nimport sys\nprint(','.join(sorted(m for m in sys.modules"
+                 " if m.split('.')[0] == 'kzmono')), file=sys.stderr)\n")
+        expected = ["kzmono", "kzmono.errors", *(f"kzmono.{m}" for m in modules)]
+        assert self.probe(code) == (0, ",".join(expected))
+
+    def test_public_names_are_their_home_objects(self):
+        for name in kzmono.__all__:
+            obj = getattr(kzmono, name)
+            assert obj.__module__.startswith("kzmono.")
+            assert getattr(sys.modules[obj.__module__], name) is obj
+        assert set(kzmono.__all__) <= set(dir(kzmono))
+        assert kzmono.exact_local_spectrum is kzmono.kz.exact_local_spectrum
+        namespace = {}
+        exec("from kzmono import *", namespace)
+        assert all(namespace[name] is getattr(kzmono, name) for name in kzmono.__all__)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            kzmono.no_such_name
+
     @pytest.mark.parametrize("argv", [
         ["algebra", "info", "--rank", "2"],
         ["verlinde", "--level", "4", "--weights", "1,1,2,2,3,3", "--scan-levels", "8"],

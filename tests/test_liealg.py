@@ -15,7 +15,9 @@ from kzmono.liealg import (
 )
 from kzmono.numerics import rat_mul
 
-from oracles import A1_E, A1_F, A1_H, a1_trace_form, rat_identity, rat_inverse
+from oracles import (
+    A1_E, A1_F, A1_H, a1_trace_form, dense_lie_data, rat_identity, rat_inverse,
+)
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +28,11 @@ def a1():
 @pytest.fixture(scope="module")
 def a2():
     return build_algebra("A", 2)
+
+
+@pytest.fixture(scope="module")
+def a3():
+    return build_algebra("A", 3)
 
 
 def coxeter_from_root_data(alg):
@@ -67,6 +74,20 @@ class TestBuild:
             assert rat_mul(g, alg.gram_inverse) == rat_identity(alg.dim)
             assert rat_mul(alg.cartan_matrix, alg.weight_gram) == rat_identity(rank)
 
+    @pytest.mark.parametrize("rank", range(1, 6))
+    def test_matches_dense_oracle(self, rank):
+        # the same keys and inner keys in the same order, and Fraction values
+        alg = build_algebra("A", rank)
+        labels, structure, gram = dense_lie_data(rank)
+        assert alg.basis_labels == labels
+        assert list(alg.structure) == list(structure)
+        for key, coords in structure.items():
+            assert list(alg.structure[key].items()) == list(coords.items())
+            assert all(type(v) is Fraction for v in alg.structure[key].values())
+        for got, want in ((alg.gram_matrix, gram), (alg.gram_inverse, rat_inverse(gram))):
+            assert got == want
+            assert all(type(v) is Fraction for row in got for v in row)
+
 
 class TestKillingForm:
     def test_a1_values_match_trace_form(self, a1):
@@ -81,8 +102,8 @@ class TestKillingForm:
         with pytest.raises(ShapeError):
             killing_form(a1, [Fraction(1)] * 2, [Fraction(1)] * 3)
 
-    def test_ad_invariance_all_triples(self, a1, a2):
-        for alg in (a1, a2):
+    def test_ad_invariance_all_triples(self, a1, a2, a3):
+        for alg in (a1, a2, a3):
             basis = [alg.basis_vector(lab) for lab in alg.basis_labels]
             for x, y, z in itertools.product(basis, repeat=3):
                 lhs = killing_form(alg, bracket(alg, x, y), z)
@@ -91,9 +112,9 @@ class TestKillingForm:
 
 
 class TestJacobi:
-    def test_random_triples_exact(self, a1, a2):
+    def test_random_triples_exact(self, a1, a2, a3):
         rng = random.Random(31)
-        for alg in (a1, a2):
+        for alg in (a1, a2, a3):
             for _ in range(40):
                 vecs = []
                 for _ in range(3):
