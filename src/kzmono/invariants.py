@@ -11,35 +11,33 @@ form, which gives the same operator as the orthonormal-basis sum with purely
 rational arithmetic.
 
 An operator that acts on a few slots and by the identity on the others is
-kept as its local factor: for Omega_ij the matrix of
-sum_a rho_i(J^a) (x) rho_j(J_a) on V_i (x) V_j, from the (N, D) matrices of
-:func:`kzmono.reps.integer_rep_matrix`, as Python integers over one
-denominator with their column and row offsets in ambient strides. One
+kept as its local factor, integers over one denominator at column and row
+offsets: for Omega_ij, sum_a rho_i(J^a) (x) rho_j(J_a) on V_i (x) V_j, built
+once per system and ordered pair of irreps and placed at slots i, j. An
 ambient column is the local column its slot digits select, shifted by the
-offset of the remaining digits; :func:`_gather` applies that map to any set
-of columns at once, and the kernel rows, the restriction and the ambient
-sparse matrix (built only when asked for) all read a factor through it. So
-the kernel rows, the restriction and its certificate Omega.B = B.R all run
-on integers: the last two on int64 when a bound computed beforehand shows
-that no entry or partial sum can reach 2^62, with the certificate's dense
-product on float64 when the same bound is below 2^53, and on Python ints
-otherwise. :func:`restrict` hands R on as a held (N, D) pair.
+other digits; :func:`_gather` applies that map to any columns, and the
+kernel rows, the restriction and the ambient matrix read a factor through
+it. The restriction and its certificate Omega.B = B.R run on int64 or
+float64 under a proved bound, else on Python ints; :func:`restrict` hands R
+on as a held (N, D).
 """
 
 from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError
 from .numerics import (
-    Held, SparseOperator, lowest_terms, max_abs, np, nullspace_exact_sparse, product_dtype,
+    Held, SparseOperator, lowest_terms, np, nullspace_exact_sparse, product_dtype,
 )
 from .reps import integer_dual_matrix, integer_rep_matrix
+
+# term entries restrict scatters at once: 8 MB of index and terms
+_SCATTER = 2 ** 20
 
 
 @dataclass(eq=False)
@@ -48,15 +46,7 @@ class TensorSystem:
     dim: int
     factor_dims: list
     strides: list
-
-    def multi_index(self, idx):
-        out = []
-        for d, s in zip(self.factor_dims, self.strides):
-            out.append((idx // s) % d)
-        return tuple(out)
-
-    def flat_index(self, multi):
-        return sum(k * s for k, s in zip(multi, self.strides))
+    _pairs: dict = field(default_factory=dict)  # (V_i, V_j) -> Omega factor
 
 
 @dataclass(eq=False)
@@ -73,6 +63,11 @@ class InvariantSpace:
     @property
     def dim(self):
         return len(self.free)
+
+    @functools.cached_property
+    def held(self):
+        """``rows`` over ``den``, held (:class:`numerics.Held`) once."""
+        return Held(self.rows.copy(), self.den)
 
     @functools.cached_property
     def basis(self):
@@ -115,14 +110,14 @@ def tensor_system(reps):
     return TensorSystem(factors=list(reps), dim=acc, factor_dims=dims, strides=strides)
 
 
-def _local_factor(sys, terms):
+def _local_factor(strides, terms):
     """Local factor of sum over ``terms`` of the operator acting by
     ``mats[slot]``, an (N, D) pair, in each slot of a term and by the
     identity elsewhere.
 
     Returned as (D, cos, ros, vals): the factor is the integers ``vals``
     over D, entry e sitting at column offset cos[e] and row offset ros[e],
-    sorted by column and then row offset. An offset is sum_s k_s * stride_s
+    sorted by column and then row offset. An offset is sum_s k_s * strides[s]
     over the slots s the factor acts on; ``cos`` and ``ros`` are np.intp
     arrays and ``vals`` a list of Python ints.
     """
@@ -130,7 +125,7 @@ def _local_factor(sys, terms):
     for mats in terms:
         local, den = [(0, 0, 1)], 1
         for slot, (num, d) in mats.items():
-            st = sys.strides[slot]
+            st = strides[slot]
             nnz = [
                 (st * c, st * r, v)
                 for r, row in enumerate(num.tolist())
@@ -176,12 +171,25 @@ def _ambient(sys, factors):
     return SparseOperator((sys.dim, sys.dim), entries)
 
 
+def _placed(sys, slots, factor):
+    """A factor on the strides of V_s alone, s in ``slots``, moved to the
+    ambient strides and, if the slots decrease, re-sorted."""
+    den, cos, ros, vals = factor
+    dims = [sys.factor_dims[s] for s in slots]
+    cos, ros = (sum(k * sys.strides[s] for k, s in zip(np.unravel_index(x, dims), slots))
+                for x in (cos, ros))
+    if slots[0] > slots[-1]:
+        order = np.lexsort((ros, cos))
+        cos, ros, vals = cos[order], ros[order], [vals[e] for e in order.tolist()]
+    return den, cos, ros, vals
+
+
 def _diagonal_factors(sys, label):
-    """One local factor per slot of sum_slots 1 (x) ... rho_s(label) ... (x) 1."""
-    return [
-        ((slot,), _local_factor(sys, [{slot: integer_rep_matrix(rep, label)}]))
-        for slot, rep in enumerate(sys.factors)
-    ]
+    """One local factor per slot of sum_slots 1 (x) ... rho_s(label) ... (x) 1,
+    built once per irrep."""
+    local = {rep: _local_factor([1], [{0: integer_rep_matrix(rep, label)}])
+             for rep in dict.fromkeys(sys.factors)}
+    return [((s,), _placed(sys, [s], local[rep])) for s, rep in enumerate(sys.factors)]
 
 
 def diagonal_action(sys, label):
@@ -192,29 +200,30 @@ def diagonal_action(sys, label):
 def omega_pair(sys, i, j):
     """The two-site Casimir sum_a rho_i(J^a) rho_j(J^a), assembled through
     dual bases so it stays exactly rational. Only its local factor on
-    V_i (x) V_j is built here; ``.matrix`` gives the ambient operator."""
+    V_i (x) V_j is built, once per pair of irreps (``sys._pairs``), then
+    placed; ``.matrix`` gives the ambient operator."""
     n = len(sys.factors)
     if i == j:
         raise DomainError("the two-site operator is defined for distinct slots only")
     if not (0 <= i < n and 0 <= j < n):
         raise DomainError(f"slot indices out of range for an {n}-factor system")
-    alg = sys.factors[0].algebra
-    vi, vj = sys.factors[i], sys.factors[j]
-    local = _local_factor(sys, [
-        {i: integer_rep_matrix(vi, label), j: integer_dual_matrix(vj, a)}
-        for a, label in enumerate(alg.basis_labels)
-    ])
-    return TwoSiteOperator(i=i, j=j, system=sys, local=local)
+    vi, vj = key = sys.factors[i], sys.factors[j]
+    if key not in sys._pairs:
+        sys._pairs[key] = _local_factor([vj.dim, 1], [
+            {0: integer_rep_matrix(vi, label), 1: integer_dual_matrix(vj, a)}
+            for a, label in enumerate(vi.algebra.basis_labels)
+        ])
+    return TwoSiteOperator(i=i, j=j, system=sys, local=_placed(sys, [i, j], sys._pairs[key]))
 
 
 def zero_weight_indices(sys):
-    """Ambient indices of weight zero, in increasing order."""
-    zero = (0,) * sys.factors[0].algebra.rank
-    weights = itertools.product(*(rep.weight_of_basis_vector for rep in sys.factors))
-    return [
-        idx for idx, combo in enumerate(weights)
-        if tuple(map(sum, zip(*combo))) == zero
-    ]
+    """Ambient indices of weight zero (np.intp, increasing): broadcast
+    sums of the factors' weights."""
+    total = np.zeros((1, 1), dtype=int)
+    for rep in sys.factors:
+        w = np.reshape(rep.weight_of_basis_vector, (rep.dim, -1))
+        total = (total[:, None] + w).reshape(-1, w.shape[1])
+    return np.flatnonzero(~total.any(axis=1))
 
 
 def raising_rows(sys):
@@ -226,8 +235,7 @@ def raising_rows(sys):
     of its slot factors, so the kernel of the rows is the space of
     invariant vectors. Only the zero-weight columns of each e_i are built.
     """
-    zw = zero_weight_indices(sys)
-    idx = np.array(zw, dtype=np.intp)
+    idx = zero_weight_indices(sys)
     out = []
     for i in range(1, sys.factors[0].algebra.rank + 1):
         factors = _diagonal_factors(sys, ("e", i, i + 1))
@@ -240,7 +248,7 @@ def raising_rows(sys):
                 row = rows.setdefault(t, {})
                 row[p] = row.get(p, 0) + vals[e] * (den // d)
         out += [{p: row[p] for p in sorted(row) if row[p]} for _, row in sorted(rows.items())]
-    return out, zw
+    return out, idx.tolist()
 
 
 def invariant_basis(sys):
@@ -273,52 +281,51 @@ def restrict(op, inv):
     Exactness contract: op.B = B.R with B the invariant basis, and a failure
     of this identity raises ConsistencyError (it means the basis is
     broken). R is read off the free rows of op.B, in integers: with L the
-    denominator of the held basis and D that of op's local factor,
-    B~ = L B and the local integers op~ = D op give op~.B~ = D L op.B. So
-    S = (op~.B~)[free] = D L R, and the identity holds exactly when
-    L (op~.B~) == B~.S on the rows B touches and op~.B~ vanishes on every
-    other row. R is returned as the :class:`numerics.Held` pair
-    (S, D L) in lowest terms, (0 x 0, 1) on a zero-dimensional space.
+    denominator of the basis, D that of op's local factor, B~ = L B and
+    op~ = D op, S = (op~.B~)[free] = D L R, and the identity holds exactly
+    when L (op~.B~) == B~.S on the rows B touches and op~.B~ vanishes on
+    every other row. R is the held (S, D L) in lowest terms, (0 x 0, 1) if
+    dim B = 0.
 
-    op~.B~ is one :func:`_gather` over the ambient indices B touches, and
-    ``np.add.at`` sums the products of the entries it selects with the rows
-    of B~ into their target rows. Every entry of
-    op~.B~ and of its partial sums is at most m |op~| |B~|, with m the most
-    entries in a row of the local factor, and every entry of L (op~.B~)
-    and of B~.S (and of the partial sums of B~.S) at most
-    max(L, k |B~|) m |op~| |B~| for k = dim B. The bound picks the type
-    through :func:`numerics.product_dtype`. Below 2^62, so that their
-    difference stays below 2^63, the gather runs on int64, and B~.S on
-    float64 below 2^53 and on int64 above; otherwise the same code runs on
-    Python ints.
-    An empty local factor (a trivial slot) counts as m = |op~| = 1.
+    op~.B~ is one :func:`_gather` over the rows B touches, whose terms
+    ``np.add.at`` sums on the flat image (fast from numpy 1.25). No
+    entry of op~.B~ or its partial sums exceeds m |op~| |B~|, m the most
+    entries in a row of the local factor (1 if empty, as is |op~|), nor one
+    of L (op~.B~) or B~.S or its partial sums max(L, k |B~|) m |op~| |B~|,
+    k = dim B. On that bound :func:`numerics.product_dtype` picks int64
+    below 2^62 (differences stay below 2^63), with B~.S on float64 below
+    2^53, and Python ints above.
     """
     if op.system is not inv.ambient:
         raise DomainError("operator and invariant space live on different systems")
     if not inv.dim:
         return Held(np.zeros((0, 0), dtype=np.int64), 1)
     sys = op.system
-    den_b, support, bt, free = inv.den, inv.support, inv.rows, inv.free
+    den_b, support, free = inv.den, inv.support, inv.free
     den_w, _, ros, vals = op.local
     width = max(collections.Counter(ros.tolist()).values(), default=1)
     wmax = max(map(abs, vals), default=1)
-    bmax = max_abs(bt)
+    bmax = inv.held.max_abs
     bound = max(den_b, inv.dim * bmax) * width * wmax * bmax
     tier = product_dtype(bound)
     dtype = object if tier is object else np.int64
-    bt = bt.astype(dtype)
+    bt = inv.held[0].astype(dtype, copy=False)
     # entry e of the gather takes factor entry pos[e] times row src[e]
     # of B~ into ambient row tgt[e]
     src, tgt, pos = _gather(sys, (op.i, op.j), op.local, support)
     n = len(support)
-    terms = np.array(vals, dtype=dtype)[pos, None] * bt[src]
     # every target row gets a slot past the support, then the rows of
     # the support take back their own
     slot = np.zeros(sys.dim, dtype=np.intp)
     slot[tgt] = np.arange(n, n + len(tgt))
     slot[support] = np.arange(n)
     img = np.zeros((n + len(tgt), inv.dim), dtype=dtype)
-    np.add.at(img, slot[tgt], terms)
+    flat, w = img.reshape(-1), np.array(vals, dtype=dtype)
+    step = max(1, _SCATTER // inv.dim)
+    for lo in range(0, len(src), step):
+        e = slice(lo, lo + step)
+        np.add.at(flat, (slot[tgt[e], None] * inv.dim + np.arange(inv.dim)).ravel(),
+                  (w[pos[e], None] * bt[src[e]]).ravel())
     s = img[free]
     bs = (bt.astype(tier, copy=False) @ s.astype(tier, copy=False)).astype(dtype, copy=False)
     if np.count_nonzero(img[n:]) or np.count_nonzero(img[:n] * den_b - bs):

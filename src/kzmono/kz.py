@@ -551,18 +551,20 @@ def exact_local_spectrum(sys, i, j):
     d = sys.dim
     if d == 0:
         return []
-    rows = num.tolist()
+    diag = num.diagonal().tolist()
+    rows = [{k: x for k, x in enumerate(row) if x and k != r}
+            for r, row in enumerate(num.tolist())]
     out = []
     total = 0
     for mu in cands:
         # c (D W - D mu I) with c = lcm(D, den mu) / D, an integer matrix
-        # with the kernel of W - mu
+        # with the kernel of W - mu; exact_rank copies rows
         lcm = math.lcm(den, mu.denominator)
         c, shift = lcm // den, mu.numerator * (lcm // mu.denominator)
-        mult = d - exact_rank([
-            {k: y for k, x in enumerate(row) if (y := c * x - shift if k == r else c * x)}
-            for r, row in enumerate(rows)
-        ], d)
+        mat = rows if c == 1 else [{k: c * x for k, x in row.items()} for row in rows]
+        for r, row in enumerate(mat):
+            row[r] = c * diag[r] - shift
+        mult = d - exact_rank(mat, d)
         if mult:
             out.append((mu, mult))
             total += mult

@@ -37,7 +37,6 @@ class LieAlgebra:
     highest_root: tuple
     weyl_vector: tuple
     basis_labels: list             # ("e", i, j) / ("f", i, j) / ("h", i)
-    defining_matrices: list        # (r+1)x(r+1) Fraction matrices
     gram_matrix: list              # dim x dim, normalized invariant form
     gram_inverse: list
     weight_gram: list              # inverse Cartan matrix (Fractions)
@@ -94,12 +93,6 @@ def build_algebra(series, rank):
             entries.append(((lab[2] - 1, lab[1] - 1, 1),))
         else:
             entries.append(((lab[1] - 1, lab[1] - 1, 1), (lab[1], lab[1], -1)))
-    mats = []
-    for ent in entries:
-        mat = rat_zeros(n, n)
-        for r, c, x in ent:
-            mat[r][c] = Fraction(x)
-        mats.append(mat)
     dim = len(labels)
     index = {lab: a for a, lab in enumerate(labels)}
     m = (dim - rank) // 2   # e labels at 0..m-1, f at m..2m-1, h from 2m
@@ -167,26 +160,15 @@ def build_algebra(series, rank):
         dual_coxeter=rank + 1,
         cartan_matrix=cartan,
         positive_roots=pos_roots,
-        highest_root=pos_roots[simple_count_to_highest(rank)],
+        highest_root=pos_roots[-1],  # the root of span rank
         weyl_vector=tuple([1] * rank),
         basis_labels=labels,
-        defining_matrices=mats,
         gram_matrix=gram,
         gram_inverse=gram_inv,
         weight_gram=weight_gram,
         structure=structure,
         chevalley_index=index,
     )
-
-
-def simple_count_to_highest(rank):
-    # ``positive_roots`` lists roots by increasing span; the highest root is
-    # the unique one of span ``rank``, so its index is the number of roots
-    # of shorter span, rank + 1 - span of each span
-    count = 0
-    for span in range(1, rank):
-        count += rank + 1 - span
-    return count
 
 
 def killing_form(alg, x, y):

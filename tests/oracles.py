@@ -5,12 +5,15 @@ come from the Freudenthal recursion, graded dimensions of the affine
 truncations from the alternating character identity over the translation
 orbit, invariant dimensions from hand-written ladder matrices densified with
 numpy, ambient tensor-product operators from ``np.kron`` of their factor
-matrices with identities, A_1 pairing values from the trace form of 2x2
-matrices, sl(r+1) structure constants and trace form from dense products of
-its defining matrices, and reduced row echelon forms and inverses from
-textbook dense Gauss-Jordan elimination over Fraction.
+matrices with identities, ambient indices from slot digits, zero-weight
+indices from a walk over every tuple of basis weights, A_1 pairing values
+from the trace form of 2x2 matrices, sl(r+1) structure constants and trace
+form from dense products of its defining matrices, and reduced row echelon
+forms and inverses from textbook dense Gauss-Jordan elimination over
+Fraction.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -76,6 +79,26 @@ def kron_operator(dims, terms):
             den *= dd
         total = total + term * Fraction(1, den)
     return total.tolist()
+
+
+def multi_index(sys, idx):
+    """The slot digits of ambient index ``idx`` of a tensor system."""
+    return tuple(idx // s % d for d, s in zip(sys.factor_dims, sys.strides))
+
+
+def flat_index(sys, multi):
+    """The ambient index of the slot digits ``multi``."""
+    return sum(k * s for k, s in zip(multi, sys.strides))
+
+
+def zero_weight_enumeration(sys):
+    """Ambient indices of weight zero, one tuple of basis weights at a time."""
+    zero = (0,) * sys.factors[0].algebra.rank
+    weights = itertools.product(*(rep.weight_of_basis_vector for rep in sys.factors))
+    return [
+        idx for idx, combo in enumerate(weights)
+        if tuple(map(sum, zip(*combo))) == zero
+    ]
 
 
 def freudenthal_multiplicities(cartan, lam):

@@ -19,10 +19,11 @@ from kzmono.invariants import (
 )
 from kzmono.liealg import build_algebra
 from kzmono.numerics import fraction_rows, nullspace_exact_sparse
-from kzmono.reps import casimir_value, integer_rep_matrix, irrep
+from kzmono.reps import casimir_value, integer_dual_matrix, integer_rep_matrix, irrep
 
 from oracles import (
-    CATALAN, brute_invariant_dim_a1, dense_kernel, kernel_fractions, kron_operator,
+    CATALAN, brute_invariant_dim_a1, dense_kernel, flat_index, kernel_fractions,
+    kron_operator, multi_index, zero_weight_enumeration,
 )
 
 
@@ -72,8 +73,8 @@ class TestTensorSystem:
         sys = a1_system(a1, [1, 2, 1])
         seen = set()
         for idx in range(sys.dim):
-            multi = sys.multi_index(idx)
-            assert sys.flat_index(multi) == idx
+            multi = multi_index(sys, idx)
+            assert flat_index(sys, multi) == idx
             seen.add(multi)
         assert len(seen) == sys.dim
 
@@ -156,6 +157,72 @@ class TestRaisingRows:
         assert zw == [idx for idx in range(sys.dim) if not any(h[idx][idx] for h in coroots)]
 
 
+# systems with a repeated irrep, so that pairs of irreps repeat in both
+# slot orders
+MIXED_CASES = [
+    (2, [(1, 0), (0, 1), (1, 1), (1, 0)]),
+    (1, [(1,), (2,), (1,), (3,)]),
+]
+
+
+def shared_system(rank, weights):
+    """A tensor system whose equal weights share one Irrep, as in kz_system."""
+    alg = build_algebra("A", rank)
+    built = {w: irrep(alg, w) for w in dict.fromkeys(weights)}
+    return alg, tensor_system([built[w] for w in weights])
+
+
+def direct_factor(alg, sys, i, j):
+    """The local factor of Omega_ij built on the ambient strides at once."""
+    return invariants._local_factor(sys.strides, [
+        {i: integer_rep_matrix(sys.factors[i], label),
+         j: integer_dual_matrix(sys.factors[j], a)}
+        for a, label in enumerate(alg.basis_labels)
+    ])
+
+
+def assert_same_factor(got, want):
+    assert got[0] == want[0]
+    for a, b in zip(got[1:3], want[1:3]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got[3] == want[3]
+
+
+class TestPairCache:
+    @pytest.mark.parametrize("rank,weights", MIXED_CASES)
+    def test_cached_factor_matches_direct_build(self, rank, weights):
+        alg, sys = shared_system(rank, weights)
+        perms = list(itertools.permutations(range(len(weights)), 2))
+        for i, j in perms:
+            assert_same_factor(omega_pair(sys, i, j).local, direct_factor(alg, sys, i, j))
+        # one entry per ordered pair of irreps, built once
+        assert len(sys._pairs) == len({(sys.factors[i], sys.factors[j]) for i, j in perms})
+
+    def test_systems_share_no_cache_entry(self, a2):
+        reps = [irrep(a2, w) for w in ((1, 0), (0, 1), (1, 1))]
+        systems = [tensor_system(reps), tensor_system(reps[::-1])]
+        for sys in systems:
+            for i, j in itertools.permutations(range(3), 2):
+                assert_same_factor(omega_pair(sys, i, j).local, direct_factor(a2, sys, i, j))
+        first, second = ({id(f) for f in sys._pairs.values()} for sys in systems)
+        assert systems[0]._pairs is not systems[1]._pairs and not first & second
+
+    @pytest.mark.parametrize("rank,weights", MIXED_CASES + [(2, [(1, 1)] * 3)])
+    def test_zero_weight_indices_match_enumeration(self, rank, weights):
+        _, sys = shared_system(rank, weights)
+        assert invariants.zero_weight_indices(sys).tolist() == zero_weight_enumeration(sys)
+
+    @pytest.mark.parametrize("rank,weights", MIXED_CASES)
+    def test_diagonal_factors_match_direct_build(self, rank, weights):
+        alg, sys = shared_system(rank, weights)
+        for label in alg.basis_labels:
+            for s, ((slot,), factor) in enumerate(invariants._diagonal_factors(sys, label)):
+                direct = invariants._local_factor(
+                    sys.strides, [{s: integer_rep_matrix(sys.factors[s], label)}])
+                assert slot == s
+                assert_same_factor(factor, direct)
+
+
 class TestOmegaPair:
     def test_rejects_equal_slots(self, a1):
         sys = a1_system(a1, [1, 1])
@@ -209,7 +276,7 @@ class TestOmegaPair:
         # on the top pure tensor the Cartan contribution is kappa(l_i, l_j)
         sys = a1_system(a1, [2, 3])
         om = omega_pair(sys, 0, 1).matrix
-        top = sys.flat_index((0, 0))
+        top = flat_index(sys, (0, 0))
         img = om.apply_dict({top: Fraction(1)})
         from kzmono.liealg import weight_form
 
@@ -220,8 +287,8 @@ class TestOmegaPair:
         sys = a1_system(a1, [1, 2, 1])
         perm = {}
         for idx in range(sys.dim):
-            k = sys.multi_index(idx)
-            perm[idx] = sys.flat_index((k[2], k[1], k[0]))
+            k = multi_index(sys, idx)
+            perm[idx] = flat_index(sys, (k[2], k[1], k[0]))
         om02 = omega_pair(sys, 0, 1).matrix.to_dense_rat()
         om20 = omega_pair(sys, 2, 1).matrix.to_dense_rat()
         conj = [[om02[perm[i]][perm[j]] for j in range(sys.dim)] for i in range(sys.dim)]
@@ -287,7 +354,7 @@ class TestRestrict:
                 assert raised == len(ops) if shared else raised > 0
         # the pure tensor 0001 alone: op.B = B.R holds on the one row B
         # covers, but omega_23 also sends it to 0010, outside that row
-        idx = sys.flat_index((0, 0, 0, 1))
+        idx = flat_index(sys, (0, 0, 0, 1))
         lone = InvariantSpace(ambient=sys, den=1, support=np.array([idx], dtype=np.intp),
                               rows=np.array([[1]], dtype=object), free=[0])
         with pytest.raises(ConsistencyError):
@@ -351,6 +418,26 @@ class TestRestrictPaths:
         slow = [fraction_rows(*restrict(omega_pair(sys, i, j), inv)) for i, j in pairs]
         assert fast == slow
         assert seen == [np.int64] * len(pairs) + [object] * len(pairs)
+
+    @pytest.mark.parametrize("rank,weights", [
+        (1, [(1,)] * 6),
+        (2, [(1, 0), (0, 1), (1, 1), (1, 1)]),
+    ])
+    def test_scatter_in_chunks_gives_the_same_rows(self, rank, weights, monkeypatch):
+        # one term per chunk of the scatter, on int64 and on Python ints
+        alg = build_algebra("A", rank)
+        sys = tensor_system([irrep(alg, w) for w in weights])
+        inv = invariant_basis(sys)
+        pairs = list(itertools.combinations(range(len(weights)), 2))
+
+        def rows():
+            return [fraction_rows(*restrict(omega_pair(sys, i, j), inv)) for i, j in pairs]
+
+        whole = rows()
+        monkeypatch.setattr(invariants, "_SCATTER", 1)
+        assert rows() == whole
+        monkeypatch.setattr(numerics, "INT64_LIMIT", 1)
+        assert rows() == whole
 
     @pytest.mark.parametrize("scale,dtype", [(2**58, np.int64), (2**59, object)])
     def test_scaled_operator_crosses_the_bound(self, a1, scale, dtype, monkeypatch):
