@@ -23,7 +23,7 @@ from .errors import (
 
 # public name -> the submodule that defines it
 _HOME = {name: module for module, names in (
-    ("liealg", "LieAlgebra OrthonormalBasis bracket build_algebra killing_form "
+    ("liealg", "DualBasis LieAlgebra bracket build_algebra killing_form "
                "level_weights orthonormal_basis weight_form"),
     ("reps", "CasimirReport Irrep casimir casimir_value irrep tensor_decompose "
              "weyl_dimension"),

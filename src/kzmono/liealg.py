@@ -14,7 +14,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -55,13 +54,35 @@ class LieAlgebra:
         return v
 
 
-@dataclass
-class OrthonormalBasis:
-    """dim(g) vectors with kappa(J^a, J^b) = delta_ab in the chosen mode."""
+@dataclass(eq=False)
+class DualBasis:
+    """A basis x_a of the algebra and its dual basis x~_a, kappa(x_a, x~_b) =
+    delta_ab, so that sum_a x_a (x) x~_a is the Casimir tensor.
+
+    Both are held by their pairings with coordinate vectors: ``forms[a]`` is
+    the row of kappa(., x_a) and ``dual_forms[a]`` that of kappa(., x~_a), so
+    kappa(X, x_a) = sum_b X_b forms[a][b]. An orthonormal basis is the case
+    x~_a = x_a, with the same rows in both maps.
+    """
 
     algebra: LieAlgebra
-    elements: list
-    mode: str   # "symbolic" (QuadExt entries) or "float" (complex entries)
+    forms: list
+    dual_forms: list
+
+    @property
+    def elements(self):
+        """The coordinate vectors of the x_a."""
+        return [_apply(self.algebra.gram_inverse, f) for f in self.forms]
+
+    @property
+    def duals(self):
+        """The coordinate vectors of the x~_a."""
+        return [_apply(self.algebra.gram_inverse, f) for f in self.dual_forms]
+
+
+def _apply(mat, vec):
+    """The matrix-vector product mat . vec, over the nonzero entries of mat."""
+    return [sum(r * v for r, v in zip(row, vec) if r) for row in mat]
 
 
 def build_algebra(series, rank):
@@ -255,7 +276,7 @@ def level_weights(alg, level):
 
 
 # ---------------------------------------------------------------------------
-# orthonormal bases
+# bases and their duals
 # ---------------------------------------------------------------------------
 
 # Preconditioned sl2 spanning sets over Q(sqrt(-2)); Gram-Schmidt succeeds on
@@ -274,26 +295,35 @@ _SL2_SEED_SETS = (
 )
 
 
-def orthonormal_basis(alg, mode="float", seed=0):
-    """An orthonormal basis for the normalized invariant form.
+def orthonormal_basis(alg, seed=0):
+    """A seeded basis of the algebra with its dual basis, exact at every rank.
 
-    ``mode="symbolic"`` gives exact entries in Q(sqrt(-2)) (rank 1 only);
-    ``mode="float"`` gives complex double entries for any rank. Distinct
-    seeds give genuinely different bases, which is how basis independence
-    of downstream sums is tested.
+    At rank 1 the basis is orthonormal over Q(sqrt(-2)), so x~_a = x_a. At
+    higher rank x_a = g e_a and x~_a = G^-1 g^-T e_a over the Chevalley basis
+    e_a, where G is the Gram matrix and g a seeded product of elementary
+    integer shears: det g = 1, so both maps, G g and g^-T, are integer.
+    Distinct seeds give genuinely different bases, which is how basis
+    independence of downstream sums is tested.
     """
-    if mode == "symbolic":
-        return _orthonormal_symbolic(alg, seed)
-    if mode == "float":
-        return _orthonormal_float(alg, seed)
-    raise ConfigurationError(f"unknown arithmetic mode {mode!r}")
+    if not isinstance(seed, int):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
+    if alg.rank == 1:
+        return _orthonormal_sl2(alg, seed)
+    rng = random.Random(seed)
+    n = alg.dim
+    g = [[int(a == b) for a in range(n)] for b in range(n)]   # columns x_a
+    g_inv_t = [col[:] for col in g]                          # columns of g^-T
+    for _ in range(2 * n):
+        # g <- g (1 + c e_i e_j^T) and g^-T <- g^-T (1 - c e_j e_i^T)
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        g[j] = [x + c * y for x, y in zip(g[j], g[i])]
+        g_inv_t[i] = [x - c * y for x, y in zip(g_inv_t[i], g_inv_t[j])]
+    gram = [[int(x) for x in row] for row in alg.gram_matrix]
+    return DualBasis(alg, [_apply(gram, x) for x in g], g_inv_t)
 
 
-def _orthonormal_symbolic(alg, seed):
-    if alg.rank != 1:
-        raise ConfigurationError(
-            "symbolic orthonormal bases are available for rank 1 only"
-        )
+def _orthonormal_sl2(alg, seed):
     variant = _SL2_SEED_SETS[seed % len(_SL2_SEED_SETS)]
     perm = list(itertools.permutations(range(3)))[(seed // 2) % 6]
     e = alg.basis_vector(("e", 1, 2))
@@ -319,42 +349,5 @@ def _orthonormal_symbolic(alg, seed):
                 "seeded spanning set does not normalize inside Q(sqrt(-2))"
             )
         basis.append([wa / root for wa in w])
-    return OrthonormalBasis(algebra=alg, elements=basis, mode="symbolic")
-
-
-def _orthonormal_float(alg, seed):
-    rng = random.Random(seed)
-    order = list(range(alg.dim))
-    rng.shuffle(order)
-    remaining = [
-        [complex(1) if a == b else complex(0) for a in range(alg.dim)]
-        for b in order
-    ]
-    basis = []
-    scale = 1.0
-    while remaining:
-        # orthogonalize the frontier against what is already accepted
-        for idx, w in enumerate(remaining):
-            for u in basis:
-                coeff = killing_form(alg, w, u)
-                if coeff:
-                    remaining[idx] = [wa - coeff * ua for wa, ua in zip(w, u)]
-                    w = remaining[idx]
-        norms = [killing_form(alg, w, w) for w in remaining]
-        best = max(range(len(remaining)), key=lambda i: abs(norms[i]))
-        if abs(norms[best]) > 1e-9 * scale:
-            w = remaining.pop(best)
-            root = cmath.sqrt(norms[best])
-            basis.append([wa / root for wa in w])
-            scale = max(scale, abs(norms[best]))
-        else:
-            # all frontier vectors isotropic: mix the pair with the largest
-            # cross pairing, which is nonzero by nondegeneracy
-            pairs = [
-                (abs(killing_form(alg, remaining[i], remaining[j])), i, j)
-                for i in range(len(remaining))
-                for j in range(i + 1, len(remaining))
-            ]
-            _, i, j = max(pairs)
-            remaining[i] = [a + b for a, b in zip(remaining[i], remaining[j])]
-    return OrthonormalBasis(algebra=alg, elements=basis, mode="float")
+    forms = [_apply(alg.gram_matrix, x) for x in basis]
+    return DualBasis(alg, forms, forms)

@@ -1,6 +1,7 @@
-"""Shared arithmetic substrate: exact rational linear algebra, a quadratic
-extension field for exact orthonormal bases, sparse operators, and the
-transport of Fuchsian linear systems by local Taylor series.
+"""Shared arithmetic substrate: exact rational linear algebra, the quadratic
+field Q(sqrt(-2)) that holds the exact orthonormal bases of sl2, sparse
+operators, and the transport of Fuchsian linear systems by local Taylor
+series.
 
 Sparse operators are stored compressed by column, so applying one to a
 sparse vector reads only the columns that vector touches.
@@ -523,9 +524,6 @@ class QuadExt:
         o = QuadExt.of(other)
         return QuadExt(self.a - o.a, self.b - o.b)
 
-    def __rsub__(self, other):
-        return QuadExt.of(other) - self
-
     def __mul__(self, other):
         o = QuadExt.of(other)
         return QuadExt(self.a * o.a - 2 * self.b * o.b, self.a * o.b + self.b * o.a)
@@ -539,18 +537,9 @@ class QuadExt:
             raise ZeroDivisionError("division by zero in QuadExt")
         return self * QuadExt(o.a / n, -o.b / n)
 
-    def __rtruediv__(self, other):
-        return QuadExt.of(other) / self
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b)
-
     def __eq__(self, other):
         o = QuadExt.of(other)
         return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)
@@ -562,9 +551,6 @@ class QuadExt:
         if self.b:
             raise DomainError(f"{self!r} is not rational")
         return self.a
-
-    def to_complex(self):
-        return complex(self.a) + complex(self.b) * 1j * math.sqrt(2.0)
 
     def sqrt(self):
         """An exact square root inside the field, or None."""

@@ -4,7 +4,7 @@ quadratic current operators, independent of any module truncation.
 A Laurent vector phi = sum_k X_k xi^{-k-1} d xi is stored by its finite
 coefficient support. Two evaluations of the same pairing are provided: the
 closed form (1 / 2(l + h_vee)) sum_k kappa(X_k, X_{m-k}), and the literal
-double-residue expansion over an orthonormal basis, which for index 0 runs
+double-residue expansion over a basis and its dual, which for index 0 runs
 through the ordering-free split of the quadratic zero-mode term. Their
 agreement is the point of the module, so neither side shortcuts through the
 other. The cocycle evaluation sum_k kappa(X_k, X_{n-k}) is the same sum
@@ -13,12 +13,14 @@ without the 1 / 2(l + h_vee) prefactor.
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ShapeError
-from .liealg import OrthonormalBasis, killing_form
+from .liealg import DualBasis, killing_form
 from .numerics import QuadExt
 
 
@@ -84,50 +86,54 @@ def cocycle_cross(phi, psi, n):
 
 def residue_side(phi, m, level, basis):
     """The literal double-residue expansion of the pairing against the
-    index-m quadratic operator, summed over an orthonormal basis.
+    index-m quadratic operator, summed over a basis and its dual:
+    sum_a kappa(X, x_a) kappa(Y, x~_a) for each pair of coefficients.
 
     For m = 0 the evaluation follows the ordering-free rewriting: one
     (1/2(l+h_vee)) zero-mode square plus a (1/(l+h_vee)) tail over k >= 1.
-    Returns an exact Fraction in symbolic mode, a complex number in float
-    mode.
+    Returns an exact Fraction.
     """
-    if not isinstance(basis, OrthonormalBasis):
-        raise DomainError("residue_side needs an OrthonormalBasis")
+    if not isinstance(basis, DualBasis):
+        raise DomainError("residue_side needs a DualBasis")
     if basis.algebra is not phi.algebra:
         raise DomainError("basis and Laurent vector use different algebras")
     if not isinstance(level, int) or level < 1:
         raise DomainError(f"level must be a positive integer, got {level!r}")
-    alg = phi.algebra
-    hv = alg.dual_coxeter
-    elements = basis.elements
-    symbolic = basis.mode == "symbolic"
+    hv = phi.algebra.dual_coxeter
+    support = phi.support
 
     def pair_sq(xk, xq):
-        acc = QuadExt(0) if symbolic else 0j
-        for j in elements:
-            acc = acc + killing_form(alg, xk, j) * killing_form(alg, xq, j)
-        return acc
+        left, dl = _pairings(xk, basis.forms)
+        right, dr = _pairings(xq, basis.dual_forms)
+        return Fraction(1, dl * dr) * sum(map(operator.mul, left, right))
 
     if m != 0:
-        total = QuadExt(0) if symbolic else 0j
-        for k in phi.support:
-            other = phi.support.get(m - k)
+        total = 0
+        for k, xk in support.items():
+            other = support.get(m - k)
             if other is not None:
-                total = total + pair_sq(phi.support[k], other)
-        total = total * Fraction(1, 2 * (level + hv))
+                total += pair_sq(xk, other)
+        total = Fraction(1, 2 * (level + hv)) * total
     else:
-        total = QuadExt(0) if symbolic else 0j
-        x0 = phi.support.get(0)
+        total = 0
+        x0 = support.get(0)
         if x0 is not None:
-            total = total + Fraction(1, 2 * (level + hv)) * pair_sq(x0, x0)
-        tail = QuadExt(0) if symbolic else 0j
-        for k in sorted(phi.support):
-            if k >= 1 and (-k) in phi.support:
-                tail = tail + pair_sq(phi.support[-k], phi.support[k])
-        total = total + Fraction(1, level + hv) * tail
-    if symbolic:
-        return total.rational()
-    return total
+            total = Fraction(1, 2 * (level + hv)) * pair_sq(x0, x0)
+        tail = 0
+        for k in sorted(support):
+            if k >= 1 and (-k) in support:
+                tail += pair_sq(support[-k], support[k])
+        total += Fraction(1, level + hv) * tail
+    # a sum over an orthonormal basis in Q(sqrt(-2)) is rational
+    return QuadExt.of(total).rational()
+
+
+def _pairings(x, forms):
+    """The pairing of x with every form, as integers over one denominator."""
+    x = [Fraction(v) for v in x]
+    den = math.lcm(*(v.denominator for v in x))
+    terms = [(b, v.numerator * (den // v.denominator)) for b, v in enumerate(x) if v]
+    return [sum(f[b] * n for b, n in terms) for f in forms], den
 
 
 def random_laurent_vector(alg, rng, kmin=-4, kmax=4, max_terms=4, coeff_bound=3):

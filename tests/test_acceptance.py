@@ -28,7 +28,7 @@ from kzmono.kz import (
     parallel_transport,
     path_through,
 )
-from kzmono.liealg import build_algebra, orthonormal_basis
+from kzmono.liealg import DualBasis, build_algebra, orthonormal_basis
 from kzmono.reps import casimir, casimir_value, irrep
 from kzmono.sugawara import (
     affine_bracket_check,
@@ -157,7 +157,7 @@ def test_criterion_4_sugawara_identities():
 def test_criterion_5_symbol_identity():
     t0 = time.time()
     rng = random.Random(2024)
-    basis = orthonormal_basis(A1, "symbolic", 0)
+    basis = orthonormal_basis(A1, 0)
     ok = True
     count = 0
     while count < 100:
@@ -334,3 +334,33 @@ def test_criterion_11_full_twist():
         ok = ok and max(deviations) < 1e-9 and min(controls) > 0.1
     report(11, f"full twist, product and rotation (worst {worst:.2e})", ok,
            time.time() - t0, 30)
+
+
+def test_criterion_12_symbol_identity_higher_rank():
+    # the closed form against the literal expansion over a seeded integer
+    # basis and its dual, exactly, on A2 and A3; a dual map with one entry
+    # perturbed no longer splits the Casimir tensor and must disagree
+    t0 = time.time()
+    ok = True
+    for alg, seed in ((A2, 12), (build_algebra("A", 3), 13)):
+        basis = orthonormal_basis(alg, seed)
+        rng = random.Random(seed)
+        for _ in range(100):
+            phi = random_laurent_vector(alg, rng)
+            for level in (1, 2, 3):
+                for m in range(-3, 4):
+                    if residue_side(phi, m, level, basis) != symbol_pairing(phi, m, level):
+                        ok = False
+    basis = orthonormal_basis(A2, 0)
+    dual_forms = [row[:] for row in basis.dual_forms]
+    dual_forms[0][0] += 1
+    perturbed = DualBasis(A2, basis.forms, dual_forms)
+    rng = random.Random(0)
+    misses = 0
+    for _ in range(50):
+        phi = random_laurent_vector(A2, rng)
+        level, m = rng.choice((1, 2, 3)), rng.randint(-3, 3)
+        misses += residue_side(phi, m, level, perturbed) != symbol_pairing(phi, m, level)
+    ok = ok and misses > 0
+    report(12, f"residue pairing identities on A2, A3 ({misses}/50 control misses)", ok,
+           time.time() - t0, 20)

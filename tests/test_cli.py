@@ -302,6 +302,9 @@ class TestDeterminism:
         report = json.loads(first.stdout)
         assert report["failed"] == 0
         assert report["passed"] == len(report["checks"])
+        assert hashlib.sha256(first.stdout).hexdigest() == (
+            "c0c74343d3b0cbafb76b7d3b5acc1cc45d650465510d1452464bfcbd3628ab0f"
+        )
 
     def test_symbols_check_deterministic(self, capsys):
         _, out1, _ = capture(
@@ -311,6 +314,41 @@ class TestDeterminism:
             capsys, ["symbols", "check", "--trials", "10", "--seed", "3"]
         )
         assert out1 == out2
+
+
+class TestSymbolsCheck:
+    def test_rank_one_output_pinned(self, capsys):
+        _, out, _ = capture(
+            capsys, ["symbols", "check", "--rank", "1", "--trials", "100", "--seed", "7"]
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "27b936677e346bee500c36acb1a8487c6cd56a4c83e9fb83196ad993e66e9d08"
+        )
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_higher_rank_is_exact(self, capsys, rank):
+        code, out, _ = capture(
+            capsys, ["symbols", "check", "--rank", str(rank), "--trials", "30", "--seed", "7"]
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["mode"] == "exact"
+        assert data["max_deviation"] == "0"
+        assert data["passed"] is True
+        assert "max_deviation_float" not in data
+
+    def test_cocycle_fault_fails_the_check(self, capsys, monkeypatch):
+        import kzmono.cli
+
+        true_cocycle = kzmono.cli.cocycle_evaluation
+        monkeypatch.setattr(kzmono.cli, "cocycle_evaluation",
+                            lambda phi, n: true_cocycle(phi, n) + 1)
+        _, out, _ = capture(
+            capsys, ["symbols", "check", "--rank", "2", "--trials", "10", "--seed", "7"]
+        )
+        data = json.loads(out)
+        assert data["passed"] is False
+        assert data["max_deviation"] != "0"
 
 
 class TestPinnedOutput:
@@ -404,7 +442,8 @@ class TestStartup:
         ["verlinde", "--level", "4", "--weights", "1,1,2,2,3,3", "--scan-levels", "8"],
         ["symbols", "check", "--rank", "1", "--trials", "10", "--seed", "7"],
         ["symbols", "check", "--rank", "2", "--trials", "10", "--seed", "7"],
-    ], ids=["algebra", "verlinde", "symbols-1", "symbols-2"])
+        ["symbols", "check", "--rank", "3", "--trials", "10", "--seed", "7"],
+    ], ids=["algebra", "verlinde", "symbols-1", "symbols-2", "symbols-3"])
     def test_commands_without_numpy(self, argv):
         assert self.probe(self.PROBE, argv) == (0, "False")
 

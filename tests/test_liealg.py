@@ -13,7 +13,7 @@ from kzmono.liealg import (
     orthonormal_basis,
     weight_form,
 )
-from kzmono.numerics import rat_mul
+from kzmono.numerics import QuadExt, rat_mul
 
 from oracles import (
     A1_E, A1_F, A1_H, a1_trace_form, dense_lie_data, rat_identity, rat_inverse,
@@ -160,7 +160,7 @@ class TestLevelWeights:
 class TestOrthonormal:
     def test_symbolic_a1_exact_identity_gram(self, a1):
         for seed in range(4):
-            basis = orthonormal_basis(a1, "symbolic", seed)
+            basis = orthonormal_basis(a1, seed)
             assert len(basis.elements) == 3
             for i, u in enumerate(basis.elements):
                 for j, v in enumerate(basis.elements):
@@ -168,31 +168,71 @@ class TestOrthonormal:
                     assert val == (1 if i == j else 0)
 
     def test_symbolic_seeds_differ(self, a1):
-        b0 = orthonormal_basis(a1, "symbolic", 0)
-        b1 = orthonormal_basis(a1, "symbolic", 1)
+        b0 = orthonormal_basis(a1, 0)
+        b1 = orthonormal_basis(a1, 1)
         assert b0.elements != b1.elements
 
-    def test_float_gram_identity(self, a1, a2):
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_dual_pairing_is_identity(self, rank):
+        # kappa(x_a, x~_b) = delta_ab exactly, for two seeds
+        alg = build_algebra("A", rank)
+        for seed in (0, 1):
+            basis = orthonormal_basis(alg, seed)
+            xs, duals = basis.elements, basis.duals
+            assert len(xs) == len(duals) == alg.dim
+            for i, x in enumerate(xs):
+                for j, y in enumerate(duals):
+                    assert killing_form(alg, x, y) == (1 if i == j else 0)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_casimir_tensor_is_gram_inverse(self, rank):
+        # sum_a x_a (x) x~_a does not depend on the basis
+        alg = build_algebra("A", rank)
+        for seed in (0, 1, 5):
+            basis = orthonormal_basis(alg, seed)
+            pairs = list(zip(basis.elements, basis.duals))
+            tensor = [
+                [sum(x[p] * y[q] for x, y in pairs) for q in range(alg.dim)]
+                for p in range(alg.dim)
+            ]
+            assert tensor == alg.gram_inverse
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_shear_product_is_unimodular(self, rank):
+        # g = G^-1 P and g^-1 = Q^T are integer, and g g^-1 = I
+        alg = build_algebra("A", rank)
+        for seed in (0, 1):
+            basis = orthonormal_basis(alg, seed)
+            g = [list(col) for col in zip(*basis.elements)]
+            g_inv = basis.dual_forms
+            assert all(type(v) is int for row in g_inv for v in row)
+            assert all(v.denominator == 1 for row in g for v in row)
+            assert rat_mul(g, g_inv) == rat_identity(alg.dim)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_seeds_give_different_bases(self, rank):
+        alg = build_algebra("A", rank)
+        b0, b1 = orthonormal_basis(alg, 0), orthonormal_basis(alg, 1)
+        assert b0.elements != b1.elements
+        assert b0.duals != b1.duals
+
+    def test_symbolic_restricted_to_rank_one(self, a1, a2):
+        # Q(sqrt(-2)) entries only for sl2; integer maps at higher rank
+        sl2 = orthonormal_basis(a1, 0)
+        assert sl2.forms == sl2.dual_forms
+        assert any(isinstance(v, QuadExt) for row in sl2.forms for v in row)
+        basis = orthonormal_basis(a2, 0)
+        assert all(type(v) is int for row in basis.forms + basis.dual_forms for v in row)
+
+    def test_mode_argument_is_gone(self, a1, a2):
+        # a call written for the old (alg, mode, seed) signature fails loudly
         for alg in (a1, a2):
-            basis = orthonormal_basis(alg, "float", 0)
-            assert len(basis.elements) == alg.dim
-            for i, u in enumerate(basis.elements):
-                for j, v in enumerate(basis.elements):
-                    val = killing_form(alg, u, v)
-                    assert abs(val - (1 if i == j else 0)) < 1e-9
-
-    def test_trace_of_gram_is_dim(self, a2):
-        basis = orthonormal_basis(a2, "float", 3)
-        total = sum(killing_form(a2, u, u) for u in basis.elements)
-        assert abs(total - a2.dim) < 1e-8
-
-    def test_symbolic_restricted_to_rank_one(self, a2):
-        with pytest.raises(ConfigurationError):
-            orthonormal_basis(a2, "symbolic", 0)
+            with pytest.raises(DomainError):
+                orthonormal_basis(alg, "symbolic")
 
     def test_equivariance_against_chevalley(self, a1):
         # kappa([x, J^a], J^b) = -kappa(J^a, [x, J^b]) for generators x
-        basis = orthonormal_basis(a1, "symbolic", 2)
+        basis = orthonormal_basis(a1, 2)
         gens = [("e", 1, 2), ("f", 1, 2), ("h", 1)]
         for lab in gens:
             x = a1.basis_vector(lab)
