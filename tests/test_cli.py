@@ -76,6 +76,19 @@ class TestRepBuild:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "domain"
 
+    @pytest.mark.parametrize("argv", [
+        ["rep", "build", "--rank", "1", "--weight", "1"],
+        ["kz", "monodromy", "--rank", "1", "--weights", "1,1", "--kappa", "3",
+         "--braid", "A12"],
+    ], ids=["rep", "monodromy"])
+    def test_unwritable_emit_is_usage_error(self, capsys, tmp_path, argv):
+        # a usage error on stderr, not a traceback
+        target = tmp_path / "no-such-dir" / "x.json"
+        code, out, err = capture(capsys, [*argv, "--emit", str(target)])
+        assert code == 64
+        assert "--emit" in err and "No such file or directory" in err
+        assert out == ""
+
 
 class TestInvariantsCommand:
     def test_four_point(self, capsys):
@@ -286,6 +299,19 @@ class TestOtherCommands:
         data = json.loads(out)
         assert data["rank"] == 1 and data["stabilization_level"] == 2
 
+    def test_negative_scan_levels_is_usage_error(self, capsys):
+        # compare_invariants scans at least to sum(weights) + 2, so a negative
+        # bound would be accepted and ignored
+        argv = ["verlinde", "--level", "1", "--weights", "1,1,1,1"]
+        code, out, err = capture(capsys, [*argv, "--scan-levels", "-3"])
+        assert code == 64
+        assert "--scan-levels" in err and "non-negative" in err
+        assert out == ""
+        _, default, _ = capture(capsys, argv)
+        for levels in ("0", "8"):
+            code, out, _ = capture(capsys, [*argv, "--scan-levels", levels])
+            assert code == 0 and out == default
+
     def test_verlinde_label_above_level(self, capsys):
         code, out, _ = capture(capsys, ["verlinde", "--level", "1", "--weights", "2,2"])
         assert code == 2
@@ -389,14 +415,18 @@ class TestPinnedOutput:
 
 class TestStartup:
     # a fresh interpreter runs argv through cli.run, then reports on stderr
-    # whether numpy was loaded
-    PROBE = (
+    # whether numpy was loaded (numpy._core is numpy.core before numpy 2.0),
+    # or which kzmono modules were
+    NUMPY_LOADED = "not {'numpy._core', 'numpy.core'}.isdisjoint(sys.modules)"
+    KZMONO_LOADED = "','.join(sorted(m for m in sys.modules if m.split('.')[0] == 'kzmono'))"
+    RUN = (
         "import sys\n"
         "from kzmono.cli import run\n"
         "code = run(sys.argv[1:])\n"
-        "print('numpy._core' in sys.modules, file=sys.stderr)\n"
+        "print({}, file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
+    PROBE = RUN.format(NUMPY_LOADED)
 
     def probe(self, code, argv=()):
         proc = subprocess.run([sys.executable, "-c", code, *argv],
@@ -408,7 +438,7 @@ class TestStartup:
             "import sys, kzmono\n"
             "kzmono.build_algebra('A', 1)\n"
             "kzmono.build_algebra('A', 2)\n"
-            "print('numpy._core' in sys.modules, file=sys.stderr)\n"
+            f"print({self.NUMPY_LOADED}, file=sys.stderr)\n"
         )
         assert self.probe(code) == (0, "False")
 
@@ -451,6 +481,49 @@ class TestStartup:
         argv = ["kz", "monodromy", "--rank", "1", "--weights", "1,1,2",
                 "--kappa", "7/2", "--braid", "A13"]
         assert self.probe(self.PROBE, argv) == (0, "True")
+
+    @pytest.mark.parametrize("argv, modules", [
+        (["algebra", "info", "--rank", "2"], ["liealg", "numerics"]),
+        (["verlinde", "--level", "4", "--weights", "1,1,2,2,3,3", "--scan-levels", "8"],
+         ["verlinde"]),
+        (["symbols", "check", "--rank", "1", "--trials", "10", "--seed", "7"],
+         ["liealg", "numerics", "symbols"]),
+        (["symbols", "check", "--rank", "2", "--trials", "10", "--seed", "7"],
+         ["liealg", "numerics", "symbols"]),
+        (["kz", "monodromy", "--rank", "1", "--weights", "1,1,2", "--kappa", "7/2",
+          "--braid", "A13"], ["invariants", "kz", "liealg", "numerics", "reps"]),
+    ], ids=["algebra", "verlinde", "symbols-1", "symbols-2", "monodromy"])
+    def test_commands_load_only_their_modules(self, argv, modules):
+        expected = ["kzmono", "kzmono.cli", "kzmono.errors", *(f"kzmono.{m}" for m in modules)]
+        assert self.probe(self.RUN.format(self.KZMONO_LOADED), argv) == (0, ",".join(expected))
+
+    @pytest.mark.parametrize("argv", [
+        ["algebra", "info", "--rank", "2", "--level", "2"],
+        ["rep", "build", "--rank", "2", "--weight", "1,1", "--emit"],
+        ["invariants", "--rank", "1", "--weights", "1,1,2,2"],
+        ["kz", "flatness", "--rank", "1", "--weights", "1,1,1,1", "--exact"],
+        ["kz", "monodromy", "--rank", "1", "--weights", "1,1,2", "--kappa", "7/2",
+         "--braid", "A13"],
+        ["sugawara", "check", "--level", "1", "--weight", "1", "--depth", "2"],
+        ["symbols", "check", "--rank", "2", "--trials", "10", "--seed", "7"],
+        ["verlinde", "--level", "4", "--weights", "1,1,2,2,3,3", "--scan-levels", "8"],
+        ["selftest", "--seed", "7"],
+    ], ids=["algebra", "rep", "invariants", "flatness", "monodromy", "sugawara",
+            "symbols", "verlinde", "selftest"])
+    def test_fresh_process_matches_in_process(self, capsys, tmp_path, argv):
+        # In this process every module is loaded already; a name that a
+        # command forgets to load would fail only in a fresh one.
+        target = tmp_path / "matrices.json"
+        if argv[-1] == "--emit":
+            argv = [*argv, str(target)]
+        fresh = subprocess.run([sys.executable, "-m", "kzmono", *argv],
+                               capture_output=True, timeout=300, env=CHILD_ENV)
+        emitted = target.read_bytes() if target.exists() else None
+        code, out, _ = capture(capsys, argv)
+        assert code == 0
+        assert (fresh.returncode, fresh.stdout.decode()) == (code, out)
+        if emitted is not None:
+            assert target.read_bytes() == emitted
 
 
 class TestPretty:
