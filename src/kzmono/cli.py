@@ -165,6 +165,13 @@ def _write_json(path, data):
         raise argparse.ArgumentError(None, f"argument --emit: {exc}") from None
 
 
+def _command(sub, name, handler, needs, **kwargs):
+    """The parser of a command that runs ``handler`` and reports its usage errors."""
+    p = sub.add_parser(name, **kwargs)
+    p.set_defaults(handler=handler, needs=needs, parser=p)
+    return p
+
+
 def build_parser():
     p = _Parser(prog="kzm", description=__doc__)
     p.add_argument("--pretty", action="store_true", help="indent the JSON output")
@@ -172,22 +179,20 @@ def build_parser():
 
     pa = sub.add_parser("algebra", help="algebra structure data")
     pa_sub = pa.add_subparsers(dest="subcommand", required=True)
-    pai = pa_sub.add_parser("info")
-    pai.set_defaults(handler=_cmd_algebra_info, needs=("liealg",))
+    pai = _command(pa_sub, "info", _cmd_algebra_info, ("liealg",))
     pai.add_argument("--series", default="A")
     pai.add_argument("--rank", type=int, required=True)
     pai.add_argument("--level", type=int, default=None)
 
     pr = sub.add_parser("rep", help="irreducible module construction")
     pr_sub = pr.add_subparsers(dest="subcommand", required=True)
-    prb = pr_sub.add_parser("build")
-    prb.set_defaults(handler=_cmd_rep_build, needs=("liealg", "reps"))
+    prb = _command(pr_sub, "build", _cmd_rep_build, ("liealg", "reps"))
     prb.add_argument("--rank", type=int, required=True)
     prb.add_argument("--weight", type=_parse_int_list, required=True)
     prb.add_argument("--emit", default=None)
 
-    pi = sub.add_parser("invariants", help="tensor invariants and two-site operators")
-    pi.set_defaults(handler=_cmd_invariants, needs=("liealg", "reps", "invariants"))
+    pi = _command(sub, "invariants", _cmd_invariants, ("liealg", "reps", "invariants"),
+                  help="tensor invariants and two-site operators")
     pi.add_argument("--rank", type=int, required=True)
     pi.add_argument("--weights", required=True)
     pi.add_argument("--level", type=int, default=None)
@@ -195,14 +200,12 @@ def build_parser():
 
     pk = sub.add_parser("kz", help="connection checks and monodromy")
     pk_sub = pk.add_subparsers(dest="subcommand", required=True)
-    pkf = pk_sub.add_parser("flatness")
-    pkf.set_defaults(handler=_cmd_kz_flatness, needs=("liealg", "kz"))
+    pkf = _command(pk_sub, "flatness", _cmd_kz_flatness, ("liealg", "kz"))
     pkf.add_argument("--rank", type=int, required=True)
     pkf.add_argument("--weights", required=True)
     pkf.add_argument("--exact", action="store_true")
     pkf.add_argument("--level", type=int, default=None)
-    pkm = pk_sub.add_parser("monodromy")
-    pkm.set_defaults(handler=_cmd_kz_monodromy, needs=("liealg", "kz"))
+    pkm = _command(pk_sub, "monodromy", _cmd_kz_monodromy, ("liealg", "kz"))
     pkm.add_argument("--rank", type=int, required=True)
     pkm.add_argument("--weights", required=True)
     pkm.add_argument("--kappa", type=_parse_kappa, required=True)
@@ -213,8 +216,7 @@ def build_parser():
 
     ps = sub.add_parser("sugawara", help="graded truncations and quadratic operators")
     ps_sub = ps.add_subparsers(dest="subcommand", required=True)
-    psc = ps_sub.add_parser("check")
-    psc.set_defaults(handler=_cmd_sugawara_check, needs=("sugawara",))
+    psc = _command(ps_sub, "check", _cmd_sugawara_check, ("sugawara",))
     psc.add_argument("--level", type=int, required=True)
     psc.add_argument("--weight", type=int, required=True)
     psc.add_argument("--depth", type=int, required=True)
@@ -222,21 +224,21 @@ def build_parser():
 
     py = sub.add_parser("symbols", help="residue pairing identities")
     py_sub = py.add_subparsers(dest="subcommand", required=True)
-    pyc = py_sub.add_parser("check")
-    pyc.set_defaults(handler=_cmd_symbols_check, needs=("liealg", "symbols"))
+    pyc = _command(py_sub, "check", _cmd_symbols_check, ("liealg", "symbols"))
     pyc.add_argument("--rank", type=int, default=1)
     # no trials would certify nothing
     pyc.add_argument("--trials", type=_int_from(1, "a positive integer"), default=100)
     pyc.add_argument("--seed", type=int, default=0)
 
-    pv = sub.add_parser("verlinde", help="fusion ranks and invariant dimensions")
-    pv.set_defaults(handler=_cmd_verlinde, needs=())
+    pv = _command(sub, "verlinde", _cmd_verlinde, (),
+                  help="fusion ranks and invariant dimensions")
     pv.add_argument("--level", type=int, required=True)
     pv.add_argument("--weights", type=_parse_int_list, required=True)
-    pv.add_argument("--scan-levels", type=_int_from(0, "a non-negative integer"))
+    pv.add_argument("--scan-levels", type=_int_from(0, "a non-negative integer"), metavar="N",
+                    help="scan to max(N, sum(weights) + 2, --level); N can only raise it")
 
-    pt = sub.add_parser("selftest", help="deterministic verification suite")
-    pt.set_defaults(handler=_cmd_selftest, needs=set(_HOME.values()))
+    pt = _command(sub, "selftest", _cmd_selftest, set(_HOME.values()),
+                  help="deterministic verification suite")
     pt.add_argument("--seed", type=int, default=0)
 
     return p
@@ -576,9 +578,9 @@ def run(argv):
             return _run_command(args)
         except argparse.ArgumentTypeError as exc:
             # --weights is split by --rank in the handler, after parse_args
-            parser.error(f"argument --weights: {exc}")
+            args.parser.error(f"argument --weights: {exc}")
         except argparse.ArgumentError as exc:
-            parser.error(str(exc))
+            args.parser.error(str(exc))
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_EXIT
 

@@ -46,7 +46,7 @@ class TensorSystem:
     dim: int
     factor_dims: list
     strides: list
-    _pairs: dict = field(default_factory=dict)  # (V_i, V_j) -> Omega factor
+    _pairs: dict = field(default_factory=dict)  # (V_i, V_j) -> (factor, _sizes)
 
 
 @dataclass(eq=False)
@@ -86,6 +86,7 @@ class TwoSiteOperator:
     j: int
     system: TensorSystem
     local: tuple                 # local two-slot factor, see _local_factor
+    sizes: tuple = None          # _sizes(local), when known beforehand
 
     @functools.cached_property
     def matrix(self):
@@ -145,6 +146,13 @@ def _local_factor(strides, terms):
     return den, cos, ros, [acc[e] for e in entries]
 
 
+def _sizes(factor):
+    """(most entries in a row, max |entry|) of a local factor, 1 if empty;
+    the same at every placement, which maps offsets injectively."""
+    return (max(collections.Counter(factor[2].tolist()).values(), default=1),
+            max(map(abs, factor[3]), default=1))
+
+
 def _gather(sys, slots, factor, idx):
     """The entries of a local factor on ``slots`` in the ambient columns
     ``idx`` (np.intp) as arrays (src, tgt, pos): factor entry pos[e] lies in
@@ -200,8 +208,8 @@ def diagonal_action(sys, label):
 def omega_pair(sys, i, j):
     """The two-site Casimir sum_a rho_i(J^a) rho_j(J^a), assembled through
     dual bases so it stays exactly rational. Only its local factor on
-    V_i (x) V_j is built, once per pair of irreps (``sys._pairs``), then
-    placed; ``.matrix`` gives the ambient operator."""
+    V_i (x) V_j is built and sized, once per pair of irreps
+    (``sys._pairs``), then placed; ``.matrix`` gives the ambient operator."""
     n = len(sys.factors)
     if i == j:
         raise DomainError("the two-site operator is defined for distinct slots only")
@@ -209,11 +217,14 @@ def omega_pair(sys, i, j):
         raise DomainError(f"slot indices out of range for an {n}-factor system")
     vi, vj = key = sys.factors[i], sys.factors[j]
     if key not in sys._pairs:
-        sys._pairs[key] = _local_factor([vj.dim, 1], [
+        factor = _local_factor([vj.dim, 1], [
             {0: integer_rep_matrix(vi, label), 1: integer_dual_matrix(vj, a)}
             for a, label in enumerate(vi.algebra.basis_labels)
         ])
-    return TwoSiteOperator(i=i, j=j, system=sys, local=_placed(sys, [i, j], sys._pairs[key]))
+        sys._pairs[key] = factor, _sizes(factor)
+    factor, sizes = sys._pairs[key]
+    return TwoSiteOperator(i=i, j=j, system=sys, local=_placed(sys, [i, j], factor),
+                           sizes=sizes)
 
 
 def zero_weight_indices(sys):
@@ -302,9 +313,8 @@ def restrict(op, inv):
         return Held(np.zeros((0, 0), dtype=np.int64), 1)
     sys = op.system
     den_b, support, free = inv.den, inv.support, inv.free
-    den_w, _, ros, vals = op.local
-    width = max(collections.Counter(ros.tolist()).values(), default=1)
-    wmax = max(map(abs, vals), default=1)
+    den_w, _, _, vals = op.local
+    width, wmax = op.sizes or _sizes(op.local)
     bmax = inv.held.max_abs
     bound = max(den_b, inv.dim * bmax) * width * wmax * bmax
     tier = product_dtype(bound)

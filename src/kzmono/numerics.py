@@ -8,37 +8,33 @@ sparse vector reads only the columns that vector touches.
 
 Every exact elimination (ranks, null spaces, basis selection from a Gram
 matrix) runs on one routine, :func:`sparse_eliminate`, which returns the
-reduced row echelon form as primitive integer pivot rows.
+reduced row echelon form as primitive integer pivot rows, fraction free.
 
 The exact kernels run on integers that cannot overflow. A dense integer
 product runs on the type :func:`product_dtype` picks from a bound proved
 before it runs: float64 (BLAS dgemm) below 2^53, where every partial sum is
 an integer float64 holds exactly, int64 below 2^62, and Python integers,
-which have no fixed width, otherwise. ``sparse_eliminate`` takes integer
-rows in order of decreasing leading column, which spares almost every
-back-reduction, eliminates fraction free, by cross-multiplication, keeping
-its pivot rows primitive, and returns the pivots in increasing column order,
-so its result does not depend on the order of its input rows.
-:func:`gram_select` and :func:`nullspace_exact_sparse` hand their results on
-as integers over one denominator, read off those pivot rows. Dense exact
-matrices are held as pairs (N, D): N is a numpy integer array, of Python
-ints (dtype object) or int64, and D > 0 a common denominator, so the matrix
-is N / D; a :class:`Held` pair keeps a matrix that is used again with N
-read-only, int64 when it fits, and its max|N|. :func:`combine` evaluates
-every sum of products, sum coeff * (F_1 @ F_2 @ ...), in lowest terms,
-gcd(N, D) = 1 (:func:`lowest_terms`), and returns N of Python ints
-(:func:`combine_held` a held pair); :func:`concat` and :func:`block_matrix`
-assemble blocks over the lcm of their denominators, scaling a block on Python
-ints where it needs it, and :func:`fraction_rows` gives the rows of
-``Fraction`` of a pair. Representation matrices, the invariant basis, the
-restricted two-site operators and the irrep, affine, Casimir and Omega-sum
-algebra run on (N, D), and ``rat_commutator`` takes the integer stacks exact
-flatness builds. Rows of ``Fraction`` remain the public views of exact
-matrices and of the Lie algebra's structure data, whose inverse forms have
-closed forms and need no solver; ``rat_mul`` has no caller in the package and
-serves the tests and the benchmark. Complex numerics use numpy.
-Nothing here mutates its inputs (a :class:`Held` pair takes its N over);
-scratch space is per call.
+which have no fixed width, otherwise. :func:`gram_select` and
+:func:`nullspace_exact_sparse` hand their results on as integers over one
+denominator, read off those pivot rows. Dense exact matrices are held as
+pairs (N, D): N is a numpy integer array, of Python ints (dtype object) or
+int64, and D > 0 a common denominator, so the matrix is N / D; a
+:class:`Held` pair keeps a matrix that is used again with N read-only, int64
+when it fits, and its max|N|. :func:`combine` evaluates every sum of
+products, sum coeff * (F_1 @ F_2 @ ...), in lowest terms, gcd(N, D) = 1
+(:func:`lowest_terms`), and returns N of Python ints (:func:`combine_held` a
+held pair, :func:`combine_max` its max |entry|); :func:`concat` and
+:func:`block_matrix` assemble blocks over the lcm of their denominators,
+scaling a block on Python ints where it needs it, and :func:`fraction_rows`
+gives the rows of ``Fraction`` of a pair. Representation matrices, the
+invariant basis, the restricted two-site operators and the irrep, affine,
+Casimir and Omega-sum algebra run on (N, D), and ``rat_commutator`` takes
+the integer stacks exact flatness builds. Rows of ``Fraction`` remain the
+public views of exact matrices and of the Lie algebra's structure data,
+whose inverse forms have closed forms and need no solver; ``rat_mul`` has no
+caller in the package and serves the tests and the benchmark. Complex
+numerics use numpy. Nothing here mutates its inputs (a :class:`Held` pair
+takes its N over); scratch space is per call.
 
 numpy is bound lazily: ``np`` here (and in the modules that import it from
 here) loads numpy on its first attribute access, so the commands that never
@@ -48,7 +44,6 @@ touch it start without it. The lazy loader is not thread-safe under CPython
 
 from __future__ import annotations
 
-import functools
 import importlib.util
 import math
 import operator
@@ -136,12 +131,13 @@ def fraction_rows(num, den):
 
 
 def lowest_terms(num, den):
-    """(N, D), N of Python ints or int64, divided by gcd(N, D)."""
+    """(N, D), N of Python ints or int64, divided by gcd(N, D); N comes
+    back as it is when that gcd is 1."""
     if num.dtype == object:
         g = math.gcd(den, *num.flat)
     else:
         g = math.gcd(den, int(np.gcd.reduce(num, axis=None)))
-    return num // g, den // g
+    return (num, den) if g == 1 else (num // g, den // g)
 
 
 def block_matrix(shape, blocks):
@@ -258,67 +254,58 @@ def _tier_chains(scales, chains, convert):
     object, so that no int64 product runs without the bound."""
     ints, bound = {}, 0
     for scale, chain in zip(scales, chains):
-        term = max(abs(scale), 1)
+        term = abs(scale) or 1
         for i, f in enumerate(chain):
             n = f[0]
-            if id(n) not in ints:
+            got = ints.get(id(n))
+            if got is None:
                 m = as_int64(n) if convert else n
                 if m.dtype == object:
-                    return object, [[n.astype(object, copy=False) for n, _ in c] for c in chains]
-                ints[id(n)] = m, f.max_abs if type(f) is Held else max_abs(m)
-            term *= max(ints[id(n)][1], 1)
+                    return object, [[f[0].astype(object, copy=False) for f in c] for c in chains]
+                got = ints[id(n)] = m, f.max_abs if type(f) is Held else max_abs(m)
+            term *= got[1] or 1
             if i:
-                term *= max(n.shape[0], 1)
+                term *= n.shape[0] or 1
         bound += term
     dtype = product_dtype(bound)
-    typed = {}
-    for chain in chains:
-        for n, _ in chain:
-            if id(n) not in typed:
-                m = n if dtype is object else ints[id(n)][0]
-                typed[id(n)] = m.astype(dtype, copy=False)
-    return dtype, [[typed[id(n)] for n, _ in chain] for chain in chains]
+    if dtype is not np.int64:
+        ints = {k: (m.astype(dtype), 0) for k, (m, _) in ints.items()}
+    return dtype, [[ints[id(f[0])][0] for f in chain] for chain in chains]
 
 
-def _sum_products(total, scales, chains):
-    """Add scale * (F_1 @ F_2 @ ...) into ``total`` for each chain; an empty
-    chain is the identity."""
-    for scale, chain in zip(scales, chains):
-        if chain:
-            total += scale * functools.reduce(operator.matmul, chain)
-        else:
-            total[np.diag_indices(len(total))] += scale
-    return total
-
-
-def _combine(terms, shape):
-    """:func:`combine`, with N as int64 when a machine type formed it."""
+def _sum(terms, shape):
+    """The sum of :func:`combine` as (N, D), not in lowest terms, with N as
+    int64 when a machine type formed it."""
     rows, cols = shape
-    nums, dens, chains, work = [], [], [], 0
+    scales, dens, chains, work = [], [], [], 0
     for coeff, factors in terms:
-        den, width, chain = coeff.denominator, rows, []
-        for f in factors:
-            n, d = f
-            r, c = n.shape
+        den, width = coeff.denominator, rows
+        for k, f in enumerate(factors):
+            r, c = f[0].shape
             if r != width:
-                raise ShapeError(f"factor {len(chain)} of a product has {r} rows, not {width}")
-            if chain:
+                raise ShapeError(f"factor {k} of a product has {r} rows, not {width}")
+            if k:
                 work += rows * r * c
-            chain.append(f)
             width = c
-            den *= d
+            den *= f[1]
         if width != cols:
             raise ShapeError(f"a product with {width} columns cannot fill shape {shape}")
-        nums.append(coeff.numerator)
+        scales.append(coeff.numerator)
         dens.append(den)
-        chains.append(chain)
+        chains.append(factors)
     den = math.lcm(*dens)
-    scales = [c * (den // d) for c, d in zip(nums, dens)]
+    scales = [c * (den // d) for c, d in zip(scales, dens)]
     dtype, chains = _tier_chains(scales, chains, work >= _INT64_MIN_WORK)
-    total = _sum_products(np.zeros(shape, dtype=dtype), scales, chains)
-    if dtype is not object:
-        total = total.astype(np.int64, copy=False)
-    return lowest_terms(total, den)
+    total = np.zeros(shape, dtype=dtype)
+    for scale, chain in zip(scales, chains):
+        if not chain:
+            total[np.diag_indices(rows)] += scale
+            continue
+        prod = chain[0]
+        for f in chain[1:]:
+            prod = prod @ f
+        total += prod if scale == 1 else scale * prod
+    return (total.astype(np.int64) if dtype is np.float64 else total), den
 
 
 def combine(terms, shape):
@@ -337,13 +324,21 @@ def combine(terms, shape):
     when the products do at least ``_INT64_MIN_WORK`` multiply-adds, and a
     factor that does not fit int64 puts the sum on Python ints. Every type
     gives the same exact result."""
-    num, den = _combine(terms, shape)
+    num, den = lowest_terms(*_sum(terms, shape))
     return num.astype(object, copy=False), den
 
 
 def combine_held(terms, shape):
     """:func:`combine` as a :class:`Held` matrix."""
-    return Held(*_combine(terms, shape))
+    return Held(*lowest_terms(*_sum(terms, shape)))
+
+
+def combine_max(terms, shape):
+    """max |entry| of the sum of :func:`combine`, as a ``Fraction``; read
+    off the sum before it is brought to lowest terms, which ``Fraction``
+    does on the one number."""
+    num, den = _sum(terms, shape)
+    return Fraction(max_abs(num), den)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +447,9 @@ def nullspace_exact_sparse(rows, ncols):
 
 
 def gram_select(gram):
-    """Basis selection from the Gram matrix of a spanning list, given as
-    rows of integers.
+    """Basis selection from the Gram matrix of a spanning list, or any
+    square matrix with its row space, given as integer rows as for
+    :func:`sparse_eliminate`.
 
     Returns (selected, (N, D)): ``selected`` is the leftmost maximal set of
     vectors that stay independent modulo the radical of the form (so their
@@ -469,7 +465,7 @@ def gram_select(gram):
     leading entry, and that row is primitive, so gcd(N, D) = 1.
     """
     s = len(gram)
-    pivots = sparse_eliminate([dict(enumerate(row)) for row in gram], s)
+    pivots = sparse_eliminate(gram, s)
     selected = list(pivots)
     den = math.lcm(*(prow[c] for c, prow in pivots.items()))
     num = [[0] * len(selected) for _ in range(s)]

@@ -7,11 +7,11 @@ that spanning list come from data one level up,
 
     e_i f_j b = f_j e_i b + delta_ij <nu, alpha_i~> b.
 
-:func:`quotient_step` turns those columns into the Gram of the spanning
-list, keeps a maximal subset with nonsingular Gram as the basis and
-expresses the rest over it; the affine truncations of :mod:`kzmono.sugawara`
-grow degree by degree through the same step. The basis and the expansions
-come from the primitive integer pivot rows of the Gram
+:func:`quotient_step` keeps a maximal subset of the spanning list with
+nonsingular Gram as the basis and expresses the rest over it; the affine
+truncations of :mod:`kzmono.sugawara` grow degree by degree through the same
+step. The basis and the expansions come from the primitive integer pivot
+rows of those columns, whose RREF is the Gram's
 (:func:`kzmono.numerics.gram_select`), so no ``Fraction`` is formed in the
 build. Bases are deterministic (graded by depth, weights in ascending order
 within a depth, spanning blocks in ascending nu), and the per-weight Gram
@@ -34,7 +34,7 @@ from fractions import Fraction
 from .errors import ConsistencyError, DomainError
 from .liealg import LieAlgebra, build_algebra, dual_pairs, weight_form
 from .numerics import (
-    block_matrix, combine, concat, fraction_rows, gram_select, np,
+    block_matrix, combine, combine_max, concat, fraction_rows, gram_select, np,
 )
 # not called here: the benchmark's tracer wraps kzmono.reps.rat_mul
 from .numerics import rat_mul  # noqa: F401
@@ -84,15 +84,19 @@ def quotient_step(blocks):
     ``blocks`` = [(G, M)] has one pair per block X.b of the spanning list,
     b in a parent block: G is the parent's Gram and M the columns of tauX
     on the whole spanning list into it, both as (N, D). The Gram rows of
-    the block are G.M, since <X b, v> = <b, tauX v>. Returns ``selected``
-    (as from ``gram_select``), the Gram of the kept vectors as (N, D), and
-    per block its slice of the expansion, transposed, as (N, D): the matrix
-    of X from the parent block into the new one.
+    the block are G.M, since <X b, v> = <b, tauX v>; each G is nonsingular,
+    so the stacked M has their row space and RREF, and ``gram_select``
+    takes its sparser, smaller rows. Returns ``selected``, the Gram of the
+    kept vectors as (N, D), and per block its slice of the expansion,
+    transposed, as (N, D): the matrix of X from the parent block into the
+    new one.
     """
+    selected, (exp_n, exp_d) = gram_select([
+        {j: v for j, v in enumerate(row) if v} for _, (n, _) in blocks for row in n.tolist()
+    ])
     num, den = concat([
         combine([(1, (g, m))], (len(g[0]), m[0].shape[1])) for g, m in blocks
     ], axis=0)
-    selected, (exp_n, exp_d) = gram_select(num.tolist())
     cuts = np.cumsum([len(g[0]) for g, _ in blocks])[:-1]
     tables = [(part.T, exp_d) for part in np.split(exp_n, cuts)]
     return selected, (num[np.ix_(selected, selected)], den), tables
@@ -240,13 +244,12 @@ def casimir(rep):
     mats = [integer_rep_matrix(rep, lab) for lab in alg.basis_labels]
     c = casimir_value(alg, rep.highest_weight)
     # sum_ab Ginv_ba J^b J^a - c
-    num, den = combine([
+    dev = combine_max([
         (ginv[b][a], (mats[b], mats[a]))
         for a in range(alg.dim)
         for b in range(alg.dim)
         if ginv[b][a]
     ] + [(-c, ())], shape)
-    dev = Fraction(max(map(abs, num.flat), default=0), den)
     return CasimirReport(eigenvalue=c, is_scalar=(dev == 0), deviation=dev)
 
 

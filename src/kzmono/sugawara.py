@@ -10,7 +10,8 @@ y(-1).b, y in (f, h, e) and b in degree D - 1, and for n in {0, 1}
 gives the columns of x(n) on that list. The Gram rows of y(-1).b are
 <b, tauy(1) v>, the degree D - 1 Gram times the x(1) columns of tauy;
 :func:`kzmono.reps.quotient_step` keeps a maximal subset with nonsingular
-Gram, and its expansions over that subset are the tables of y(-1) into D.
+Gram, selected from those columns, and its expansions over that subset are
+the tables of y(-1) into D.
 The tables of x(1) and, once y(-1) is stored, of x(0) out of D are the kept
 columns. Every basis vector is an h-weight vector, so the weights are the
 diagonal of h(0). Every mode with |n| >= 2 is derived on first use, and
@@ -29,7 +30,7 @@ takes the tables as they are and bounds them without reading them again,
 and the products run on float64 or int64 when that bound admits it. All
 the algebra on them (the commutation and bracket rules, the Gram rows, the
 quadratic sums and the bracket residuals) is one ``combine`` of products.
-The Gram reaches ``gram_select`` as the integer matrix N: its RREF, hence
+The x(1) columns reach ``gram_select`` as their integer N: the RREF, hence
 the selection and the expansions, does not change under scaling.
 ``action_matrix``, ``shapovalov_gram`` and ``VirasoroOperator.block`` give
 rows of ``Fraction``, and ``graded_weights`` Python ints.
@@ -50,7 +51,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .liealg import LieAlgebra, build_algebra
 from .numerics import (
-    Held, block_matrix, combine_held, concat, fraction_rows, np,
+    Held, block_matrix, combine_held, combine_max, concat, fraction_rows, np,
 )
 # not called here: the benchmark's tracer wraps kzmono.sugawara.rat_mul and
 # kzmono.sugawara.gram_select
@@ -336,8 +337,7 @@ def _bracket_residual(mod, a, b, rhs, central):
         terms += [(-coeff, (blk,)) for (coeff, _), blk in zip(rhs, parts[4:])]
         if tgt == src and central:
             terms.append((-central, ()))
-        res = combine_held(terms, (mod.graded_dims[tgt], mod.graded_dims[src]))
-        worst = max(worst, Fraction(res.max_abs, res[1]))
+        worst = max(worst, combine_max(terms, (mod.graded_dims[tgt], mod.graded_dims[src])))
     return worst
 
 

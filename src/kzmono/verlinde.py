@@ -143,8 +143,10 @@ def compare_invariants(level, weights, scan_limit=None):
 
     Returns {rank, dim_invariants, equal, stabilization_level}, where the
     stabilization level is the smallest one at which the rank equals the
-    invariant dimension. That dimension is counted by the character
-    convolution; tests pin that it agrees with invariant_dimension_nullspace.
+    invariant dimension. The scan runs to max(scan_limit, sum(weights) + 2,
+    level), so ``scan_limit`` can only raise it. That dimension is counted
+    by the character convolution; tests pin that it agrees with
+    invariant_dimension_nullspace.
     A rank exceeding the invariant dimension would falsify the
     level-truncated theory embedding and raises ViolationError.
     """

@@ -89,6 +89,21 @@ class TestRepBuild:
         assert "--emit" in err and "No such file or directory" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv, usage", [
+        (["rep", "build", "--rank", "1", "--weight", "1", "--emit", "/nonexistent/x.json"],
+         "usage: kzm rep build "),
+        (["kz", "monodromy", "--rank", "1", "--weights", "1,1", "--kappa", "3",
+          "--braid", "A12", "--emit", "/nonexistent/x.json"], "usage: kzm kz monodromy "),
+        (["invariants", "--rank", "2", "--weights", "1,0,1"], "usage: kzm invariants "),
+        (["kz", "flatness", "--rank", "2", "--weights", "1,0:0"], "usage: kzm kz flatness "),
+    ], ids=["rep-emit", "monodromy-emit", "invariants-weights", "flatness-weights"])
+    def test_late_usage_error_names_its_command(self, capsys, argv, usage):
+        # a usage error raised after parsing reads as the command's own
+        # usage line, not the top-level parser's
+        code, out, err = capture(capsys, argv)
+        assert code == 64 and out == ""
+        assert err.startswith(usage)
+
 
 class TestInvariantsCommand:
     def test_four_point(self, capsys):
@@ -400,6 +415,16 @@ class TestPinnedOutput:
         )
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "7dc54c434c411e6c276f7f6df7eda52ae955f2185582e54009b06278450b26aa"
+        )
+
+    def test_sugawara_check_level_2_depth_5(self, capsys):
+        # the largest truncation the benchmark grows: its degree 5 is
+        # selected from 129 raising columns
+        _, out, _ = capture(
+            capsys, ["sugawara", "check", "--level", "2", "--weight", "2", "--depth", "5"]
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6f0c203b03e6c0cc94fd857382ee058c32d5dec8e415a6de9699271765bfaa1c"
         )
 
     def test_emitted_matrices(self, capsys, tmp_path):

@@ -198,6 +198,18 @@ class TestPairCache:
         # one entry per ordered pair of irreps, built once
         assert len(sys._pairs) == len({(sys.factors[i], sys.factors[j]) for i, j in perms})
 
+    @pytest.mark.parametrize("rank,weights", MIXED_CASES + [(2, [(1, 1)] * 4)])
+    def test_cached_sizes_hold_at_every_placement(self, rank, weights):
+        # restrict bounds op~.B~ by the row width and max|entry| kept with
+        # the pair's factor; placement maps offsets injectively, so the
+        # placed factor has the same two numbers in both slot orders
+        _, sys = shared_system(rank, weights)
+        for i, j in itertools.permutations(range(len(weights)), 2):
+            op = omega_pair(sys, i, j)
+            assert op.sizes == invariants._sizes(op.local)
+            width, wmax = op.sizes
+            assert width >= 1 and wmax == max(map(abs, op.local[3]))
+
     def test_systems_share_no_cache_entry(self, a2):
         reps = [irrep(a2, w) for w in ((1, 0), (0, 1), (1, 1))]
         systems = [tensor_system(reps), tensor_system(reps[::-1])]

@@ -170,7 +170,7 @@ class TestEliminationInput:
         before = copy.deepcopy(rows)
         sparse_eliminate(rows, 4)
         nullspace_exact_sparse(rows, 4)
-        gram = [[4, 2, 6], [2, 1, 3], [6, 3, 9]]
+        gram = sparse_rows([[4, 2, 6], [2, 1, 3], [6, 3, 9]])
         gram_before = copy.deepcopy(gram)
         gram_select(gram)
         assert rows == before
@@ -210,7 +210,7 @@ class TestGramSelect:
             n = rng.randint(k, 8)
             b = rand_matrix(rng, k, n, bound=2)
             gram = rat_mul([list(r) for r in zip(*b)], b)  # B^T B, PSD
-            selected, expand = gram_select(integer_rows(gram))
+            selected, expand = gram_select(integer_rows(sparse_rows(gram)))
             expand = expansion_rows(expand)
             assert 0 < len(selected) <= k
             rref = dense_rref(sparse_rows(gram), n)
@@ -230,7 +230,7 @@ class TestGramSelect:
         b3 = [x - Fraction(3, 2) * y for x, y in zip(b0, b2)]
         vecs = [b0, [0, 0, 0], b2, b3, b4]
         gram = [[Fraction(sum(x * y for x, y in zip(u, v))) for v in vecs] for u in vecs]
-        selected, expand = gram_select(integer_rows(gram))
+        selected, expand = gram_select(integer_rows(sparse_rows(gram)))
         assert selected == [0, 2, 4]
         num, den = expand
         assert den == 2
@@ -245,14 +245,14 @@ class TestGramSelect:
 
     def test_indefinite_form_keeps_isotropic_vectors(self):
         # form diag(1, -1): (1, 1) and (1, -1) are isotropic but independent
-        gram = [[0, 2], [2, 0]]
+        gram = sparse_rows([[0, 2], [2, 0]])
         selected, expand = gram_select(gram)
         assert selected == [0, 1]
         assert expansion_rows(expand) == [[1, 0], [0, 1]]
 
     def test_empty_and_radical_grams(self):
         # nothing to select: the expansion is an empty (s, 0) matrix over 1
-        for gram in ([], [[0, 0], [0, 0]]):
+        for gram in ([], sparse_rows([[0, 0], [0, 0]])):
             selected, (num, den) = gram_select(gram)
             assert selected == [] and num.shape == (len(gram), 0) and den == 1
 

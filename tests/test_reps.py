@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 import kzmono.reps as reps
+import kzmono.sugawara as sugawara
 from kzmono.errors import ConsistencyError, DomainError
 from kzmono.liealg import build_algebra
-from kzmono.numerics import exact_rank, fraction_rows, rat_mul, rat_zeros
+from kzmono.numerics import (
+    combine, concat, exact_rank, fraction_rows, gram_select, rat_mul, rat_zeros,
+)
 from kzmono.reps import (
     casimir,
     casimir_value,
@@ -273,3 +276,44 @@ class TestTensorDecompose:
         dec = tensor_decompose(a2, (1, 1), (1, 1))
         assert dec[(0, 0)] == 1 and dec[(1, 1)] == 2
         assert sum(weyl_dimension(a2, nu) * k for nu, k in dec.items()) == 64
+
+
+class TestQuotientStep:
+    def test_columns_select_as_their_gram(self, monkeypatch):
+        # every parent Gram G is nonsingular, so the stacked raising columns
+        # M and the Gram rows G.M have one row space and one RREF: the
+        # selection, the expansions and the kept Gram equal those of
+        # gram_select on G.M, at every weight block of the irreps up to
+        # A2 (2, 2) and at every degree of the (1, 1, 5) and (2, 2, 5)
+        # truncations
+        real, steps = reps.quotient_step, []
+
+        def oracle(blocks):
+            selected, gram, tables = real(blocks)
+            num, den = concat([
+                combine([(1, (g, m))], (len(g[0]), m[0].shape[1])) for g, m in blocks
+            ], axis=0)
+            want, (exp_n, exp_d) = gram_select([dict(enumerate(row)) for row in num.tolist()])
+            assert selected == want
+            assert gram[1] == den and gram[0].tolist() == num[np.ix_(want, want)].tolist()
+            lo = 0
+            for (g, _), (tab_n, tab_d) in zip(blocks, tables):
+                hi = lo + len(g[0])
+                assert tab_d == exp_d and tab_n.tolist() == exp_n[lo:hi].T.tolist()
+                lo = hi
+            steps.append(len(selected))
+            return selected, gram, tables
+
+        monkeypatch.setattr(reps, "quotient_step", oracle)
+        monkeypatch.setattr(sugawara, "quotient_step", oracle)
+        a1, a2 = build_algebra("A", 1), build_algebra("A", 2)
+        dims = [irrep(a1, (m,)).dim for m in range(5)]
+        dims += [irrep(a2, (a, b)).dim for a in range(3) for b in range(3)]
+        assert dims == [1, 2, 3, 4, 5, 1, 3, 6, 3, 8, 15, 6, 15, 27]
+        # each basis vector below the top is kept at one step
+        assert sum(steps) == sum(d - 1 for d in dims) and len(steps) > len(dims)
+        for level, m, graded in ((1, 1, [2, 2, 6, 8, 14, 20]), (2, 2, [3, 4, 12, 21, 43, 69])):
+            mod = sugawara.truncated_module(level, m, 5, depth_guard=5)
+            assert mod.graded_dims == graded
+            # degree 0 is the irrep V_m, grown through the same step first
+            assert steps[-5:] == graded[1:]

@@ -3,9 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kzmono import numerics
+from kzmono import numerics, sugawara
 from kzmono.errors import DomainError
-from kzmono.numerics import Held, rat_mul
+from kzmono.numerics import Held, fraction_rows, rat_mul
 from kzmono.sugawara import (
     affine_bracket_check,
     central_charge,
@@ -279,8 +279,63 @@ def plus_one(num, den):
     return num, den
 
 
+def fraction_residual(mod, a, b, rhs, central):
+    """The residual of sugawara._bracket_residual, on the same blocks as
+    rows of ``Fraction``: max |[A, B] - sum coeff C - central 1| over the
+    source degrees where every block exists."""
+    def rows(op, src):
+        blk = sugawara._block(mod, op, src)
+        return None if blk is None else fraction_rows(*blk)
+
+    def mul(x, y, shape):
+        return [[sum((x[i][k] * y[k][j] for k in range(len(y))), Fraction(0))
+                 for j in range(shape[1])] for i in range(shape[0])]
+
+    (p, _), (q, _) = a, b
+    worst = Fraction(0)
+    for src in range(mod.depth + 1):
+        tgt = src - p - q
+        if not 0 <= tgt <= mod.depth:
+            continue
+        parts = [rows(b, src), rows(a, src - q), rows(a, src), rows(b, src - p)]
+        parts += [rows(c, src) for _, c in rhs]
+        if any(x is None for x in parts):
+            continue
+        shape = (mod.graded_dims[tgt], mod.graded_dims[src])
+        ab, ba = mul(parts[1], parts[0], shape), mul(parts[3], parts[2], shape)
+        for r in range(shape[0]):
+            for c in range(shape[1]):
+                x = ab[r][c] - ba[r][c] - sum(
+                    (coeff * blk[r][c] for (coeff, _), blk in zip(rhs, parts[4:])), Fraction(0))
+                if tgt == src and r == c:
+                    x -= central
+                worst = max(worst, abs(x))
+    return worst
+
+
 class TestHeldTables:
     KEY = ("e", -1, 1)
+
+    def test_broken_residuals_match_fraction_reference(self, monkeypatch):
+        # the residual is max|N| of the unreduced sum over its D; with one
+        # table entry up by 1 it is nonzero, and equals the residual formed
+        # on rows of Fraction from the same blocks, for every bracket
+        real, seen = sugawara._bracket_residual, []
+
+        def both(mod, a, b, rhs, central):
+            got = real(mod, a, b, rhs, central)
+            assert got == fraction_residual(mod, a, b, rhs, central)
+            seen.append(got)
+            return got
+
+        monkeypatch.setattr(sugawara, "_bracket_residual", both)
+        mod = with_table(self.KEY, plus_one)
+        assert all(residuals(mod))
+        for x in "efh":
+            for y in "efh":
+                affine_bracket_check(mod, x, 1, y, -1)
+                affine_bracket_check(mod, x, 0, y, 1)
+        assert len(seen) == 6 + 18 and sum(1 for r in seen if r) > 6
 
     def test_tables_and_grams_are_read_only_int64(self, l2m1):
         ln_operator(l2m1, 2)
