@@ -405,12 +405,11 @@ def _cmd_sugawara_check(args):
     }
 
 
-def _cmd_symbols_check(args):
-    alg = build_algebra("A", args.rank)
-    bases = (orthonormal_basis(alg, 0), orthonormal_basis(alg, 1))
-    rng = random.Random(args.seed)
+def _symbol_deviation(alg, rng, trials, bases):
+    """The largest |closed form - residue side| of the symbol pairing over
+    ``trials`` draws of (phi, level, m) from ``rng``, each on every basis."""
     worst = Fraction(0)
-    for _ in range(args.trials):
+    for _ in range(trials):
         phi = random_laurent_vector(alg, rng)
         level = rng.choice((1, 2, 3))
         m = rng.randint(-3, 3)
@@ -418,6 +417,13 @@ def _cmd_symbols_check(args):
         sp = cocycle_evaluation(phi, m) / (2 * (level + alg.dual_coxeter))
         for b in bases:
             worst = max(worst, abs(sp - residue_side(phi, m, level, b)))
+    return worst
+
+
+def _cmd_symbols_check(args):
+    alg = build_algebra("A", args.rank)
+    bases = (orthonormal_basis(alg, 0), orthonormal_basis(alg, 1))
+    worst = _symbol_deviation(alg, random.Random(args.seed), args.trials, bases)
     return {
         "mode": "exact",
         "rank": args.rank,
@@ -494,16 +500,8 @@ def _selftest_checks(seed):
 
     def check_symbols():
         alg = build_algebra("A", 1)
-        rng = random.Random(seed)
         basis = orthonormal_basis(alg, 0)
-        ok = True
-        for _ in range(40):
-            phi = random_laurent_vector(alg, rng)
-            level = rng.choice((1, 2, 3))
-            m = rng.randint(-3, 3)
-            sp = cocycle_evaluation(phi, m) / (2 * (level + alg.dual_coxeter))
-            ok = ok and residue_side(phi, m, level, basis) == sp
-        return ok, {"trials": 40}
+        return _symbol_deviation(alg, random.Random(seed), 40, [basis]) == 0, {"trials": 40}
 
     def check_verlinde():
         from . import verlinde

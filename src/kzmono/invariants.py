@@ -5,9 +5,9 @@ space of invariant *vectors* of the tensor product, paired against the
 ambient coordinate basis; this fixes all sign conventions once. Invariant
 vectors are exactly the zero-weight vectors killed by every raising
 generator, so the exact kernel computation runs on the zero-weight block
-only, and gives the basis B as integers L.B; its ``Fraction`` columns are a
-view. Two-site operators are assembled through dual bases of the invariant
-form, which gives the same operator as the orthonormal-basis sum with purely
+only, and gives the basis B as integers L.B over one denominator L.
+Two-site operators are assembled through dual bases of the invariant form,
+which gives the same operator as the orthonormal-basis sum with purely
 rational arithmetic.
 
 An operator that acts on a few slots and by the identity on the others is
@@ -69,16 +69,6 @@ class InvariantSpace:
         """``rows`` over ``den``, held (:class:`numerics.Held`) once."""
         return Held(self.rows.copy(), self.den)
 
-    @functools.cached_property
-    def basis(self):
-        """The columns of B as {ambient index: Fraction}, each listing its
-        free position first and the others in increasing order."""
-        idx, cols = self.support.tolist(), []
-        for f, col in zip(self.free, self.rows.T.tolist()):
-            keys = [f] + [p for p, v in enumerate(col) if v and p != f]
-            cols.append({idx[p]: Fraction(col[p], self.den) for p in keys})
-        return cols
-
 
 @dataclass(eq=False)
 class TwoSiteOperator:
@@ -86,12 +76,16 @@ class TwoSiteOperator:
     j: int
     system: TensorSystem
     local: tuple                 # local two-slot factor, see _local_factor
-    sizes: tuple = None          # _sizes(local), when known beforehand
+    sizes: tuple                 # _sizes(local)
 
     @functools.cached_property
     def matrix(self):
         """The ambient operator as a SparseOperator, built on first use."""
-        return _ambient(self.system, [((self.i, self.j), self.local)])
+        sys, (den, _, _, vals) = self.system, self.local
+        fracs = [Fraction(v, den) for v in vals]
+        src, tgt, pos = _gather(sys, (self.i, self.j), self.local, np.arange(sys.dim))
+        return SparseOperator((sys.dim, sys.dim), zip(
+            tgt.tolist(), src.tolist(), (fracs[e] for e in pos.tolist())))
 
 
 def tensor_system(reps):
@@ -167,18 +161,6 @@ def _gather(sys, slots, factor, idx):
     return src, (idx - co)[src] + ros[pos], pos
 
 
-def _ambient(sys, factors):
-    """Ambient SparseOperator of a sum of local factors, [(slots, factor)]."""
-    idx = np.arange(sys.dim)
-    entries = []
-    for slots, factor in factors:
-        den, _, _, vals = factor
-        fracs = [Fraction(v, den) for v in vals]
-        src, tgt, pos = _gather(sys, slots, factor, idx)
-        entries += zip(tgt.tolist(), src.tolist(), (fracs[e] for e in pos.tolist()))
-    return SparseOperator((sys.dim, sys.dim), entries)
-
-
 def _placed(sys, slots, factor):
     """A factor on the strides of V_s alone, s in ``slots``, moved to the
     ambient strides and, if the slots decrease, re-sorted."""
@@ -198,11 +180,6 @@ def _diagonal_factors(sys, label):
     local = {rep: _local_factor([1], [{0: integer_rep_matrix(rep, label)}])
              for rep in dict.fromkeys(sys.factors)}
     return [((s,), _placed(sys, [s], local[rep])) for s, rep in enumerate(sys.factors)]
-
-
-def diagonal_action(sys, label):
-    """Sparse operator of sum_slots 1 (x) ... rho_s(label) ... (x) 1."""
-    return _ambient(sys, _diagonal_factors(sys, label))
 
 
 def omega_pair(sys, i, j):
@@ -314,7 +291,7 @@ def restrict(op, inv):
     sys = op.system
     den_b, support, free = inv.den, inv.support, inv.free
     den_w, _, _, vals = op.local
-    width, wmax = op.sizes or _sizes(op.local)
+    width, wmax = op.sizes
     bmax = inv.held.max_abs
     bound = max(den_b, inv.dim * bmax) * width * wmax * bmax
     tier = product_dtype(bound)

@@ -504,6 +504,8 @@ def braid_monodromy(sys, i, j, tol, basepoint=None):
     T(gamma). With e_l, e_c the bounds on the legs and the circle, the error
     of M is bounded to first order, in the infinity norm, by
     ||T(gamma)^-1|| (e_c ||T(gamma)|| + e_l (||T(circle)|| + ||M||)).
+    A singular leg frame, or an M or bound that overflows, raises
+    SingularityError, not a numpy error or warning.
     """
     if basepoint is None:
         basepoint = default_basepoint(sys.n)
@@ -511,16 +513,23 @@ def braid_monodromy(sys, i, j, tol, basepoint=None):
     k = len(segs) // 2
     legs = parallel_transport(sys, ConfigPath(segs[:k]), tol)
     loop = parallel_transport(sys, ConfigPath([segs[k]]), tol)
-    m = np.linalg.solve(legs.matrix, loop.matrix @ legs.matrix)
-    err = 0.0
-    if sys.dim:
-        def norm(x):
-            return float(np.abs(x).sum(axis=1).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            m = np.linalg.solve(legs.matrix, loop.matrix @ legs.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise SingularityError(f"the frame transported along the legs is singular "
+                                   f"({exc})") from exc
+        err = 0.0
+        if sys.dim:
+            def norm(x):
+                return float(np.abs(x).sum(axis=1).max())
 
-        err = norm(np.linalg.inv(legs.matrix)) * (
-            loop.estimated_error * norm(legs.matrix)
-            + legs.estimated_error * (norm(loop.matrix) + norm(m))
-        )
+            err = norm(np.linalg.inv(legs.matrix)) * (
+                loop.estimated_error * norm(legs.matrix)
+                + legs.estimated_error * (norm(loop.matrix) + norm(m))
+            )
+    if not math.isfinite(err):
+        raise SingularityError("the holonomy or its error bound overflowed")
     return HolonomyResult(
         matrix=m,
         estimated_error=err,

@@ -3,8 +3,8 @@ field Q(sqrt(-2)) that holds the exact orthonormal bases of sl2, sparse
 operators, and the transport of Fuchsian linear systems by local Taylor
 series.
 
-Sparse operators are stored compressed by column, so applying one to a
-sparse vector reads only the columns that vector touches.
+A :class:`SparseOperator` holds the exact entries of an ambient operator,
+compressed by column, for inspection; no kernel computes with it.
 
 Every exact elimination (ranks, null spaces, basis selection from a Gram
 matrix) runs on one routine, :func:`sparse_eliminate`, which returns the
@@ -578,9 +578,7 @@ class SparseOperator:
 
     Assembled in one pass from coordinate triples, whose repeated positions
     add up, and stored compressed by column as ``cols[j][i]``; entries that
-    cancel to zero are dropped. Supports exact application to
-    {index: Fraction} vectors, which reads only the columns the vector
-    touches, and densification to a rational or complex matrix.
+    cancel to zero are dropped.
     """
 
     def __init__(self, shape, entries):
@@ -599,33 +597,6 @@ class SparseOperator:
     @property
     def nnz(self):
         return sum(len(c) for c in self.cols.values())
-
-    def apply_dict(self, vec):
-        """Exact product with a sparse column vector {index: Fraction}."""
-        out = {}
-        for j, x in vec.items():
-            col = self.cols.get(j)
-            if col and x:
-                for i, v in col.items():
-                    out[i] = out.get(i, ZERO) + v * x
-        return {i: s for i, s in out.items() if s}
-
-    def to_dense_rat(self):
-        m = rat_zeros(*self.shape)
-        for j, col in self.cols.items():
-            for i, v in col.items():
-                m[i][j] = v
-        return m
-
-    def to_complex(self):
-        m = np.zeros(self.shape, dtype=complex)
-        for j, col in self.cols.items():
-            for i, v in col.items():
-                m[i, j] = complex(v)
-        return m
-
-    def equals(self, other):
-        return self.shape == other.shape and self.cols == other.cols
 
 
 # ---------------------------------------------------------------------------
@@ -740,23 +711,24 @@ def ode_transport(residues, poles, f0, tol):
     far = np.isinf(delta)
     q = h / rho
     norm = np.abs(res).sum(axis=2).max(axis=1, initial=0.0)
-    with np.errstate(invalid="ignore"):
-        a = (norm * np.where(far, 0.0, rho[:, None] / np.abs(delta))).sum(axis=1)
-    with np.errstate(over="ignore"):
-        growth = (1.0 - q) ** -a
     r = np.where(far, 0.0, h[:, None] / delta)[:, :, None, None]
     wide = res.transpose(1, 0, 2).reshape(d, npoles * d)
     most = max(1, _BATCH_ENTRIES // max(1, npoles * d * d))
     err, lo = 0.0, 0
-    while lo < len(t):
-        hi, grown = lo + 1, growth[lo]
-        while hi < len(t) and hi - lo < most and grown * growth[hi] <= _GROWTH_CAP:
-            grown *= growth[hi]
-            hi += 1
-        f, e = _transport_batch(f, wide, t[lo:hi], owner[lo:hi], r[lo:hi], h[lo:hi],
-                                q[lo:hi], a[lo:hi], growth[lo:hi], tol[lo:hi])
-        err += e
-        lo = hi
+    # an overflow surfaces as a SingularityError from the batch whose frame
+    # or majorant it leaves infinite, not as a numpy warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = (norm * np.where(far, 0.0, rho[:, None] / np.abs(delta))).sum(axis=1)
+        growth = (1.0 - q) ** -a
+        while lo < len(t):
+            hi, grown = lo + 1, growth[lo]
+            while hi < len(t) and hi - lo < most and grown * growth[hi] <= _GROWTH_CAP:
+                grown *= growth[hi]
+                hi += 1
+            f, e = _transport_batch(f, wide, t[lo:hi], owner[lo:hi], r[lo:hi], h[lo:hi],
+                                    q[lo:hi], a[lo:hi], growth[lo:hi], tol[lo:hi])
+            err += e
+            lo = hi
     return f, err, len(t)
 
 
@@ -769,24 +741,23 @@ def _transport_batch(f, wide, t, line, r, h, q, a, growth, tol):
     prior = growth[:-1]
     width = 64
     # an overflow leaves the bound or c infinite, which no goal accepts
-    with np.errstate(divide="ignore", over="ignore"):
-        bound = fc * np.cumprod(np.append(1.0, prior * (1.0 + _NORM_SLACK * prior)))
-        goal = np.minimum(tol * h / bound, 2.0 ** -52)
-        while True:
-            # ratio[k, m] = (A_k+m)/(m+1) q_k; c[k, m] bounds term m+1 of
-            # step k over ||F_k||, and theta[k, m] the ratios after it
-            j = np.arange(width + 1)
-            ratio = (a[:, None] + j) / (j + 1) * q[:, None]
-            c = np.cumprod(ratio[:, :-1], axis=1)
-            theta = np.maximum(q[:, None], ratio[:, 1:])
-            done = (theta < 1.0) & (c <= goal[:, None] * (1.0 - theta))
-            if done.any(axis=1).all():
-                break
-            if width >= _MAX_TERMS:
-                k = int(done.any(axis=1).argmin())
-                raise SingularityError(f"the series majorant overflowed at t={t[k]:.6g}",
-                                       line=int(line[k]))
-            width *= 2
+    bound = fc * np.cumprod(np.append(1.0, prior * (1.0 + _NORM_SLACK * prior)))
+    goal = np.minimum(tol * h / bound, 2.0 ** -52)
+    while True:
+        # ratio[k, m] = (A_k+m)/(m+1) q_k; c[k, m] bounds term m+1 of
+        # step k over ||F_k||, and theta[k, m] the ratios after it
+        j = np.arange(width + 1)
+        ratio = (a[:, None] + j) / (j + 1) * q[:, None]
+        c = np.cumprod(ratio[:, :-1], axis=1)
+        theta = np.maximum(q[:, None], ratio[:, 1:])
+        done = (theta < 1.0) & (c <= goal[:, None] * (1.0 - theta))
+        if done.any(axis=1).all():
+            break
+        if width >= _MAX_TERMS:
+            k = int(done.any(axis=1).argmin())
+            raise SingularityError(f"the series majorant overflowed at t={t[k]:.6g}",
+                                   line=int(line[k]))
+        width *= 2
     terms = int(done.argmax(axis=1).max())
     # the tails of the majorant shrink with m once theta < 1
     tail = c[:, terms] / (1.0 - theta[:, terms])
@@ -806,7 +777,15 @@ def _transport_batch(f, wide, t, line, r, h, q, a, growth, tol):
     fs[0] = f
     for k in range(steps):
         fs[k + 1] = fs[k] + inc[k] @ fs[k]
-    norms = np.abs(fs[:-1]).sum(axis=2).max(axis=1)
+    norms = np.abs(fs).sum(axis=2).max(axis=1)
     n = wide.shape[1] + terms + d
     gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-    return fs[-1], float(norms @ (tail + gamma * growth))
+    rate = tail + gamma * growth
+    err = float(norms[:-1] @ rate)
+    if not math.isfinite(norms[-1] + err):
+        # chaining carries an inf or nan in a frame on to every later one;
+        # report the first step whose frame or bound is not finite
+        bad = [not math.isfinite(x) for x in (norms[1:] + norms[:-1] * rate).tolist()]
+        k = bad.index(True) if True in bad else len(bad) - 1
+        raise SingularityError(f"transport overflowed at t={t[k]:.6g}", line=int(line[k]))
+    return fs[-1], err

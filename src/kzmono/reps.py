@@ -20,9 +20,8 @@ blocks are retained because the affine truncations reuse them.
 Every matrix of a module is held in the dense exact format (N, D) of
 :mod:`kzmono.numerics`: the simple e_i and f_i and the Gram blocks from the
 build, every other basis element from :func:`integer_rep_matrix`, which
-derives it on first use and caches it. Rows of ``Fraction`` (``rep_matrix``,
-``Irrep.raising``, ``lowering`` and ``gram_blocks``) are cached views made
-on demand; nothing inside kzmono computes with them.
+derives it on first use and caches it. Only ``rep build --emit`` reads a
+matrix as rows of ``Fraction``, through :func:`rep_matrix`.
 """
 
 from __future__ import annotations
@@ -51,23 +50,7 @@ class Irrep:
     basis_by_weight: dict           # weight -> list of basis indices
     # label -> (N, D); the build stores the simple e_i and f_i here
     _matrices: dict = field(default_factory=dict)
-    _rows: dict = field(default_factory=dict)    # label -> rep_matrix view
     _duals: dict = field(default_factory=dict)   # a -> integer_dual_matrix
-
-    @functools.cached_property
-    def raising(self):
-        """Per simple root i, the matrix of e_i as rows of ``Fraction``."""
-        return [rep_matrix(self, ("e", i, i + 1)) for i in range(1, self.algebra.rank + 1)]
-
-    @functools.cached_property
-    def lowering(self):
-        """Per simple root i, the matrix of f_i as rows of ``Fraction``."""
-        return [rep_matrix(self, ("f", i, i + 1)) for i in range(1, self.algebra.rank + 1)]
-
-    @functools.cached_property
-    def gram_blocks(self):
-        """Weight -> Gram of that block as rows of ``Fraction``."""
-        return {w: fraction_rows(*g) for w, g in self.integer_grams.items()}
 
 
 @dataclass
@@ -220,13 +203,10 @@ def integer_dual_matrix(rep, a):
 
 
 def rep_matrix(rep, label):
-    """Matrix of an algebra basis element as rows of ``Fraction``: a cached
-    view of :func:`integer_rep_matrix`, and like it a DomainError for a label
-    that names no basis element."""
-    rows = rep._rows.get(label)
-    if rows is None:
-        rows = rep._rows[label] = fraction_rows(*integer_rep_matrix(rep, label))
-    return rows
+    """Matrix of an algebra basis element as rows of ``Fraction``, read off
+    :func:`integer_rep_matrix`, and like it a DomainError for a label that
+    names no basis element."""
+    return fraction_rows(*integer_rep_matrix(rep, label))
 
 
 def casimir_value(alg, weight):

@@ -32,8 +32,8 @@ the algebra on them (the commutation and bracket rules, the Gram rows, the
 quadratic sums and the bracket residuals) is one ``combine`` of products.
 The x(1) columns reach ``gram_select`` as their integer N: the RREF, hence
 the selection and the expansions, does not change under scaling.
-``action_matrix``, ``shapovalov_gram`` and ``VirasoroOperator.block`` give
-rows of ``Fraction``, and ``graded_weights`` Python ints.
+``action_matrix`` gives rows of ``Fraction`` (None for an absent block), and
+``graded_weights`` Python ints.
 
 The quadratic operators use the dual-basis contraction sum_ab Ginv_ab
 x_a(p) x_b(q), which equals the orthonormal-basis sum and keeps every entry
@@ -102,11 +102,6 @@ class TruncatedModule:
     _grams: list                # Gram matrix per degree, as a Held (N, D)
     _tables: dict = field(default_factory=dict)   # (gen, n, src) -> Held (N, D)
     _ln_cache: dict = field(default_factory=dict)
-
-    @property
-    def shapovalov_gram(self):
-        """The exact Gram matrix per degree, as rows of ``Fraction``."""
-        return [fraction_rows(*g) for g in self._grams]
 
     def action_matrix(self, gen, n, src):
         """Matrix of gen(n) from degree src to degree src - n.
@@ -252,11 +247,6 @@ class VirasoroOperator:
     module: TruncatedModule
     index: int
     blocks: dict   # source degree -> Held (N, D) of the block degree k -> k - index
-
-    def block(self, src):
-        """The block out of degree src as rows of ``Fraction``, or None."""
-        blk = self.blocks.get(src)
-        return None if blk is None else fraction_rows(*blk)
 
 
 def ln_operator(mod, n):

@@ -147,10 +147,14 @@ def compare_invariants(level, weights, scan_limit=None):
     level), so ``scan_limit`` can only raise it. That dimension is counted
     by the character convolution; tests pin that it agrees with
     invariant_dimension_nullspace.
-    A rank exceeding the invariant dimension would falsify the
-    level-truncated theory embedding and raises ViolationError.
+    A label that is not a nonnegative integer raises DomainError. A rank
+    exceeding the invariant dimension would falsify the level-truncated
+    theory embedding and raises ViolationError.
     """
-    weights = [int(w) for w in weights]
+    weights = list(weights)
+    for w in weights:
+        if not isinstance(w, int) or w < 0:
+            raise DomainError(f"label {w!r} is not a nonnegative integer")
     dim_a = invariant_dimension_character(weights)
     r = rank(fusion_ring(level), weights)
     if r > dim_a:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -214,6 +215,23 @@ class TestKzCommands:
         )
         assert code == 0
         assert json.loads(out)["kappa"] == [3.5, 0.0]
+
+    @pytest.mark.parametrize("weights,kappa", [
+        # the frame overflows in the last batch of a line
+        ("1,1,2", "0.002769917849214314"),
+        # the legs come back singular unless the overflow is caught first
+        ("1,1,1,1", "0.0063545325856650715"),
+        # both transports are finite, but M = T(gamma)^-1 T(circle) T(gamma)
+        # overflows
+        ("1,1,1,1", "0.006943059368781771"),
+    ])
+    def test_small_kappa_overflow_is_singularity(self, capsys, weights, kappa):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = capture(capsys, ["kz", "monodromy", "--rank", "1", "--weights",
+                                              weights, "--kappa", kappa, "--braid", "A12"])
+        assert code == 2 and err == ""
+        assert json.loads(out)["error"]["kind"] == "singularity"
 
     def test_kappa_zero_rejected(self, capsys):
         code, out, _ = capture(

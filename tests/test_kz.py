@@ -475,6 +475,22 @@ class TestBraidMonodromy:
         assert norms[1] < 50.0 / 1000.0
         assert norms[1] < norms[0] / 5
 
+    def test_singular_leg_frame_raises(self, a1, monkeypatch):
+        # the legs are transported first; a frame with no inverse is a
+        # SingularityError, not numpy's LinAlgError
+        real, calls = kz.parallel_transport, []
+
+        def zero_legs(sys, path, tol):
+            res = real(sys, path, tol)
+            calls.append(path)
+            return dataclasses.replace(res, matrix=0 * res.matrix) if len(calls) == 1 else res
+
+        monkeypatch.setattr(kz, "parallel_transport", zero_legs)
+        sys = kz_system(a1, [(1,)] * 4, 3)
+        with pytest.raises(SingularityError, match="legs is singular"):
+            braid_monodromy(sys, 0, 1, 1e-8)
+        assert len(calls) == 2
+
     def test_disjoint_generators_commute(self, a1):
         sys = kz_system(a1, [(1,)] * 4, 3)
         h12 = braid_monodromy(sys, 0, 1, 1e-9)

@@ -40,13 +40,13 @@ def a2():
 def commutation_holds(alg, rep):
     """[e_i, f_j] = d_ij h_i and [h_i, e_j] = a_ij e_j, entrywise exact."""
     r = alg.rank
+    raising = [rep_matrix(rep, ("e", i, i + 1)) for i in range(1, r + 1)]
     for i in range(r):
         for j in range(r):
-            e = rep.raising[j]
-            f = rep.lowering[j]
+            f = rep_matrix(rep, ("f", j + 1, j + 2))
             h_i = rep_matrix(rep, ("h", i + 1))
-            e_j = rep.raising[j]
-            comm = rat_sub(rat_mul(rep.raising[i], f), rat_mul(f, rep.raising[i]))
+            e_j = raising[j]
+            comm = rat_sub(rat_mul(raising[i], f), rat_mul(f, raising[i]))
             expect = (
                 h_i if i == j else rat_zeros(rep.dim, rep.dim)
             )
@@ -108,7 +108,7 @@ class TestConstruction:
         rep = irrep(a2, (1, 1))
         for i in range(2):
             alpha = tuple(a2.cartan_matrix[r][i] for r in range(2))
-            em = rep.raising[i]
+            em = rep_matrix(rep, ("e", i + 1, i + 2))
             for col in range(rep.dim):
                 for row in range(rep.dim):
                     if em[row][col]:
@@ -129,13 +129,14 @@ class TestContravariance:
         assert rep.dim == weyl_dimension(alg, weight)
         g = rat_zeros(rep.dim, rep.dim)
         for w, idxs in rep.basis_by_weight.items():
-            block = rep.gram_blocks[w]
+            block = fraction_rows(*rep.integer_grams[w])
             rows = integer_rows([{c: x for c, x in enumerate(row) if x} for row in block])
             assert exact_rank(rows, len(idxs)) == len(idxs)
             for a, p in enumerate(idxs):
                 for b, q in enumerate(idxs):
                     g[p][q] = block[a][b]
-        for f, e in zip(rep.lowering, rep.raising):
+        for i in range(1, rank + 1):
+            f, e = (rep_matrix(rep, (kind, i, i + 1)) for kind in "fe")
             e_t = [list(col) for col in zip(*e)]
             assert rat_mul(g, f) == rat_mul(e_t, g)
 
@@ -144,11 +145,10 @@ class TestContravariance:
         # nu = mu + alpha_i ascending; that order fixes every exact output
         rep = irrep(a2, (1, 1))
         z = rep.basis_by_weight[(0, 0)]
-        assert rep.gram_blocks[(0, 0)] == [[2, 1], [1, 2]]
-        assert [[rep.raising[i][a][b] for b in z] for i, a in ((0, 2), (1, 1))] == [
-            [1, 2], [2, 1]
-        ]
-        assert irrep(a2, (2, 1)).gram_blocks[(1, 0)] == [[4, 2], [2, 3]]
+        assert fraction_rows(*rep.integer_grams[(0, 0)]) == [[2, 1], [1, 2]]
+        assert [[rep_matrix(rep, ("e", i + 1, i + 2))[a][b] for b in z]
+                for i, a in ((0, 2), (1, 1))] == [[1, 2], [2, 1]]
+        assert fraction_rows(*irrep(a2, (2, 1)).integer_grams[(1, 0)]) == [[4, 2], [2, 3]]
 
     @pytest.mark.parametrize("rank, weight", [(1, (1,)), (2, (1, 1))])
     def test_bad_quotient_raises(self, monkeypatch, rank, weight):

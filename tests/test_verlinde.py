@@ -128,6 +128,15 @@ class TestCompare:
         assert rep["dim_invariants"] == 1
         assert rep["stabilization_level"] == 3
 
+    def test_non_integer_label_rejected(self):
+        # rank() rejects these labels; the comparison used to truncate them
+        # to [1, 1] first
+        for ws in ([1.5, 1.5], [1, "1"]):
+            with pytest.raises(DomainError):
+                compare_invariants(2, ws)
+        with pytest.raises(DomainError):
+            rank(fusion_ring(2), [1.5, 1.5])
+
     def test_character_and_nullspace_dims_agree(self):
         for ws in ([1, 1], [1, 1, 1, 1], [2, 1, 1], [2, 2, 2], [1, 1, 1, 1, 2]):
             assert invariant_dimension_character(ws) == invariant_dimension_nullspace(
