@@ -14,13 +14,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConfigurationError, DomainError, ShapeError
-from .numerics import QuadExt, rat_zeros
+from .numerics import rat_zeros
 
 
 @dataclass(eq=False)
@@ -61,8 +60,7 @@ class DualBasis:
 
     Both are held by their pairings with coordinate vectors: ``forms[a]`` is
     the row of kappa(., x_a) and ``dual_forms[a]`` that of kappa(., x~_a), so
-    kappa(X, x_a) = sum_b X_b forms[a][b]. An orthonormal basis is the case
-    x~_a = x_a, with the same rows in both maps.
+    kappa(X, x_a) = sum_b X_b forms[a][b].
     """
 
     algebra: LieAlgebra
@@ -193,7 +191,7 @@ def build_algebra(series, rank):
 
 
 def killing_form(alg, x, y):
-    """Normalized invariant form on coordinate vectors (any scalar type)."""
+    """Normalized invariant form on coordinate vectors."""
     if len(x) != alg.dim or len(y) != alg.dim:
         raise ShapeError(
             f"expected coordinate vectors of length {alg.dim}, "
@@ -279,36 +277,19 @@ def level_weights(alg, level):
 # bases and their duals
 # ---------------------------------------------------------------------------
 
-# Preconditioned sl2 spanning sets over Q(sqrt(-2)); Gram-Schmidt succeeds on
-# every permutation of either set because all pivot norms stay exact squares.
-_SL2_SEED_SETS = (
-    (
-        (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
-        (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)),
-        (Fraction(1), Fraction(-1), Fraction(0)),
-    ),
-    (
-        (Fraction(1), Fraction(1, 2), Fraction(0)),
-        (Fraction(1), Fraction(-1, 2), Fraction(1)),
-        (Fraction(2), Fraction(-1), Fraction(1)),
-    ),
-)
-
-
 def orthonormal_basis(alg, seed=0):
-    """A seeded basis of the algebra with its dual basis, exact at every rank.
+    """A seeded basis of the algebra with its dual basis, by one integer
+    construction at every rank.
 
-    At rank 1 the basis is orthonormal over Q(sqrt(-2)), so x~_a = x_a. At
-    higher rank x_a = g e_a and x~_a = G^-1 g^-T e_a over the Chevalley basis
-    e_a, where G is the Gram matrix and g a seeded product of elementary
-    integer shears: det g = 1, so both maps, G g and g^-T, are integer.
-    Distinct seeds give genuinely different bases, which is how basis
-    independence of downstream sums is tested.
+    x_a = g e_a and x~_a = G^-1 g^-T e_a over the Chevalley basis e_a, where
+    G is the Gram matrix and g a seeded product of elementary integer
+    shears: det g = 1, so both maps, G g and g^-T, are integer. Distinct
+    seeds give genuinely different bases, which is how basis independence of
+    downstream sums is tested. The basis is not orthonormal; the name is
+    kept because the benchmark's tracer reads it.
     """
     if not isinstance(seed, int):
         raise DomainError(f"seed must be an integer, got {seed!r}")
-    if alg.rank == 1:
-        return _orthonormal_sl2(alg, seed)
     rng = random.Random(seed)
     n = alg.dim
     g = [[int(a == b) for a in range(n)] for b in range(n)]   # columns x_a
@@ -319,35 +300,7 @@ def orthonormal_basis(alg, seed=0):
         c = rng.choice((-1, 1))
         g[j] = [x + c * y for x, y in zip(g[j], g[i])]
         g_inv_t[i] = [x - c * y for x, y in zip(g_inv_t[i], g_inv_t[j])]
-    gram = [[int(x) for x in row] for row in alg.gram_matrix]
-    return DualBasis(alg, [_apply(gram, x) for x in g], g_inv_t)
-
-
-def _orthonormal_sl2(alg, seed):
-    variant = _SL2_SEED_SETS[seed % len(_SL2_SEED_SETS)]
-    perm = list(itertools.permutations(range(3)))[(seed // 2) % 6]
-    e = alg.basis_vector(("e", 1, 2))
-    f = alg.basis_vector(("f", 1, 2))
-    h = alg.basis_vector(("h", 1))
-
-    def combo(c):
-        return [
-            QuadExt(c[0] * e[a] + c[1] * f[a] + c[2] * h[a]) for a in range(alg.dim)
-        ]
-
-    vecs = [combo(variant[p]) for p in perm]
-    basis = []
-    for v in vecs:
-        w = list(v)
-        for u in basis:
-            coeff = killing_form(alg, w, u)
-            w = [wa - coeff * ua for wa, ua in zip(w, u)]
-        nrm = killing_form(alg, w, w)
-        root = QuadExt.of(nrm).sqrt()
-        if root is None or not root:
-            raise ConfigurationError(
-                "seeded spanning set does not normalize inside Q(sqrt(-2))"
-            )
-        basis.append([wa / root for wa in w])
-    forms = [_apply(alg.gram_matrix, x) for x in basis]
-    return DualBasis(alg, forms, forms)
+    # G has at most three nonzeros a row: G g runs over those alone
+    gram = [[(b, int(v)) for b, v in enumerate(row) if v] for row in alg.gram_matrix]
+    forms = [[sum(v * x[b] for b, v in row) for row in gram] for x in g]
+    return DualBasis(alg, forms, g_inv_t)

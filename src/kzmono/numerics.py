@@ -1,5 +1,4 @@
-"""Shared arithmetic substrate: exact rational linear algebra, the quadratic
-field Q(sqrt(-2)) that holds the exact orthonormal bases of sl2, sparse
+"""Shared arithmetic substrate: exact rational linear algebra, sparse
 operators, and the transport of Fuchsian linear systems by local Taylor
 series.
 
@@ -50,7 +49,7 @@ import operator
 import sys
 from fractions import Fraction
 
-from .errors import DomainError, ShapeError, SingularityError
+from .errors import ShapeError, SingularityError
 
 
 def _lazy_import(name):
@@ -474,99 +473,6 @@ def gram_select(gram):
         for j, v in prow.items():
             num[j][t] = v * scale
     return selected, (np.array(num, dtype=object).reshape(s, len(selected)), den)
-
-
-# ---------------------------------------------------------------------------
-# exact square roots and the quadratic extension Q(sqrt(-2))
-# ---------------------------------------------------------------------------
-
-def frac_sqrt(x):
-    """Exact square root of a nonnegative Fraction, or None."""
-    x = Fraction(x)
-    if x < 0:
-        return None
-    pn = math.isqrt(x.numerator)
-    pd = math.isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        return Fraction(pn, pd)
-    return None
-
-
-class QuadExt:
-    """Element a + b*w of the quadratic field with w^2 = -2.
-
-    This is the smallest extension of the rationals over which the trace
-    form of sl2 admits an exact orthonormal basis (its Gram determinant is
-    -2, a square only once w is adjoined).
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    @staticmethod
-    def of(x):
-        return x if isinstance(x, QuadExt) else QuadExt(x)
-
-    def __add__(self, other):
-        o = QuadExt.of(other)
-        return QuadExt(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = QuadExt.of(other)
-        return QuadExt(self.a - o.a, self.b - o.b)
-
-    def __mul__(self, other):
-        o = QuadExt.of(other)
-        return QuadExt(self.a * o.a - 2 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = QuadExt.of(other)
-        n = o.a * o.a + 2 * o.b * o.b
-        if n == 0:
-            raise ZeroDivisionError("division by zero in QuadExt")
-        return self * QuadExt(o.a / n, -o.b / n)
-
-    def __eq__(self, other):
-        o = QuadExt.of(other)
-        return self.a == o.a and self.b == o.b
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
-    def __repr__(self):
-        return f"QuadExt({self.a}, {self.b})"
-
-    def rational(self):
-        if self.b:
-            raise DomainError(f"{self!r} is not rational")
-        return self.a
-
-    def sqrt(self):
-        """An exact square root inside the field, or None."""
-        a, b = self.a, self.b
-        if b == 0:
-            r = frac_sqrt(a)
-            if r is not None:
-                return QuadExt(r)
-            r = frac_sqrt(-a / 2)
-            if r is not None:
-                return QuadExt(0, r)
-            return None
-        disc = frac_sqrt(a * a + 2 * b * b)
-        if disc is None:
-            return None
-        for u in ((a + disc) / 2, (a - disc) / 2):
-            x = frac_sqrt(u)
-            if x is not None and x != 0:
-                return QuadExt(x, b / (2 * x))
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -396,14 +396,15 @@ class TestSymbolsCheck:
         assert data["passed"] is True
         assert "max_deviation_float" not in data
 
-    def test_cocycle_fault_fails_the_check(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("rank", ["1", "2"])
+    def test_cocycle_fault_fails_the_check(self, capsys, monkeypatch, rank):
         import kzmono.cli
 
         true_cocycle = kzmono.cli.cocycle_evaluation
         monkeypatch.setattr(kzmono.cli, "cocycle_evaluation",
                             lambda phi, n: true_cocycle(phi, n) + 1)
         _, out, _ = capture(
-            capsys, ["symbols", "check", "--rank", "2", "--trials", "10", "--seed", "7"]
+            capsys, ["symbols", "check", "--rank", rank, "--trials", "10", "--seed", "7"]
         )
         data = json.loads(out)
         assert data["passed"] is False

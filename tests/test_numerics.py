@@ -13,12 +13,10 @@ from kzmono import numerics
 from kzmono.errors import ShapeError, SingularityError
 from kzmono.numerics import (
     Held,
-    QuadExt,
     SparseOperator,
     block_matrix,
     combine,
     concat,
-    frac_sqrt,
     fraction_rows,
     gram_select,
     nullspace_exact_sparse,
@@ -566,35 +564,6 @@ class TestDenseExact:
         num, den = block_matrix((2, 3), [([0], [0, 2], (big, 1)), ([1], [1, 2], (small, 4))])
         assert den == 4 and num.tolist() == [[2**64, 0, -12], [0, 1, 5]]
         assert all(type(x) is int for x in num.flat)
-
-
-class TestQuadExt:
-    def test_field_axioms_on_samples(self):
-        rng = random.Random(7)
-        xs = [QuadExt(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-                      Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(8)]
-        for x in xs:
-            for y in xs:
-                assert (x + y) - y == x
-                if y:
-                    assert (x * y) / y == x
-
-    def test_sqrt_of_minus_two(self):
-        root = QuadExt(-2).sqrt()
-        assert root is not None and root * root == QuadExt(-2)
-
-    def test_sqrt_roundtrip(self):
-        rng = random.Random(4)
-        for _ in range(20):
-            x = QuadExt(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)))
-            sq = x * x
-            r = sq.sqrt()
-            assert r is not None and r * r == sq
-
-    def test_frac_sqrt(self):
-        assert frac_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-        assert frac_sqrt(Fraction(2)) is None
-        assert frac_sqrt(Fraction(-1)) is None
 
 
 class TestSparseOperator:

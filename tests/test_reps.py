@@ -239,12 +239,6 @@ class TestRepMatrix:
                 with pytest.raises(DomainError, match="no basis element"):
                     matrix(rep, label)
 
-    def test_fraction_view_of_integer_matrix(self, a1, a2):
-        for alg, weight in [(a1, (3,)), (a2, (2, 1))]:
-            rep = irrep(alg, weight)
-            for label in alg.basis_labels:
-                assert fraction_rows(*integer_rep_matrix(rep, label)) == rep_matrix(rep, label)
-
     def test_long_root_vectors_are_commutators(self):
         a3 = build_algebra("A", 3)
         rep = irrep(a3, (1, 0, 1))
