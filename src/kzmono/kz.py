@@ -194,6 +194,9 @@ class ConfigPath:
     def __post_init__(self):
         if not self.segments:
             raise DomainError("a path needs at least one segment")
+        # NaN compares false, so it would pass every check below
+        if not all(cmath.isfinite(z) for s in self.segments for z in s.startpoint + s.endpoint):
+            raise DomainError("path coordinates must be finite")
         for a, b in zip(self.segments, self.segments[1:]):
             gap = max(abs(x - y) for x, y in zip(a.endpoint, b.startpoint))
             if gap > 1e-9:
@@ -218,6 +221,12 @@ class ConfigPath:
 
     def reversed(self):
         return ConfigPath([_reverse_segment(s) for s in reversed(self.segments)])
+
+    def piece(self, lo, hi):
+        """Segments lo..hi-1 as a path, not checked again: this path was."""
+        part = object.__new__(ConfigPath)
+        part.segments = self.segments[lo:hi]
+        return part
 
 
 def _reverse_segment(seg):
@@ -479,6 +488,8 @@ def braid_generator_path(basepoint, i, j):
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise DomainError("generator needs two distinct valid indices")
     zi, zj = points[i], points[j]
+    if abs(zj - zi) <= 1e-12:
+        raise SingularityError(f"path touches the diagonal z_{min(i, j) + 1} = z_{max(i, j) + 1}")
     rho = _clearance(points, i)
     u = (zj - zi) / abs(zj - zi)
     entry = zi + rho * u
@@ -509,10 +520,10 @@ def braid_monodromy(sys, i, j, tol, basepoint=None):
     """
     if basepoint is None:
         basepoint = default_basepoint(sys.n)
-    segs = braid_generator_path(basepoint, i, j).segments
-    k = len(segs) // 2
-    legs = parallel_transport(sys, ConfigPath(segs[:k]), tol)
-    loop = parallel_transport(sys, ConfigPath([segs[k]]), tol)
+    path = braid_generator_path(basepoint, i, j)
+    k = len(path.segments) // 2
+    legs = parallel_transport(sys, path.piece(0, k), tol)
+    loop = parallel_transport(sys, path.piece(k, k + 1), tol)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             m = np.linalg.solve(legs.matrix, loop.matrix @ legs.matrix)

@@ -67,21 +67,6 @@ class DualBasis:
     forms: list
     dual_forms: list
 
-    @property
-    def elements(self):
-        """The coordinate vectors of the x_a."""
-        return [_apply(self.algebra.gram_inverse, f) for f in self.forms]
-
-    @property
-    def duals(self):
-        """The coordinate vectors of the x~_a."""
-        return [_apply(self.algebra.gram_inverse, f) for f in self.dual_forms]
-
-
-def _apply(mat, vec):
-    """The matrix-vector product mat . vec, over the nonzero entries of mat."""
-    return [sum(r * v for r, v in zip(row, vec) if r) for row in mat]
-
 
 def build_algebra(series, rank):
     """Construct sl(rank+1) with its normalized invariant form."""

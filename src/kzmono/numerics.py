@@ -522,7 +522,7 @@ _STEP_DIVISOR = 4.0
 # faster than F itself, and every factor of 4 costs about one term per step.
 _GROWTH_CAP = 2.0 ** 16
 # A batch holds at most this many complex entries of running sums
-# (steps * P * d^2, 16 MiB).
+# (steps * P * d^2, 16 MiB), and as many of their factors r_p.
 _BATCH_ENTRIES = 2 ** 20
 # The rounding and truncation one chained step adds to ||F||, relative to
 # it, is at most 3 gamma_n g + 2^-52 with g = (1 - q)^-A, which stays below
@@ -552,11 +552,11 @@ def ode_transport(residues, poles, f0, tol):
 
     Series. About t_k, with r_p = h_k/(t_p - t_k) and s = (t - t_k)/h_k, the
     propagator Phi_k(s) = sum_m Phi_m s^m, Phi_0 = I, has the running sums
-    G_p <- r_p (Phi_m + G_p) and (m+1) Phi_(m+1) = -sum_p R_p G_p: one product
-    of [R_1 ... R_P] with the stacked G per order. The increments
-    Phi_k(1) - I of a batch of consecutive steps, of one line or several, are
-    summed together, on arrays of shape (steps, P, d, d), to one number M of
-    terms.
+    G_p <- r_p (Phi_m + G_p) and (m+1) Phi_(m+1) = -sum_p R_p G_p. The
+    increments Phi_k(1) - I of a batch of consecutive steps, of one line or
+    several, are summed together to one number M of terms: the G_p of every
+    step form one matrix of P d rows (p, i) by steps d columns (k, j), so
+    each order is one product of [R_1 ... R_P] with it.
 
     Majorant. With q_p = h_k/rho_kp <= q = h_k/rho_k and row-sum norms
     y_m = ||Phi_m||, let b_j = sum_p ||R_p|| q_p^(j+1); then
@@ -617,7 +617,7 @@ def ode_transport(residues, poles, f0, tol):
     far = np.isinf(delta)
     q = h / rho
     norm = np.abs(res).sum(axis=2).max(axis=1, initial=0.0)
-    r = np.where(far, 0.0, h[:, None] / delta)[:, :, None, None]
+    r = np.where(far, 0.0, h[:, None] / delta)
     wide = res.transpose(1, 0, 2).reshape(d, npoles * d)
     most = max(1, _BATCH_ENTRIES // max(1, npoles * d * d))
     err, lo = 0.0, 0
@@ -669,22 +669,24 @@ def _transport_batch(f, wide, t, line, r, h, q, a, growth, tol):
     tail = c[:, terms] / (1.0 - theta[:, terms])
     if terms == 0:
         return f, fc * float(tail.sum())
-    steps, d = r.shape[0], wide.shape[0]
-    scaled = wide * (-1.0 / np.arange(1, terms + 1))[:, None, None]
-    g = r * np.eye(d)
-    inc = np.zeros((steps, d, d), dtype=complex)
+    (steps, npoles), (d, pd) = r.shape, wide.shape
+    rg = np.broadcast_to(r.T[:, None, :, None], (npoles, d, steps, d)).copy()
+    g = rg * np.eye(d)[:, None, :]
+    term = np.empty((d, steps * d), dtype=complex)
+    inc = np.zeros_like(term)
     for m in range(terms):
-        term = scaled[m] @ g.reshape(steps, -1, d)
+        np.matmul(wide * (-1.0 / (m + 1)), g.reshape(pd, steps * d), out=term)
         inc += term
         if m + 1 < terms:
-            g += term[:, None]
-            g *= r
+            g += term.reshape(d, steps, d)
+            g *= rg
     fs = np.empty((steps + 1,) + f.shape, dtype=complex)
     fs[0] = f
     for k in range(steps):
-        fs[k + 1] = fs[k] + inc[k] @ fs[k]
+        np.matmul(inc[:, k * d:(k + 1) * d], fs[k], out=fs[k + 1])
+        np.add(fs[k + 1], fs[k], out=fs[k + 1])
     norms = np.abs(fs).sum(axis=2).max(axis=1)
-    n = wide.shape[1] + terms + d
+    n = pd + terms + d
     gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
     rate = tail + gamma * growth
     err = float(norms[:-1] @ rate)

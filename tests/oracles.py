@@ -10,7 +10,9 @@ indices from a walk over every tuple of basis weights, A_1 pairing values
 from the trace form of 2x2 matrices, sl(r+1) structure constants and trace
 form from dense products of its defining matrices, and reduced row echelon
 forms and inverses from textbook dense Gauss-Jordan elimination over
-Fraction.
+Fraction, the vectors of a dual basis from the inverse Gram matrix applied
+to its forms, and a batch of transport steps from the per-step stacked
+Taylor recurrence.
 """
 
 import itertools
@@ -18,6 +20,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from kzmono.errors import SingularityError
+from kzmono.numerics import _MAX_TERMS, _NORM_SLACK, _UNIT_ROUNDOFF
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132]
 
@@ -354,6 +359,25 @@ def dense_lie_data(rank):
 
 
 # ---------------------------------------------------------------------------
+# dual bases: the coordinate vectors of x_a and x~_a from their forms
+# ---------------------------------------------------------------------------
+
+def _apply(mat, vec):
+    """The matrix-vector product mat . vec, over the nonzero entries of mat."""
+    return [sum(r * v for r, v in zip(row, vec) if r) for row in mat]
+
+
+def basis_elements(basis):
+    """The coordinate vectors of the x_a of a ``DualBasis``: G^-1 forms[a]."""
+    return [_apply(basis.algebra.gram_inverse, f) for f in basis.forms]
+
+
+def basis_duals(basis):
+    """The coordinate vectors of the x~_a of a ``DualBasis``: G^-1 dual_forms[a]."""
+    return [_apply(basis.algebra.gram_inverse, f) for f in basis.dual_forms]
+
+
+# ---------------------------------------------------------------------------
 # exact linear algebra: entrywise sums and dense Gauss-Jordan elimination
 # over Fraction
 # ---------------------------------------------------------------------------
@@ -444,3 +468,55 @@ def kernel_fractions(kernel):
     basis = [{k: Fraction(v, den) for k, v in col.items()} for col in cols]
     assert den == math.lcm(*(v.denominator for vec in basis for v in vec.values()))
     return basis, free
+
+
+# ---------------------------------------------------------------------------
+# transport: a batch of steps by the per-step stacked Taylor recurrence
+# ---------------------------------------------------------------------------
+
+def stacked_transport_batch(f, wide, t, line, r, h, q, a, growth, tol):
+    """``numerics._transport_batch`` as the per-step stacked recurrence: the
+    running sums G_p of step k are slice k of one (steps, P, d, d) array,
+    each order is one small product per step, and each increment is chained
+    onto a new frame. The term count and the error bound are the library's:
+    the same majorant over the same schedule."""
+    fc = float(np.abs(f).sum(axis=1).max(initial=0.0))
+    if not math.isfinite(fc):
+        raise SingularityError(f"transport overflowed at t={t[0]:.6g}", line=int(line[0]))
+    prior = growth[:-1]
+    bound = fc * np.cumprod(np.append(1.0, prior * (1.0 + _NORM_SLACK * prior)))
+    goal = np.minimum(tol * h / bound, 2.0 ** -52)
+    width = 64
+    while True:
+        j = np.arange(width + 1)
+        ratio = (a[:, None] + j) / (j + 1) * q[:, None]
+        c = np.cumprod(ratio[:, :-1], axis=1)
+        theta = np.maximum(q[:, None], ratio[:, 1:])
+        done = (theta < 1.0) & (c <= goal[:, None] * (1.0 - theta))
+        if done.any(axis=1).all():
+            break
+        if width >= _MAX_TERMS:
+            raise SingularityError("the series majorant overflowed")
+        width *= 2
+    terms = int(done.argmax(axis=1).max())
+    tail = c[:, terms] / (1.0 - theta[:, terms])
+    if terms == 0:
+        return f, fc * float(tail.sum())
+    steps, d = r.shape[0], wide.shape[0]
+    r = r[:, :, None, None]
+    scaled = wide * (-1.0 / np.arange(1, terms + 1))[:, None, None]
+    g = r * np.eye(d)
+    inc = np.zeros((steps, d, d), dtype=complex)
+    for m in range(terms):
+        term = scaled[m] @ g.reshape(steps, -1, d)
+        inc += term
+        if m + 1 < terms:
+            g += term[:, None]
+            g *= r
+    fs = [f]
+    for k in range(steps):
+        fs.append(fs[-1] + inc[k] @ fs[-1])
+    norms = np.abs(np.array(fs)).sum(axis=2).max(axis=1)
+    n = wide.shape[1] + terms + d
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    return fs[-1], float(norms[:-1] @ (tail + gamma * growth))

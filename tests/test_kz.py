@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -281,6 +282,15 @@ class TestPaths:
             with pytest.raises(SingularityError):
                 ConfigPath([seg])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1, math.nan)])
+    def test_non_finite_coordinate_rejected(self, bad):
+        # NaN distances compare false, so a NaN would pass the diagonal check
+        with pytest.raises(DomainError, match="finite"):
+            path_through([(0j, 1 + 0j), (0j, bad)])
+        with pytest.raises(DomainError, match="finite"):
+            ConfigPath([ArcSegment(fixed=(0j, 2 + 0j), moving=1, center=bad, radius=2.0,
+                                   angle0=0.0, sweep=math.pi)])
+
     def test_reverse_roundtrip(self):
         seg = ArcSegment(
             fixed=(0j, 2 + 0j), moving=1, center=0j, radius=2.0, angle0=0.0, sweep=math.pi
@@ -490,6 +500,40 @@ class TestBraidMonodromy:
         with pytest.raises(SingularityError, match="legs is singular"):
             braid_monodromy(sys, 0, 1, 1e-8)
         assert len(calls) == 2
+
+    def test_path_is_checked_once(self, a1, monkeypatch):
+        # the legs and the circle are pieces of the checked generator path
+        real, checks = ConfigPath.__post_init__, []
+
+        def counted(path):
+            checks.append(len(path.segments))
+            real(path)
+
+        monkeypatch.setattr(ConfigPath, "__post_init__", counted)
+        segments = len(braid_generator_path(default_basepoint(4), 0, 3).segments)
+        sys = kz_system(a1, [(1,)] * 4, 3)
+        checks.clear()
+        hol = braid_monodromy(sys, 0, 3, 1e-8)
+        assert checks == [segments] and segments > 1
+        assert np.isfinite(hol.matrix).all()
+
+    def test_basepoint_on_own_diagonal_raises(self, a1):
+        # z_i = z_j for the generator's own pair is the diagonal, as for
+        # any other pair, not a division by zero
+        sys = kz_system(a1, [(1,)] * 4, 3)
+        for basepoint, pair in [((1, 1, 3, 4), (0, 1)), ((1, 2, 3, 3), (3, 2)),
+                                ((1, 2, 2, 4), (0, 1))]:
+            with pytest.raises(SingularityError, match="path touches the diagonal"):
+                braid_monodromy(sys, *pair, 1e-8, basepoint=basepoint)
+
+    def test_nan_basepoint_is_a_domain_error(self, a1):
+        # rejected before transport, with no numpy warning on the way
+        sys = kz_system(a1, [(1,)] * 4, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pair in [(0, 1), (2, 3)]:
+                with pytest.raises(DomainError, match="finite"):
+                    braid_monodromy(sys, *pair, 1e-8, basepoint=(1, 2, 3, math.nan))
 
     def test_disjoint_generators_commute(self, a1):
         sys = kz_system(a1, [(1,)] * 4, 3)

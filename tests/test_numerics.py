@@ -28,7 +28,7 @@ from kzmono.numerics import (
 
 from oracles import (
     dense_kernel, dense_rref, integer_matrix, integer_rows, kernel_fractions, rat_add,
-    rat_identity, rat_sub,
+    rat_identity, rat_sub, stacked_transport_batch,
 )
 
 
@@ -750,6 +750,43 @@ class TestTransport:
         # one tol per line, or one for all
         with pytest.raises(ShapeError):
             ode_transport([[[1.0]]], poles, np.eye(1, dtype=complex), [1e-8, 1e-8])
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("layout", ["one_batch", "growth_cap"])
+    def test_matches_stacked_recurrence(self, monkeypatch, d, kind, layout):
+        # one product per order over all the steps of a batch sums the same
+        # series as one product per step and order: the same steps, and the
+        # frames within 4 ulps of their norm. Residues of norm 1 or less keep
+        # the terms near the size of their sum, and complex ones are
+        # anti-Hermitian, so the frames stay near unitary; neither order of
+        # summation then rounds by more than a few ulps
+        rng = np.random.default_rng([0, d])
+        x = rng.normal(size=(3, d, d))
+        if kind == "complex":
+            x = x + 1j * rng.normal(size=(3, d, d))
+            x = x - x.conj().transpose(0, 2, 1)
+        if layout == "one_batch":
+            poles, scale = [1.5, -0.6, 2.5], 0.5
+        else:
+            # a pole near the line's middle: 37 steps, and the a-priori
+            # bound grows past 2^16 after 33 of them
+            poles, scale = [0.5 + 0.01j, -0.6, 2.5], 1.0
+        res = x * (scale / np.abs(x).sum(axis=2).max(axis=1))[:, None, None]
+        batches, real = [], numerics._transport_batch
+
+        def counted(*args):
+            batches.append(len(args[2]))
+            return real(*args)
+
+        monkeypatch.setattr(numerics, "_transport_batch", counted)
+        f1, err, steps = ode_transport(res, poles, np.eye(d, dtype=complex), 1e-10)
+        monkeypatch.setattr(numerics, "_transport_batch", stacked_transport_batch)
+        f2, err2, steps2 = ode_transport(res, poles, np.eye(d, dtype=complex), 1e-10)
+        assert steps == steps2 and steps * len(poles) * d * d < numerics._BATCH_ENTRIES
+        assert (len(batches) == 1) == (layout == "one_batch")
+        assert np.max(np.abs(f1 - f2)) <= 4 * np.spacing(np.abs(f2).sum(axis=1).max())
+        assert err == pytest.approx(err2, rel=1e-12)
 
     def test_no_poles_returns_f0(self):
         f0 = np.array([[1 + 2j, 3], [0.25, -1j]])
