@@ -1,12 +1,12 @@
 """Single command-line entry point with JSON output.
 
 Exact numbers in the emitted JSON are rational strings "p/q". Floats appear
-in `kz flatness` without --exact and `kz monodromy`, under an explicit
-"mode": "float" tag, and as the local-monodromy deviation in `selftest`;
-`symbols check` is exact at every rank. Identical argv and seed produce
+in `kz monodromy`, under an explicit "mode": "float" tag, and as the
+local-monodromy deviation in `selftest`. Identical argv and seed produce
 byte-identical output. Exit codes: 0 success, 2 domain/validation errors
 (with a machine-readable error object on stdout), 64 usage errors (usage
-text on stderr).
+text on stderr); a warning, as of a weight above --level, is one line
+"warning: ..." on stderr.
 
 A command imports only the kzmono modules it calls, as it runs: `algebra
 info` liealg and numerics, `symbols check` also symbols, `verlinde` verlinde
@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import itertools
 import json
 import random
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 from . import _HOME
@@ -191,7 +191,7 @@ def build_parser():
     prb.add_argument("--weight", type=_parse_int_list, required=True)
     prb.add_argument("--emit", default=None)
 
-    pi = _command(sub, "invariants", _cmd_invariants, ("liealg", "reps", "invariants"),
+    pi = _command(sub, "invariants", _cmd_invariants, ("liealg", "kz"),
                   help="tensor invariants and two-site operators")
     pi.add_argument("--rank", type=int, required=True)
     pi.add_argument("--weights", required=True)
@@ -203,7 +203,8 @@ def build_parser():
     pkf = _command(pk_sub, "flatness", _cmd_kz_flatness, ("liealg", "kz"))
     pkf.add_argument("--rank", type=int, required=True)
     pkf.add_argument("--weights", required=True)
-    pkf.add_argument("--exact", action="store_true")
+    pkf.add_argument("--exact", action="store_true",
+                     help="accepted for compatibility; the residual is always exact")
     pkf.add_argument("--level", type=int, default=None)
     pkm = _command(pk_sub, "monodromy", _cmd_kz_monodromy, ("liealg", "kz"))
     pkm.add_argument("--rank", type=int, required=True)
@@ -290,37 +291,20 @@ def _cmd_rep_build(args):
 
 
 def _cmd_invariants(args):
-    alg = build_algebra("A", args.rank)
-    weights = _parse_weight_tuples(args.weights, args.rank)
-    if args.level is not None:
-        for w in weights:
-            if weight_form(alg, w, alg.highest_root) > args.level:
-                print(
-                    f"warning: weight {list(w)} exceeds the level-{args.level} bound",
-                    file=sys.stderr,
-                )
-    built = {w: irrep(alg, w) for w in dict.fromkeys(weights)}
-    sys_ = tensor_system([built[w] for w in weights])
-    inv = invariant_basis(sys_)
+    sys_ = _kz_from_args(args, kappa=1.0)
+    d = sys_.dim
     out = {
         "rank": args.rank,
-        "weights": [list(w) for w in weights],
-        "ambient_dim": sys_.dim,
-        "invariant_dim": inv.dim,
+        "weights": [list(w) for w in sys_.weights],
+        "ambient_dim": sys_.invariant_space.ambient.dim,
+        "invariant_dim": d,
     }
-    if inv.dim and len(weights) >= 2:
+    if d and sys_.integer_omegas:
         from .numerics import combine
-        shape = (inv.dim, inv.dim)
-        total, den = combine([
-            (1, (restrict(omega_pair(sys_, i, j), inv),))
-            for i, j in itertools.combinations(range(len(weights)), 2)
-        ], shape)
+        total, den = combine([(1, (m,)) for m in sys_.integer_omegas.values()], (d, d))
         scalar = total[0, 0]
-        is_scalar = all(
-            total[a, b] == (scalar if a == b else 0)
-            for a in range(inv.dim)
-            for b in range(inv.dim)
-        )
+        is_scalar = all(total[a, b] == (scalar if a == b else 0)
+                        for a in range(d) for b in range(d))
         out["omega_sum_scalar"] = _rat_str(Fraction(scalar, den)) if is_scalar else None
         out["omega_sum_is_scalar"] = is_scalar
     return out
@@ -334,12 +318,11 @@ def _kz_from_args(args, kappa):
 
 def _cmd_kz_flatness(args):
     sys_ = _kz_from_args(args, kappa=1.0)
-    res = flatness_residual(sys_, exact=args.exact)
     return {
-        "mode": "exact" if args.exact else "float",
+        "mode": "exact",
         "n": sys_.n,
         "invariant_dim": sys_.dim,
-        "residual": _rat_str(res) if args.exact else res,
+        "residual": _rat_str(flatness_residual(sys_)),
     }
 
 
@@ -585,11 +568,21 @@ def run(argv):
 
 def _run_command(args):
     _load(args.needs)
-    try:
-        payload = args.handler(args)
-    except KzmonoError as exc:
-        _emit({"error": {"kind": exc.kind, "message": str(exc)}}, args.pretty)
-        return DOMAIN_EXIT
+    with warnings.catch_warnings():
+        shown = warnings.showwarning
+
+        def show(message, category, *rest):
+            # a warning about the input is one line; numpy's keep their form
+            if not issubclass(category, UserWarning):
+                return shown(message, category, *rest)
+            print(f"warning: {message}", file=sys.stderr)
+
+        warnings.showwarning = show
+        try:
+            payload = args.handler(args)
+        except KzmonoError as exc:
+            _emit({"error": {"kind": exc.kind, "message": str(exc)}}, args.pretty)
+            return DOMAIN_EXIT
     payload, code = payload if args.command == "selftest" else (payload, 0)
     _emit(payload, args.pretty)
     return code

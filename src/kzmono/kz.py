@@ -91,15 +91,12 @@ def kz_system(alg, weights, kappa, level=None):
     if kappa == 0 or not cmath.isfinite(kappa):
         raise DomainError("kappa must be finite and nonzero")
     weights = [tuple(w) for w in weights]
+    distinct = dict.fromkeys(weights)
     if level is not None:
-        theta = alg.highest_root
-        for w in weights:
-            if weight_form(alg, w, theta) > level:
-                warnings.warn(
-                    f"weight {w} exceeds the level-{level} constraint",
-                    stacklevel=2,
-                )
-    built = {w: irrep(alg, w) for w in dict.fromkeys(weights)}
+        for w in distinct:
+            if weight_form(alg, w, alg.highest_root) > level:
+                warnings.warn(f"weight {w} exceeds the level-{level} constraint", stacklevel=2)
+    built = {w: irrep(alg, w) for w in distinct}
     sys = tensor_system([built[w] for w in weights])
     inv = invariant_basis(sys)
     omegas = {}
@@ -281,17 +278,18 @@ def flatness_residual(sys, exact=True):
     """Max norm over the commutator relation set certifying flatness.
 
     Relations: [W_ij, W_ik + W_jk] for distinct i, j, k, and [W_ij, W_kl]
-    for disjoint pairs. Vacuously zero for n = 2. Exact mode evaluates all
-    relations as stacks of integer commutators of D W_ij, D the lcm of their
-    denominators, so the residual is max|C| / D^2. With m the
+    for disjoint pairs. Vacuously zero for n = 2. All relations are stacks
+    of integer commutators of D W_ij, D the lcm of their denominators, so
+    the residual is the ``Fraction`` max|C| / D^2. With m the
     largest |entry| of the D W_ij, no entry of a commutator, nor any partial
     sum or product it forms, exceeds 4 m^2 dim, and they run on the type
     :func:`numerics.product_dtype` picks from that bound: float64 below
-    2^53, int64 below 2^62 and Python ints otherwise.
+    2^53, int64 below 2^62 and Python ints otherwise. ``exact=False``, a
+    request for a float residual, raises DomainError.
     """
-    worst = Fraction(0) if exact else 0.0
-    if sys.dim == 0:
-        return worst
+    if not exact:
+        raise DomainError("flatness is certified in exact arithmetic only")
+    worst = Fraction(0)
     # the position of W_ij in pair order, under (i, j) and (j, i)
     index = {q: k for k, (i, j) in enumerate(sys.integer_omegas) for q in ((i, j), (j, i))}
     zero = len(sys.integer_omegas)
@@ -305,25 +303,21 @@ def flatness_residual(sys, exact=True):
         for p, q in itertools.combinations(sys.integer_omegas, 2)
         if not set(p) & set(q)
     ]
-    if not rel:
+    if not rel or not sys.dim:
         return worst
     left, right, extra = (list(x) for x in zip(*rel))
-    if exact:
-        # every W_ij over the common D, and a zero slice last
-        pad = np.zeros((1, sys.dim, sys.dim), dtype=np.int64)
-        stack, den = concat([(n[None], dk) for n, dk in sys.integer_omegas.values()]
-                            + [(pad, 1)], axis=0)
-        m = max_abs(stack)
-        stack = stack.astype(product_dtype(4 * m * m * sys.dim), copy=False)
-        step = max(1, _RELATION_ENTRIES // sys.dim ** 2)
-        for lo in range(0, len(rel), step):
-            x, y = stack[left[lo:lo + step]], stack[right[lo:lo + step]]
-            y += stack[extra[lo:lo + step]]
-            worst = max(worst, Fraction(max_abs(rat_commutator(x, y)), den * den))
-        return worst
-    stack = np.concatenate([sys.omega_stack, np.zeros((1, sys.dim, sys.dim))])
-    x, y = stack[left], stack[right] + stack[extra]
-    return float(np.max(np.abs(x @ y - y @ x)))
+    # every W_ij over the common D, and a zero slice last
+    pad = np.zeros((1, sys.dim, sys.dim), dtype=np.int64)
+    stack, den = concat([(n[None], dk) for n, dk in sys.integer_omegas.values()]
+                        + [(pad, 1)], axis=0)
+    m = max_abs(stack)
+    stack = stack.astype(product_dtype(4 * m * m * sys.dim), copy=False)
+    step = max(1, _RELATION_ENTRIES // sys.dim ** 2)
+    for lo in range(0, len(rel), step):
+        x, y = stack[left[lo:lo + step]], stack[right[lo:lo + step]]
+        y += stack[extra[lo:lo + step]]
+        worst = max(worst, Fraction(max_abs(rat_commutator(x, y)), den * den))
+    return worst
 
 
 @dataclass
@@ -364,10 +358,13 @@ def parallel_transport(sys, path, tol):
     of every segment is a line of one :func:`numerics.ode_transport` call,
     with the residues W_p/kappa of the pairs that move on some line; a pair
     fixed on a line has its pole t_p = -w0_p/dw_p at infinity there. A line
-    gets tol / (segments * chords of its segment).
+    gets tol / (segments * chords of its segment). A point of the path
+    without ``sys.n`` coordinates raises DomainError.
     """
     if not (0 < tol <= 1e-2):
         raise DomainError(f"tol must lie in (0, 1e-2], got {tol!r}")
+    if {len(z) for seg in path.segments for z in (seg.startpoint, seg.endpoint)} != {sys.n}:
+        raise DomainError(f"expected {sys.n} coordinates at every point of the path")
     d = sys.dim
     f = np.eye(d, dtype=complex)
     if d == 0:

@@ -49,7 +49,7 @@ import operator
 import sys
 from fractions import Fraction
 
-from .errors import ShapeError, SingularityError
+from .errors import DomainError, ShapeError, SingularityError
 
 
 def _lazy_import(name):
@@ -540,7 +540,8 @@ def ode_transport(residues, poles, f0, tol):
     the R_p with shape (P, d, d), ``tol`` is one tolerance or one per line and
     ``f0`` has d rows. An infinite t_p is a pair with no pole on that line:
     its r_p and its share of A_k below are 0. Returns (F1, error_bound,
-    steps). Raises ShapeError on mismatched shapes and SingularityError, with
+    steps). Raises ShapeError on mismatched shapes, DomainError on a NaN pole
+    or residue or a tol that is not positive, and SingularityError, with
     ``line`` the line's index, when a pole comes within 1e-12 of the path or
     the transport overflows.
 
@@ -617,7 +618,6 @@ def ode_transport(residues, poles, f0, tol):
     far = np.isinf(delta)
     q = h / rho
     norm = np.abs(res).sum(axis=2).max(axis=1, initial=0.0)
-    r = np.where(far, 0.0, h[:, None] / delta)
     wide = res.transpose(1, 0, 2).reshape(d, npoles * d)
     most = max(1, _BATCH_ENTRIES // max(1, npoles * d * d))
     err, lo = 0.0, 0
@@ -625,6 +625,11 @@ def ode_transport(residues, poles, f0, tol):
     # or majorant it leaves infinite, not as a numpy warning
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a = (norm * np.where(far, 0.0, rho[:, None] / np.abs(delta))).sum(axis=1)
+        # NaN compares false, so it passes every test above; a NaN pole or
+        # residue leaves a NaN in a
+        if not tol.min() > 0 or math.isnan(a.sum()):
+            raise DomainError("tol must be positive, and no pole or residue may be NaN")
+        r = np.where(far, 0.0, h[:, None] / delta)
         growth = (1.0 - q) ** -a
         while lo < len(t):
             hi, grown = lo + 1, growth[lo]

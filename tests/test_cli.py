@@ -119,11 +119,11 @@ class TestInvariantsCommand:
         assert data["omega_sum_is_scalar"] is True
 
     def test_factors_built_once_per_weight(self, capsys, monkeypatch):
-        import kzmono.cli as cli
+        import kzmono.kz as kz
 
         built = []
-        real = cli.irrep
-        monkeypatch.setattr(cli, "irrep", lambda alg, w: built.append(w) or real(alg, w))
+        real = kz.irrep
+        monkeypatch.setattr(kz, "irrep", lambda alg, w: built.append(w) or real(alg, w))
         code, out, _ = capture(
             capsys, ["invariants", "--rank", "1", "--weights", "1,2,1,2"]
         )
@@ -140,6 +140,23 @@ class TestInvariantsCommand:
         assert "warning" in err.lower()
         assert json.loads(out)["invariant_dim"] == 1
 
+    @pytest.mark.parametrize("command", [
+        ["invariants"],
+        ["kz", "flatness"],
+        ["kz", "monodromy", "--kappa", "3", "--braid", "A12"],
+    ])
+    def test_level_warns_once_per_distinct_weight(self, capsys, command):
+        # weights 2 and 3 exceed level 1, each twice; each is one line with
+        # no source location in it
+        code, out, err = capture(
+            capsys, [*command, "--rank", "1", "--weights", "2,3,2,3", "--level", "1"]
+        )
+        assert code == 0 and json.loads(out)
+        assert err.splitlines() == [
+            "warning: weight (2,) exceeds the level-1 constraint",
+            "warning: weight (3,) exceeds the level-1 constraint",
+        ]
+
 
 class TestKzCommands:
     def test_flatness_exact(self, capsys):
@@ -151,14 +168,14 @@ class TestKzCommands:
         assert data["residual"] == "0"
         assert data["mode"] == "exact"
 
-    def test_flatness_float_tagged(self, capsys):
-        code, out, _ = capture(
-            capsys, ["kz", "flatness", "--rank", "1", "--weights", "1,1,2"]
-        )
-        assert code == 0
-        data = json.loads(out)
-        assert data["mode"] == "float"
-        assert isinstance(data["residual"], float)
+    @pytest.mark.parametrize("rank,weights", [
+        ("1", "1,1,2"), ("2", "1,1,1,0,1,1,0,1"),
+    ])
+    def test_flatness_exact_flag_is_the_default(self, capsys, rank, weights):
+        argv = ["kz", "flatness", "--rank", rank, "--weights", weights]
+        runs = [capture(capsys, argv), capture(capsys, [*argv, "--exact"])]
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][1])["residual"] == "0"
 
     def test_monodromy_matrix_shape(self, capsys, tmp_path):
         target = tmp_path / "m.json"

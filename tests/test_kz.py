@@ -68,6 +68,15 @@ class TestSystem:
         with pytest.warns(UserWarning):
             kz_system(a1, [(2,), (2,)], 3, level=1)
 
+    def test_warns_once_per_distinct_weight(self, a1):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            kz_system(a1, [(2,), (3,), (2,), (1,), (3,), (2,)], 3, level=1)
+        assert [str(w.message) for w in caught] == [
+            "weight (2,) exceeds the level-1 constraint",
+            "weight (3,) exceeds the level-1 constraint",
+        ]
+
     def test_bad_pairs_rejected(self, a1):
         # (0, 0) raised KeyError, (0, 7) IndexError, and (-1, 2) read the
         # weight of the last point before a KeyError
@@ -165,9 +174,12 @@ class TestFlatness:
         sys = kz_system(a2, [(1, 0), (0, 1), (1, 1)], 4)
         assert flatness_residual(sys) == 0
 
-    def test_float_mode_small(self, a1):
+    def test_inexact_mode_raises(self, a1):
+        # the residual is always an exact Fraction; a caller asking for a
+        # float is told so rather than handed one
         sys = kz_system(a1, [(1,)] * 4, 3)
-        assert flatness_residual(sys, exact=False) < 1e-12
+        with pytest.raises(DomainError, match="exact"):
+            flatness_residual(sys, exact=False)
 
     def test_relations_in_chunks_give_the_same_residual(self, a1, monkeypatch):
         # one relation per stack gives the residual all relations at once do
@@ -473,6 +485,17 @@ class TestTransport:
         with pytest.raises(DomainError):
             parallel_transport(sys11, path, 0.5)
 
+    @pytest.mark.parametrize("points", [[(1, 2, 3), (1, 2, 3.5)],
+                                        [(1, 2, 3, 4, 5), (1, 2, 3, 4.5, 5)]],
+                             ids=["short", "long"])
+    def test_points_need_n_coordinates(self, a1, points):
+        # a short point read past its end (IndexError), a long one was
+        # transported on its first n coordinates
+        sys = kz_system(a1, [(1,)] * 4, 3)
+        path = ConfigPath([LineSegment(*points)])
+        with pytest.raises(DomainError, match="expected 4 coordinates"):
+            parallel_transport(sys, path, 1e-8)
+
 
 class TestBraidMonodromy:
     def test_large_kappa_contracts_to_identity(self, a1):
@@ -534,6 +557,14 @@ class TestBraidMonodromy:
             for pair in [(0, 1), (2, 3)]:
                 with pytest.raises(DomainError, match="finite"):
                     braid_monodromy(sys, *pair, 1e-8, basepoint=(1, 2, 3, math.nan))
+
+    @pytest.mark.parametrize("basepoint", [(1, 2, 3), (1, 2, 3, 4, 5)], ids=["short", "long"])
+    def test_basepoint_needs_n_points(self, a1, basepoint):
+        sys = kz_system(a1, [(1,)] * 4, 3)
+        with pytest.raises(DomainError, match="expected 4 coordinates"):
+            braid_monodromy(sys, 0, 1, 1e-8, basepoint=basepoint)
+        with pytest.raises(DomainError, match="expected 4 coordinates"):
+            eigenvalue_check(sys, 0, 1, 1e-6, basepoint=basepoint)
 
     def test_disjoint_generators_commute(self, a1):
         sys = kz_system(a1, [(1,)] * 4, 3)

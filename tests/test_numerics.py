@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kzmono import numerics
-from kzmono.errors import ShapeError, SingularityError
+from kzmono.errors import DomainError, ShapeError, SingularityError
 from kzmono.numerics import (
     Held,
     SparseOperator,
@@ -651,6 +651,21 @@ class TestTransport:
         # residues of size 2 against an f0 of 3 rows
         with pytest.raises(ShapeError):
             ode_transport(np.zeros((1, 2, 2)), [0.5j], f0, 1e-8)
+
+    @pytest.mark.parametrize("residue,pole,tol", [
+        (1.0, math.nan, 1e-8),
+        (1.0, complex(math.nan, 1), 1e-8),
+        (1.0, 3.0, math.nan),
+        (1.0, 3.0, -1.0),
+        (math.nan, 3.0, 1e-8),
+    ], ids=["nan_pole", "nan_real_part", "nan_tol", "negative_tol", "nan_residue"])
+    def test_bad_input_is_a_domain_error(self, residue, pole, tol):
+        # each was reported as a majorant overflow at t=0, a NaN pole after
+        # a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                ode_transport([[[residue]]], [pole], np.eye(1, dtype=complex), tol)
 
     @pytest.mark.parametrize("layout", ["near_and_far", "close_to_segment", "equal"])
     def test_commuting_residues_match_closed_form(self, layout):
