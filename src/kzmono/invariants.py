@@ -19,13 +19,20 @@ other digits; :func:`_gather` applies that map to any columns, and the
 kernel rows, the restriction and the ambient matrix read a factor through
 it. The restriction and its certificate Omega.B = B.R run on int64 or
 float64 under a proved bound, else on Python ints; :func:`restrict` hands R
-on as a held (N, D).
+on as a held (N, D). The swap P_s of two slots of one irrep maps the
+invariants to themselves, and :func:`swap_matrix` reads its matrix T on
+invariant coordinates off the free rows of P_s.B and certifies P_s.B = B.T
+the same way, so a restriction W_p gives W_{s(p)} = T W_p T:
+:func:`restrict_orbits` restricts one pair per orbit of such swaps and
+conjugates the rest, and :func:`braid_relations` lists the flatness
+relations, or one per orbit of them.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -320,3 +327,100 @@ def restrict(op, inv):
             "two-site operator does not preserve the invariant space"
         )
     return Held(*lowest_terms(s, den_b * den_w))
+
+
+def swap_matrix(inv, a, b):
+    """T_s = L T for the swap s of two slots a, b that carry one irrep, held:
+    P_s.B = B.T, with P_s the ambient swap of their digits, exact.
+
+    B is the identity on the free rows, so T is P_s.B read there: row r of
+    P_s.B~ is the row of B~ at the image of support[r], which
+    ``searchsorted`` finds in the support. The identity holds exactly when
+    P_s maps the support onto itself (P_s.B~ then vanishes off it) and
+    L (P_s.B~) == B~.T_s, and a failure raises ConsistencyError. As in
+    :func:`restrict`, no entry or partial sum exceeds max(L, k |B~|) |B~|,
+    k = dim B, and the product runs on the type
+    :func:`numerics.product_dtype` picks from it. P_s^2 = 1, so (T_s / L)^2
+    = 1 and W_{s(p)} = T_s W_p T_s / L^2 for restrictions W_p.
+    """
+    sys = inv.ambient
+    if sys.factors[a].highest_weight != sys.factors[b].highest_weight:
+        raise DomainError(f"slots {a} and {b} carry different irreps")
+    if not inv.dim:
+        return Held(np.zeros((0, 0), dtype=np.int64), 1)
+    den, support = inv.den, inv.support
+    da, db = (support // sys.strides[s] % sys.factor_dims[s] for s in (a, b))
+    image = support + (db - da) * sys.strides[a] + (da - db) * sys.strides[b]
+    pos = np.searchsorted(support, image) % len(support)
+    bmax = inv.held.max_abs
+    tier = product_dtype(max(den, inv.dim * bmax) * bmax)
+    dtype = object if tier is object else np.int64
+    bt = inv.held[0].astype(dtype, copy=False)
+    moved = bt[pos]
+    t = moved[inv.free]
+    bs = (bt.astype(tier, copy=False) @ t.astype(tier, copy=False)).astype(dtype, copy=False)
+    if np.count_nonzero(support[pos] - image) or np.count_nonzero(moved * den - bs):
+        raise ConsistencyError(f"the swap of slots {a} and {b} does not preserve "
+                               "the invariant space")
+    return Held(t, den)
+
+
+def conjugate(t, w):
+    """T W T, T and W held, as a held (N, D) in lowest terms. No entry or
+    partial sum of the two products exceeds d^2 |T|^2 |W|, d = dim, and
+    they run on the type :func:`numerics.product_dtype` picks from it."""
+    (tn, tden), (num, den) = t, w
+    tier = product_dtype(len(num) ** 2 * t.max_abs ** 2 * w.max_abs)
+    tn = tn.astype(tier, copy=False)
+    out = (tn @ num.astype(tier, copy=False) @ tn).astype(
+        object if tier is object else np.int64, copy=False)
+    return Held(*lowest_terms(out, tden * tden * den))
+
+
+def restrict_orbits(inv, first):
+    """Every restricted two-site Casimir W_ij, i < j, in combinations order,
+    held: ``first(i, j)`` restricts the first pair of each orbit of the
+    swaps of slots of one irrep, and every later pair (i, j) is conjugated
+    from an earlier pair that one such swap s moves onto it, W = T_s W T_s,
+    with T_s certified once (:func:`swap_matrix`). P_s.Omega_p.P_s =
+    Omega_{s(p)}, so each W is the one :func:`restrict` gives, bit for bit.
+    The swap (k, u) takes k the last slot before u of u's irrep, u = i
+    first, then u = j with k != i: an earlier pair exists unless (i, j) is
+    the first of its orbit."""
+    hw = [f.highest_weight for f in inv.ambient.factors]
+    omegas, swaps = {}, {}
+    for i, j in itertools.combinations(range(len(hw)), 2):
+        src = next(((k, u) for u in (i, j) for k in reversed(range(u))
+                    if hw[k] == hw[u] and k != i), None)
+        if src is None:
+            omegas[i, j] = first(i, j)
+            continue
+        if src not in swaps:
+            swaps[src] = swap_matrix(inv, *src)
+        k, u = src
+        other = i + j - u
+        omegas[i, j] = conjugate(swaps[src], omegas[min(k, other), max(k, other)])
+    return omegas
+
+
+def braid_relations(points, weights=None):
+    """The infinitesimal pure braid relations of the W_ij on ``points``
+    (increasing), as (p, q, r) for [W_p, W_q + W_r], pairs p = (i, j) with
+    i < j and r None for a disjoint [W_p, W_q]: [W_ij, W_ik + W_jk] for
+    each i < j < k and its two rotations, then [W_p, W_q] for disjoint p
+    before q. Given the weights of the points, only the first relation of
+    each orbit of the weight-preserving permutations, which conjugate the
+    relations of equivariant W's into each other: keyed by the weights of
+    p and of the point outside p for the first kind, and by those of p and
+    of q for the second, frozensets standing for multisets of two."""
+    w = weights
+    rel = {}
+    for i, j, k in itertools.combinations(points, 3):
+        for p, q, r, c in (((i, j), (i, k), (j, k), k), ((i, k), (i, j), (j, k), j),
+                           ((j, k), (i, j), (i, k), i)):
+            rel.setdefault((frozenset(w[x] for x in p), w[c]) if w else len(rel), (p, q, r))
+    for p, q in itertools.combinations(itertools.combinations(points, 2), 2):
+        if not set(p) & set(q):
+            key = frozenset(frozenset(w[x] for x in y) for y in (p, q)) if w else len(rel)
+            rel.setdefault(key, (p, q, None))
+    return list(rel.values())

@@ -15,6 +15,17 @@ each line's steps from that line's poles alone and sums the series of all
 the steps together, in batches that may cross from one line to the next, so
 ``steps_taken`` counts those steps, a quarter of the distance to the nearest
 pole each.
+
+Swapping two points of one weight is an exact symmetry of the connection
+(the S_n action on infinitesimal pure braids), so :func:`kz_system` runs
+each exact step once per orbit of the group H of weight-preserving
+permutations: it restricts the first pair of each pair orbit, conjugates
+the rest by certified swaps, and gives the system an orbit record. On a
+recorded system a local spectrum is certified once per pair orbit, and
+flatness checks one relation per relation orbit first: conjugation keeps a
+zero at zero, so zero representatives certify every relation. A system
+without the record, built by hand or by ``dataclasses.replace``, takes the
+full paths.
 """
 
 from __future__ import annotations
@@ -23,12 +34,15 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError, SingularityError
-from .invariants import invariant_basis, omega_pair, restrict, tensor_system
+from .invariants import (
+    braid_relations, invariant_basis, omega_pair, restrict, restrict_orbits, tensor_system,
+)
 from .liealg import weight_form
 from .numerics import (
     concat,
@@ -51,14 +65,30 @@ class KZSystem:
     invariant_space: object
     integer_omegas: dict      # (i, j), i < j, combinations order -> held (N, D)
     n: int
+    # the orbit record, set by kz_system alone: the local spectra certified
+    # so far, by the weights of a pair. A system built by hand or by
+    # dataclasses.replace has None: its W_ij are not known to be
+    # equivariant, so it takes the full paths
+    _spectra: dict = field(default=None, init=False, repr=False)
 
     @property
     def dim(self):
         return self.invariant_space.dim
 
+    def _point(self, k):
+        """k as a point index in 0..n-1."""
+        try:
+            k = operator.index(k)
+        except TypeError:
+            raise DomainError(f"point index {k!r} is not an integer") from None
+        if not 0 <= k < self.n:
+            raise DomainError(f"point index {k} out of range for {self.n} points")
+        return k
+
     def _key(self, i, j):
         """The key (min, max) of distinct point indices i, j in 0..n-1."""
-        if i == j or not (0 <= i < self.n and 0 <= j < self.n):
+        i, j = self._point(i), self._point(j)
+        if i == j:
             raise DomainError(f"({i}, {j}) is not a pair of distinct points of {self.n}")
         return (min(i, j), max(i, j))
 
@@ -86,6 +116,20 @@ def kz_system(alg, weights, kappa, level=None):
 
     ``level``, when given, only triggers a warning for weights outside the
     level constraint; the connection itself is defined for any weights.
+
+    The permutations of the points that keep every weight in place form a
+    group H, and a swap s of two points of one weight is an exact symmetry:
+    P_s.Omega_p.P_s = Omega_{s(p)}, and P_s maps the invariants to
+    themselves, so W_{s(p)} = T W_p T with T = P_s on invariant coordinates
+    and T^2 = 1 (:func:`invariants.swap_matrix`). In combinations order, the
+    first pair of each H-orbit, keyed by the weights of its two points, is
+    restricted; every later pair is the image of an earlier one under one
+    such swap and is conjugated from it, with T certified once per swap
+    (:func:`invariants.restrict_orbits`). So every held W_ij is the
+    restriction that :func:`invariants.restrict` would give, bit for bit.
+    The system gets the orbit record, with which
+    :func:`exact_local_spectrum` and :func:`flatness_residual` do their
+    exact work once per orbit.
     """
     kappa = complex(kappa)
     if kappa == 0 or not cmath.isfinite(kappa):
@@ -99,10 +143,8 @@ def kz_system(alg, weights, kappa, level=None):
     built = {w: irrep(alg, w) for w in distinct}
     sys = tensor_system([built[w] for w in weights])
     inv = invariant_basis(sys)
-    omegas = {}
-    for i, j in itertools.combinations(range(len(weights)), 2):
-        omegas[(i, j)] = restrict(omega_pair(sys, i, j), inv)
-    return KZSystem(
+    omegas = restrict_orbits(inv, lambda i, j: restrict(omega_pair(sys, i, j), inv))
+    out = KZSystem(
         algebra=alg,
         weights=weights,
         kappa=kappa,
@@ -110,6 +152,8 @@ def kz_system(alg, weights, kappa, level=None):
         integer_omegas=omegas,
         n=len(weights),
     )
+    out._spectra = {}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +300,9 @@ def connection_matrix(sys, i, z):
     z = tuple(complex(x) for x in z)
     if len(z) != sys.n:
         raise DomainError(f"expected {sys.n} coordinates, got {len(z)}")
-    if not 0 <= i < sys.n:
-        raise DomainError(f"point index {i} out of range for {sys.n} points")
+    if not all(map(cmath.isfinite, z)):
+        raise DomainError("coordinates must be finite")
+    i = sys._point(i)
     coef = []
     for a, b in sys.integer_omegas:
         dz = z[a] - z[b]
@@ -286,29 +331,42 @@ def flatness_residual(sys, exact=True):
     :func:`numerics.product_dtype` picks from that bound: float64 below
     2^53, int64 below 2^62 and Python ints otherwise. ``exact=False``, a
     request for a float residual, raises DomainError.
+
+    On a system :func:`kz_system` recorded, every W_ij is the restriction
+    of Omega_ij, so the W's are equivariant under the group H of
+    weight-preserving permutations of the points: W_{s(p)} = T W_p T^-1.
+    H moves a relation only within its orbit, keyed for [W_ab, W_ac + W_bc]
+    by the weights {w_a, w_b} and w_c, and for [W_p, W_q] by the weights of
+    p and of q, and there conjugates it. A conjugate of zero is zero, so one
+    relation of each orbit is checked first (all of them lie on the first
+    four points of each weight), on a stack of the W's they use alone; if
+    all are 0, so is the residual. Otherwise, and always on an
+    unrecorded system, every relation is checked, so the value returned is
+    max|entry| over the whole set either way.
     """
     if not exact:
         raise DomainError("flatness is certified in exact arithmetic only")
+    if sys._spectra is not None:
+        w = sys.weights
+        first = [k for k in range(sys.n) if w[:k].count(w[k]) < 4]
+        worst = _max_commutator(sys, braid_relations(first, w))
+        if not worst:
+            return worst
+    return _max_commutator(sys, braid_relations(range(sys.n)))
+
+
+def _max_commutator(sys, rel):
+    """max |[W_p, W_q + W_r]| over the relations (p, q, r) of
+    :func:`invariants.braid_relations`, as a ``Fraction``."""
     worst = Fraction(0)
-    # the position of W_ij in pair order, under (i, j) and (j, i)
-    index = {q: k for k, (i, j) in enumerate(sys.integer_omegas) for q in ((i, j), (j, i))}
-    zero = len(sys.integer_omegas)
-    rel = [
-        (index[a, b], index[a, c], index[b, c])
-        for i, j, k in itertools.combinations(range(sys.n), 3)
-        for a, b, c in ((i, j, k), (i, k, j), (j, k, i))
-    ]
-    rel += [
-        (index[p], index[q], zero)
-        for p, q in itertools.combinations(sys.integer_omegas, 2)
-        if not set(p) & set(q)
-    ]
     if not rel or not sys.dim:
         return worst
-    left, right, extra = (list(x) for x in zip(*rel))
-    # every W_ij over the common D, and a zero slice last
+    # the W_ij the relations use, in pair order, and a zero slice last
+    pairs = sorted({p for x in rel for p in x if p})
+    index = {p: k for k, p in enumerate(pairs + [None])}
+    left, right, extra = ([index[p] for p in col] for col in zip(*rel))
     pad = np.zeros((1, sys.dim, sys.dim), dtype=np.int64)
-    stack, den = concat([(n[None], dk) for n, dk in sys.integer_omegas.values()]
+    stack, den = concat([(n[None], dk) for n, dk in map(sys.integer_omegas.get, pairs)]
                         + [(pad, 1)], axis=0)
     m = max_abs(stack)
     stack = stack.astype(product_dtype(4 * m * m * sys.dim), copy=False)
@@ -562,8 +620,18 @@ def exact_local_spectrum(sys, i, j):
     Candidates mu = (c_nu - c_i - c_j)/2 run over the components nu of
     V_i (x) V_j; multiplicities come from exact rank computations, so the
     spectrum is certified, not floated.
+
+    On a system :func:`kz_system` recorded, W_ij is conjugate to the W of
+    every pair of the same weights, its orbit, so the rank certificate runs
+    once per orbit and the spectrum is kept in the record. An unrecorded
+    system certifies on every call.
     """
-    num, den = sys.integer_omegas[sys._key(i, j)]
+    key = sys._key(i, j)
+    if sys._spectra is not None:
+        orbit = frozenset((sys.weights[i], sys.weights[j]))
+        if orbit in sys._spectra:
+            return list(sys._spectra[orbit])
+    num, den = sys.integer_omegas[key]
     cands = _spectrum_candidates(sys.algebra, tuple(sys.weights[i]), tuple(sys.weights[j]))
     d = sys.dim
     if d == 0:
@@ -590,6 +658,8 @@ def exact_local_spectrum(sys, i, j):
             "restricted two-site operator has eigenvalues outside the "
             "tensor-decomposition candidates"
         )
+    if sys._spectra is not None:
+        sys._spectra[orbit] = list(out)
     return out
 
 

@@ -378,6 +378,54 @@ def basis_duals(basis):
 
 
 # ---------------------------------------------------------------------------
+# Temperley-Lieb: A_1 V1^n on the noncrossing-pairing basis
+# ---------------------------------------------------------------------------
+
+def noncrossing_pairings(points):
+    """Noncrossing perfect matchings of the increasing tuple ``points``, each
+    as a tuple of pairs: the first point pairs with one that leaves an even
+    count inside, and the inside and the outside pair among themselves."""
+    if not points:
+        return [()]
+    return [
+        ((points[0], points[k]),) + inner + outer
+        for k in range(1, len(points), 2)
+        for inner in noncrossing_pairings(points[1:k])
+        for outer in noncrossing_pairings(points[k + 1:])
+    ]
+
+
+def temperley_lieb_swaps(n, delta=-2):
+    """The slot swaps P_ij, i < j, of n points on the span of the
+    noncrossing pairings, as integer numpy object matrices (column = pairing
+    acted on): P_{i,i+1} = 1 + e_i, with e_i the Temperley-Lieb generator
+    of loop value ``delta``, which caps i, i+1 and cups them again, and
+    P_ij = P_{j-1,j} P_{i,j-1} P_{j-1,j}. At delta = -2 (the Kauffman
+    bracket at A = 1) this is the slot action on the A_1 invariants of
+    V1^n, so there W_ij = P_ij - 1/2."""
+    basis = [frozenset(m) for m in noncrossing_pairings(tuple(range(n)))]
+    at = {m: c for c, m in enumerate(basis)}
+    d = len(basis)
+    swaps = {}
+    for i in range(n - 1):
+        p = np.identity(d, dtype=int).astype(object)
+        for c, m in enumerate(basis):
+            partner = {a: b for x, y in m for a, b in ((x, y), (y, x))}
+            if partner[i] == i + 1:
+                p[c, c] += delta  # a closed loop
+                continue
+            a, b = partner[i], partner[i + 1]
+            joined = m - {tuple(sorted((i, a))), tuple(sorted((i + 1, b)))}
+            p[at[joined | {(i, i + 1), tuple(sorted((a, b)))}], c] += 1
+        swaps[(i, i + 1)] = p
+    for gap in range(2, n):
+        for i in range(n - gap):
+            j = i + gap
+            swaps[(i, j)] = swaps[(j - 1, j)] @ swaps[(i, j - 1)] @ swaps[(j - 1, j)]
+    return swaps
+
+
+# ---------------------------------------------------------------------------
 # exact linear algebra: entrywise sums and dense Gauss-Jordan elimination
 # over Fraction
 # ---------------------------------------------------------------------------

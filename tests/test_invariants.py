@@ -14,6 +14,7 @@ from kzmono.invariants import (
     omega_pair,
     raising_rows,
     restrict,
+    swap_matrix,
     tensor_system,
 )
 from kzmono.liealg import build_algebra
@@ -522,3 +523,77 @@ class TestRestrictPaths:
             for i, j in itertools.combinations(range(4), 2):
                 with pytest.raises(ConsistencyError):
                     restrict(omega_pair(sys, i, j), scaled)
+
+
+class TestSwapMatrix:
+    """T_s = L T with P_s.B = B.T for the swap s of two slots of one irrep."""
+
+    @pytest.mark.parametrize("rank,weights", [
+        (1, [(1,)] * 6),
+        (1, [(2,), (1,), (2,), (1,)]),
+        (2, [(1, 0), (0, 1), (1, 0), (0, 1)]),
+    ])
+    def test_swap_against_dense_digit_permutation(self, rank, weights):
+        # P_s applied to the dense B by swapping the digits of multi-indices
+        alg = build_algebra("A", rank)
+        built = {w: irrep(alg, w) for w in weights}
+        sys = tensor_system([built[w] for w in weights])
+        inv = invariant_basis(sys)
+        assert inv.dim > 0
+        dense = np.zeros((sys.dim, inv.dim), dtype=object)
+        dense[inv.support] = inv.rows
+        for a, b in itertools.combinations(range(len(weights)), 2):
+            if weights[a] != weights[b]:
+                continue
+            t, den = swap_matrix(inv, a, b)
+            assert den == inv.den
+            moved = np.zeros_like(dense)
+            for idx in range(sys.dim):
+                digits = list(multi_index(sys, idx))
+                digits[a], digits[b] = digits[b], digits[a]
+                moved[idx] = dense[flat_index(sys, digits)]
+            # P_s B = B T with B = dense / L and T = t / L
+            assert (moved * den == dense @ t.astype(object)).all()
+            assert (t.astype(object) @ t.astype(object) == den * den * np.identity(
+                inv.dim, dtype=int)).all()
+
+    @pytest.mark.parametrize("limit", [None, 1])
+    def test_corrupted_row_raises(self, a1, limit, monkeypatch):
+        # every row of B~ moved by 1 in one column breaks P_s.B = B.T for
+        # some swap, on int64 and on Python ints
+        if limit:
+            monkeypatch.setattr(numerics, "INT64_LIMIT", limit)
+        sys = a1_system(a1, [1, 1, 1, 1])
+        inv = invariant_basis(sys)
+        for p, c in itertools.product(range(len(inv.support)), range(inv.dim)):
+            rows = inv.rows.copy()
+            rows[p, c] += 1
+            broken = InvariantSpace(ambient=sys, den=inv.den, support=inv.support,
+                                    rows=rows, free=inv.free)
+            raised = 0
+            for a, b in itertools.combinations(range(4), 2):
+                try:
+                    swap_matrix(broken, a, b)
+                except ConsistencyError:
+                    raised += 1
+            assert raised, (p, c)
+
+    def test_support_not_closed_raises(self, a1):
+        # the pure tensor 0001 alone: the swap of slots 3 and 4 moves it to
+        # 0010, outside the support
+        sys = a1_system(a1, [1, 1, 1, 1])
+        lone = InvariantSpace(ambient=sys, den=1,
+                              support=np.array([flat_index(sys, (0, 0, 0, 1))], dtype=np.intp),
+                              rows=np.array([[1]], dtype=object), free=[0])
+        with pytest.raises(ConsistencyError):
+            swap_matrix(lone, 2, 3)
+        assert swap_matrix(lone, 0, 1)[0].tolist() == [[1]]
+
+    def test_different_irreps_rejected(self, a1):
+        sys = a1_system(a1, [1, 2, 1])
+        with pytest.raises(DomainError):
+            swap_matrix(invariant_basis(sys), 0, 1)
+
+    def test_zero_dimensional(self, a1):
+        t, den = swap_matrix(invariant_basis(a1_system(a1, [1, 1, 1])), 0, 1)
+        assert t.shape == (0, 0) and den == 1

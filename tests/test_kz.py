@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import random
 import re
 import warnings
 from fractions import Fraction
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from kzmono import kz
-from kzmono.errors import DomainError, SingularityError
+from kzmono.errors import ConsistencyError, DomainError, SingularityError
 from kzmono.kz import (
     ArcSegment,
     ConfigPath,
@@ -29,10 +30,10 @@ from kzmono.kz import (
 )
 from kzmono.invariants import omega_pair, restrict
 from kzmono.liealg import build_algebra
-from kzmono.numerics import Held, fraction_rows, rat_commutator, rat_mul
+from kzmono.numerics import Held, fraction_rows, max_abs, rat_commutator, rat_mul
 from kzmono.reps import casimir_value, irrep
 
-from oracles import integer_matrix, rat_add, rat_sub
+from oracles import integer_matrix, rat_add, rat_sub, temperley_lieb_swaps
 
 
 def with_omegas(sys, omegas):
@@ -89,6 +90,14 @@ class TestSystem:
             with pytest.raises(DomainError):
                 eigenvalue_check(sys, i, j, 1e-6)
 
+    def test_non_integer_pair_rejected(self, a1):
+        # 1.0 raised a bare TypeError at sys.weights[1.0]
+        sys = kz_system(a1, [(1,)] * 4, 3)
+        with pytest.raises(DomainError):
+            exact_local_spectrum(sys, 1.0, 2)
+        # integer types other than int are indices
+        assert exact_local_spectrum(sys, np.int64(1), 2) == exact_local_spectrum(sys, 1, 2)
+
     def test_factors_built_once_per_weight(self, a1, monkeypatch):
         import kzmono.kz as kz
 
@@ -131,6 +140,18 @@ class TestConnectionMatrix:
         for i in (-1, 2):
             with pytest.raises(DomainError):
                 connection_matrix(sys11, i, (0.0, 1.0))
+
+    def test_non_integer_index_rejected(self, sys11):
+        # 0.5 matched no pair and gave a zero matrix
+        with pytest.raises(DomainError):
+            connection_matrix(sys11, 0.5, (0.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1, math.nan)])
+    def test_non_finite_coordinates_rejected(self, a1, bad):
+        # a NaN or inf coordinate gave an all-NaN matrix
+        sys = kz_system(a1, [(1,)] * 4, 3)
+        with pytest.raises(DomainError, match="finite"):
+            connection_matrix(sys, 0, (1, 2, bad, 4))
 
     @pytest.mark.parametrize(
         "rank, weights",
@@ -713,3 +734,186 @@ class TestEigenvalueCheck:
         for _ in range(2):
             with pytest.raises(ConsistencyError):
                 exact_local_spectrum(sys, 0, 1)
+
+
+def list_reference_residual(sys):
+    """max |entry| over every flatness relation, from the ``Fraction`` rows."""
+    def om(a, b):
+        return sys.omegas[(min(a, b), max(a, b))]
+
+    rels = [
+        (om(a, b), rat_add(om(a, c), om(b, c)))
+        for i, j, k in itertools.combinations(range(sys.n), 3)
+        for a, b, c in ((i, j, k), (i, k, j), (j, k, i))
+    ]
+    rels += [
+        (sys.omegas[p], sys.omegas[q])
+        for p, q in itertools.combinations(sys.omegas, 2)
+        if not set(p) & set(q)
+    ]
+    return max((abs(v) for x, y in rels for row in rat_sub(rat_mul(x, y), rat_mul(y, x))
+                for v in row), default=Fraction(0))
+
+
+def relation_orbits(weights):
+    """The orbits of flatness relations under the weight-preserving
+    permutations, counted by brute force over all relations."""
+    n = len(weights)
+
+    def pair(a, b):
+        return tuple(sorted((weights[a], weights[b])))
+
+    keys = {
+        ("triple", pair(a, b), weights[c])
+        for a, b, c in itertools.permutations(range(n), 3)
+    }
+    keys |= {
+        ("disjoint", tuple(sorted((pair(*p), pair(*q)))))
+        for p, q in itertools.combinations(itertools.combinations(range(n), 2), 2)
+        if not set(p) & set(q)
+    }
+    return len(keys)
+
+
+ORBIT_SYSTEMS = [
+    (1, [(1,)] * 8),
+    (1, [(1,)] * 10),
+    (1, [(2,)] * 6),
+    (1, [(2,)] * 7),
+    (2, random.Random(3).sample([(1, 0)] * 3 + [(0, 1)] * 3, 6)),
+    (2, [(1, 1)] * 4),
+    (2, [(1, 0), (1, 0), (0, 1), (1, 1), (0, 1), (1, 1)]),
+]
+
+
+class TestOrbitRecord:
+    """kz_system restricts the first pair of each orbit of the
+    weight-preserving permutations and conjugates the rest by certified
+    swaps; spectra and flatness use the recorded labels."""
+
+    @pytest.mark.parametrize("rank,weights", ORBIT_SYSTEMS,
+                             ids=["v1x8", "v1x10", "v2x6", "v2x7", "a2_3x3", "adj4", "a2_mixed"])
+    def test_held_pairs_match_restrict_on_every_pair(self, rank, weights, monkeypatch):
+        restricted = []
+        real = kz.restrict
+        monkeypatch.setattr(kz, "restrict",
+                            lambda op, inv: restricted.append((op.i, op.j)) or real(op, inv))
+        sys = kz_system(build_algebra("A", rank), weights, 3)
+        assert sys.dim > 0
+        firsts = {}
+        for i, j in itertools.combinations(range(len(weights)), 2):
+            firsts.setdefault(tuple(sorted((weights[i], weights[j]))), (i, j))
+        assert restricted == list(firsts.values())
+        inv = sys.invariant_space
+        for (i, j), (num, den) in sys.integer_omegas.items():
+            ref_num, ref_den = restrict(omega_pair(inv.ambient, i, j), inv)
+            assert den == ref_den and num.dtype == ref_num.dtype, (i, j)
+            assert np.array_equal(num, ref_num), (i, j)
+
+    def test_perturbed_copy_takes_the_full_path(self, a1):
+        # W_35 is conjugated from an earlier pair, not restricted; a copy
+        # with it moved has no record, so flatness checks every relation and
+        # the spectrum of that pair is certified anew, though the recorded
+        # system already holds the spectrum of its orbit
+        sys = kz_system(a1, [(1,)] * 6, 3)
+        assert exact_local_spectrum(sys, 0, 1) == exact_local_spectrum(sys, 2, 4)
+        omegas = copied_omegas(sys)
+        omegas[(2, 4)][0][0] += Fraction(1, 7)
+        bad = with_omegas(sys, omegas)
+        assert flatness_residual(bad) == list_reference_residual(bad) > 0
+        with pytest.raises(ConsistencyError):
+            exact_local_spectrum(bad, 2, 4)
+        assert flatness_residual(sys) == 0
+
+    @pytest.mark.parametrize("rank,weights", [
+        (1, [(1,), (2,), (1,), (2,)]),
+        (1, [(1,)] * 8),
+        (2, [(1, 0), (1, 0), (0, 1), (1, 1), (0, 1), (1, 1)]),
+    ])
+    def test_spectrum_ranks_once_per_orbit_candidate(self, rank, weights, monkeypatch):
+        sys = kz_system(build_algebra("A", rank), weights, 3)
+        orbits = {tuple(sorted((weights[i], weights[j]))) for i, j in sys.integer_omegas}
+        expected = sum(len(kz._spectrum_candidates(sys.algebra, *o)) for o in orbits)
+        calls = []
+        real = kz.exact_rank
+        monkeypatch.setattr(kz, "exact_rank", lambda rows, n: calls.append(n) or real(rows, n))
+        got = [exact_local_spectrum(sys, i, j) for _ in range(2) for i, j in sys.integer_omegas]
+        assert len(calls) == expected
+        # an unrecorded copy certifies every pair, with the same spectra
+        copy = dataclasses.replace(sys)
+        full = [exact_local_spectrum(copy, i, j) for i, j in sys.integer_omegas]
+        assert got == full * 2
+        assert len(calls) > 2 * expected
+
+    @pytest.mark.parametrize("rank,weights", [
+        (1, [(1,)] * 8),
+        (1, [(1,), (2,), (1,), (2,), (1,), (1,)]),
+        (2, [(1, 0), (1, 0), (0, 1), (1, 1), (0, 1), (1, 1)]),
+    ])
+    def test_flat_system_commutes_representatives_only(self, rank, weights, monkeypatch):
+        sys = kz_system(build_algebra("A", rank), weights, 3)
+        assert sys.dim > 0
+        calls = []
+
+        def spy(a, b):
+            calls.append(len(a))
+            return rat_commutator(a, b)
+
+        monkeypatch.setattr(kz, "rat_commutator", spy)
+        assert flatness_residual(sys) == 0
+        assert calls == [relation_orbits(weights)]
+        n = len(weights)
+        full = 3 * math.comb(n, 3) + math.comb(n, 2) * math.comb(n - 2, 2) // 2
+        assert flatness_residual(dataclasses.replace(sys)) == 0
+        assert calls[1:] == [full]
+
+
+
+def word_traces(mats, words, d):
+    """Exact traces of the products of held (N, D) pairs along each word,
+    on int64 under a bound checked first."""
+    out = []
+    for word in words:
+        assert d ** len(word) * math.prod(max_abs(mats[p][0]) for p in word) < 2 ** 62
+        num, den = np.identity(d, dtype=np.int64), 1
+        for p in word:
+            num = num @ mats[p][0].astype(np.int64)
+            den *= mats[p][1]
+        out.append(Fraction(int(num.trace()), den))
+    return out
+
+
+class TestTemperleyLiebOracle:
+    """The held W_ij of A1 V1^n against P_ij - 1/2 on the noncrossing
+    pairings: traces of words in the W_ij do not depend on the basis, so
+    they must agree exactly, with no change of basis and no float."""
+
+    @staticmethod
+    def words(n):
+        rng = random.Random(n)
+        pairs = list(itertools.combinations(range(n), 2))
+        return [rng.choices(pairs, k=rng.randint(1, 4)) for _ in range(12)]
+
+    @staticmethod
+    def pairing_omegas(n, delta=-2, shift=Fraction(-1, 2)):
+        # 2 P + 2 shift over 2: W = P + shift, integers over 2
+        swaps = temperley_lieb_swaps(n, delta)
+        eye = np.identity(len(swaps[0, 1]), dtype=int)
+        return {p: (2 * m + int(2 * shift) * eye, 2) for p, m in swaps.items()}
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_word_traces_match(self, a1, n):
+        sys = kz_system(a1, [(1,)] * n, 3)
+        words = self.words(n)
+        tl = self.pairing_omegas(n)
+        assert len(tl[0, 1][0]) == sys.dim
+        assert word_traces(sys.integer_omegas, words, sys.dim) == word_traces(tl, words, sys.dim)
+
+    @pytest.mark.parametrize("delta,shift", [(2, Fraction(-1, 2)), (-2, Fraction(1, 2))])
+    def test_negative_controls_differ(self, a1, delta, shift):
+        n = 6
+        sys = kz_system(a1, [(1,)] * n, 3)
+        words = self.words(n)
+        wrong = self.pairing_omegas(n, delta, shift)
+        held = word_traces(sys.integer_omegas, words, sys.dim)
+        assert held != word_traces(wrong, words, sys.dim)
