@@ -31,6 +31,7 @@ relations, or one per orbit of them.
 from __future__ import annotations
 
 import collections
+import collections.abc
 import functools
 import itertools
 import math
@@ -313,7 +314,9 @@ def restrict(op, inv):
     slot = np.zeros(sys.dim, dtype=np.intp)
     slot[tgt] = np.arange(n, n + len(tgt))
     slot[support] = np.arange(n)
-    img = np.zeros((n + len(tgt), inv.dim), dtype=dtype)
+    # a repeated target keeps one slot, so img ends at the last slot kept:
+    # rows past it would stay zero
+    img = np.zeros((int(slot[tgt].max(initial=n - 1)) + 1, inv.dim), dtype=dtype)
     flat, w = img.reshape(-1), np.array(vals, dtype=dtype)
     step = max(1, _SCATTER // inv.dim)
     for lo in range(0, len(src), step):
@@ -377,16 +380,33 @@ def conjugate(t, w):
     return Held(*lowest_terms(out, tden * tden * den))
 
 
+class ReadOnlyPairs(collections.abc.Mapping):
+    """A mapping that refuses item assignment, over a private dict; copy,
+    deepcopy and pickle rebuild it like any plain object."""
+
+    def __init__(self, items):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+
 def restrict_orbits(inv, first):
     """Every restricted two-site Casimir W_ij, i < j, in combinations order,
-    held: ``first(i, j)`` restricts the first pair of each orbit of the
-    swaps of slots of one irrep, and every later pair (i, j) is conjugated
-    from an earlier pair that one such swap s moves onto it, W = T_s W T_s,
-    with T_s certified once (:func:`swap_matrix`). P_s.Omega_p.P_s =
-    Omega_{s(p)}, so each W is the one :func:`restrict` gives, bit for bit.
-    The swap (k, u) takes k the last slot before u of u's irrep, u = i
-    first, then u = j with k != i: an earlier pair exists unless (i, j) is
-    the first of its orbit."""
+    held, in a read-only :class:`ReadOnlyPairs`: ``first(i, j)`` restricts
+    the first pair of each orbit of the swaps of slots of one irrep, and
+    every later pair (i, j) is conjugated from an earlier pair that one
+    such swap s moves onto it, W = T_s W T_s, with T_s certified once
+    (:func:`swap_matrix`). P_s.Omega_p.P_s = Omega_{s(p)}, so each W is the
+    one :func:`restrict` gives, bit for bit. The swap (k, u) takes k the
+    last slot before u of u's irrep, u = i first, then u = j with k != i:
+    an earlier pair exists unless (i, j) is the first of its orbit."""
     hw = [f.highest_weight for f in inv.ambient.factors]
     omegas, swaps = {}, {}
     for i, j in itertools.combinations(range(len(hw)), 2):
@@ -400,7 +420,7 @@ def restrict_orbits(inv, first):
         k, u = src
         other = i + j - u
         omegas[i, j] = conjugate(swaps[src], omegas[min(k, other), max(k, other)])
-    return omegas
+    return ReadOnlyPairs(omegas)
 
 
 def braid_relations(points, weights=None):

@@ -57,13 +57,27 @@ from .numerics import (
 from .reps import casimir_value, irrep, tensor_decompose
 
 
+def _point_index(k, n):
+    """k as a point index in 0..n-1."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise DomainError(f"point index {k!r} is not an integer") from None
+    if not 0 <= k < n:
+        raise DomainError(f"point index {k} out of range for {n} points")
+    return k
+
+
 @dataclass(eq=False)
 class KZSystem:
     algebra: object
     weights: list
     kappa: complex
     invariant_space: object
-    integer_omegas: dict      # (i, j), i < j, combinations order -> held (N, D)
+    # (i, j), i < j, combinations order -> held (N, D); read-only on a
+    # system kz_system built (invariants.restrict_orbits), since its orbit
+    # record trusts these W_ij
+    integer_omegas: dict
     n: int
     # the orbit record, set by kz_system alone: the local spectra certified
     # so far, by the weights of a pair. A system built by hand or by
@@ -76,14 +90,7 @@ class KZSystem:
         return self.invariant_space.dim
 
     def _point(self, k):
-        """k as a point index in 0..n-1."""
-        try:
-            k = operator.index(k)
-        except TypeError:
-            raise DomainError(f"point index {k!r} is not an integer") from None
-        if not 0 <= k < self.n:
-            raise DomainError(f"point index {k} out of range for {self.n} points")
-        return k
+        return _point_index(k, self.n)
 
     def _key(self, i, j):
         """The key (min, max) of distinct point indices i, j in 0..n-1."""
@@ -235,20 +242,26 @@ class ConfigPath:
     def __post_init__(self):
         if not self.segments:
             raise DomainError("a path needs at least one segment")
+        ends = [z for s in self.segments for z in (s.startpoint, s.endpoint)]
         # NaN compares false, so it would pass every check below
-        if not all(cmath.isfinite(z) for s in self.segments for z in s.startpoint + s.endpoint):
+        if not all(cmath.isfinite(x) for z in ends for x in z):
             raise DomainError("path coordinates must be finite")
-        for a, b in zip(self.segments, self.segments[1:]):
-            gap = max(abs(x - y) for x, y in zip(a.endpoint, b.startpoint))
+        for a, b in zip(ends[1::2], ends[2::2]):
+            gap = max(abs(x - y) for x, y in zip(a, b))
             if gap > 1e-9:
                 raise DomainError(f"path segments do not chain (gap {gap:.3e})")
-        if len(self.start) < 2:
+        if len(ends[0]) < 2:
             return  # one point has no diagonal to touch
-        for seg in self.segments:
-            d, (a, b) = min(
-                (seg.pair_distance(a, b), (a, b))
-                for a, b in itertools.combinations(range(len(seg.startpoint)), 2)
-            )
+        # a point that no arc moves and that is bit-identical at every
+        # segment end stands still: a pair of two such points keeps the
+        # distance it has on the first segment, and is checked there alone
+        arcs = {s.moving for s in self.segments if isinstance(s, ArcSegment)}
+        still = {k for k, col in enumerate(zip(*ends)) if k not in arcs and len(set(col)) == 1}
+        for m, seg in enumerate(self.segments):
+            d, (a, b) = min(((seg.pair_distance(a, b), (a, b))
+                             for a, b in itertools.combinations(range(len(ends[2 * m])), 2)
+                             if not m or a not in still or b not in still),
+                            default=(math.inf, (0, 0)))
             if d <= 1e-12:
                 raise SingularityError(f"path touches the diagonal z_{a+1} = z_{b+1}")
 
@@ -540,7 +553,8 @@ def braid_generator_path(basepoint, i, j):
     it once counterclockwise at half the nearest-neighbor radius, returns."""
     points = tuple(complex(z) for z in basepoint)
     n = len(points)
-    if not (0 <= i < n and 0 <= j < n) or i == j:
+    i, j = _point_index(i, n), _point_index(j, n)
+    if i == j:
         raise DomainError("generator needs two distinct valid indices")
     zi, zj = points[i], points[j]
     if abs(zj - zi) <= 1e-12:
@@ -573,6 +587,7 @@ def braid_monodromy(sys, i, j, tol, basepoint=None):
     A singular leg frame, or an M or bound that overflows, raises
     SingularityError, not a numpy error or warning.
     """
+    i, j = sys._point(i), sys._point(j)
     if basepoint is None:
         basepoint = default_basepoint(sys.n)
     path = braid_generator_path(basepoint, i, j)
@@ -603,15 +618,17 @@ def braid_monodromy(sys, i, j, tol, basepoint=None):
     )
 
 
-@functools.lru_cache(maxsize=None)
 def _spectrum_candidates(alg, li, lj):
     """The candidate eigenvalues (c_nu - c_i - c_j)/2 of W_ij over the
-    components nu of V_li (x) V_lj, ascending; cached per algebra and pair
-    of weights."""
-    ci = casimir_value(alg, li)
-    cj = casimir_value(alg, lj)
-    return tuple(sorted({(casimir_value(alg, nu) - ci - cj) / 2
-                         for nu in tensor_decompose(alg, li, lj)}))
+    components nu of V_li (x) V_lj, ascending; kept in the algebra's
+    ``_cache`` per pair of weights."""
+    key = ("spectrum", li, lj)
+    if key not in alg._cache:
+        ci = casimir_value(alg, li)
+        cj = casimir_value(alg, lj)
+        alg._cache[key] = tuple(sorted({(casimir_value(alg, nu) - ci - cj) / 2
+                                        for nu in tensor_decompose(alg, li, lj)}))
+    return alg._cache[key]
 
 
 def exact_local_spectrum(sys, i, j):

@@ -40,6 +40,10 @@ class LieAlgebra:
     weight_gram: list              # inverse Cartan matrix (Fractions)
     structure: dict                # (a, b) -> {c: Fraction} bracket table
     chevalley_index: dict = field(default_factory=dict)
+    # what depends on the algebra alone, built on first use: its irreps
+    # (reps.irrep) and kz's candidate local spectra. It lives and dies with
+    # the object, and dataclasses.replace starts an empty one
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def index(self, label):
         try:

@@ -22,6 +22,12 @@ Every matrix of a module is held in the dense exact format (N, D) of
 build, every other basis element from :func:`integer_rep_matrix`, which
 derives it on first use and caches it. Only ``rep build --emit`` reads a
 matrix as rows of ``Fraction``, through :func:`rep_matrix`.
+
+A module depends on its algebra and highest weight alone, so irreps are
+per-algebra constants: :func:`irrep` builds each once per algebra object,
+keeps it on that object, and hands the same module to every later caller.
+Every matrix of a module, Grams and derived matrices included, is made
+read-only, so no caller can change the module the next one gets.
 """
 
 from __future__ import annotations
@@ -86,7 +92,21 @@ def quotient_step(blocks):
 
 
 def irrep(alg, weight):
-    """Build the irreducible module with the given dominant integral weight."""
+    """The irreducible module with the given dominant integral weight.
+
+    A module depends on (algebra, weight) alone, so it is a constant of the
+    algebra: built on first use, kept in the algebra's ``_cache`` and shared
+    by every later call on that algebra object. Every matrix it hands out,
+    Grams and derived matrices included, is read-only."""
+    # checked first: (1.0,) == (1,), and a cached V_1 must not answer it
+    weight = _highest_weight(alg, weight)
+    key = ("irrep", weight)
+    if key not in alg._cache:
+        alg._cache[key] = build_irrep(alg, weight)
+    return alg._cache[key]
+
+
+def _highest_weight(alg, weight):
     weight = tuple(weight)
     if len(weight) != alg.rank or any(
         not isinstance(m, int) or m < 0 for m in weight
@@ -94,6 +114,20 @@ def irrep(alg, weight):
         raise DomainError(
             f"highest weight must be {alg.rank} nonnegative integers, got {weight!r}"
         )
+    return weight
+
+
+def _frozen(m):
+    """An (N, D) pair with N made read-only, as every module matrix is."""
+    m[0].flags.writeable = False
+    return m
+
+
+def build_irrep(alg, weight):
+    """The module :func:`irrep` caches, built afresh and not cached: for an
+    algebra made for one computation, whose cache would only tie it and the
+    module into a cycle left to the garbage collector."""
+    weight = _highest_weight(alg, weight)
     r = alg.rank
     alpha = [tuple(alg.cartan_matrix[i][j] for i in range(r)) for j in range(r)]
 
@@ -103,7 +137,7 @@ def irrep(alg, weight):
     bound = weyl_dimension(alg, weight)
     weights = [weight]
     by_weight = {weight: [0]}
-    grams = {weight: (np.ones((1, 1), dtype=object), 1)}
+    grams = {weight: _frozen((np.ones((1, 1), dtype=object), 1))}
     # (i, w) -> (N, D) of f_i from V_w down, and of e_i from V_w up
     f_tab, e_tab = {}, {}
 
@@ -135,7 +169,7 @@ def irrep(alg, weight):
                 raise ConsistencyError(
                     f"irrep {weight} grew past its Weyl dimension {bound}"
                 )
-            grams[mu] = gram
+            grams[mu] = _frozen(gram)
             for (nu, i), table, (num, den) in zip(spans, tables, modes):
                 f_tab[(i, nu)] = table
                 e_tab[(i, mu)] = num[:, selected], den
@@ -145,10 +179,10 @@ def irrep(alg, weight):
     dim = len(weights)
 
     def dense(tab, i, sign):
-        return block_matrix((dim, dim), [
+        return _frozen(block_matrix((dim, dim), [
             (by_weight[shift(w, i, sign)], by_weight[w], t)
             for (j, w), t in tab.items() if j == i
-        ])
+        ]))
 
     matrices = {}
     for i in range(r):
@@ -185,7 +219,7 @@ def integer_rep_matrix(rep, label):
         if kind == "f":
             a, b = b, a
         m = combine([(1, (a, b)), (-1, (b, a))], (rep.dim, rep.dim))
-    rep._matrices[label] = m
+    rep._matrices[label] = _frozen(m)
     return m
 
 
@@ -196,9 +230,9 @@ def integer_dual_matrix(rep, a):
     if cached is None:
         labels = rep.algebra.basis_labels
         _, dual = dual_pairs(rep.algebra)[a]
-        cached = rep._duals[a] = combine([
+        cached = rep._duals[a] = _frozen(combine([
             (coeff, (integer_rep_matrix(rep, labels[b]),)) for b, coeff in dual.items()
-        ], (rep.dim, rep.dim))
+        ], (rep.dim, rep.dim)))
     return cached
 
 
@@ -265,7 +299,7 @@ def _weights_of(series, rank, weight):
     """The weight multiset of V_weight as ((weight, multiplicity), ...).
 
     Multisets are whole-program constants, so results are cached."""
-    return tuple(weight_multiset(irrep(build_algebra(series, rank), weight)).items())
+    return tuple(weight_multiset(build_irrep(build_algebra(series, rank), weight)).items())
 
 
 def tensor_decompose(alg, lam, mu):

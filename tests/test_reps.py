@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import signal
 import time
@@ -9,6 +10,7 @@ import pytest
 import kzmono.reps as reps
 import kzmono.sugawara as sugawara
 from kzmono.errors import ConsistencyError, DomainError
+from kzmono.invariants import tensor_system
 from kzmono.liealg import build_algebra
 from kzmono.numerics import (
     combine, concat, exact_rank, fraction_rows, gram_select, rat_mul, rat_zeros,
@@ -16,6 +18,7 @@ from kzmono.numerics import (
 from kzmono.reps import (
     casimir,
     casimir_value,
+    integer_dual_matrix,
     integer_rep_matrix,
     irrep,
     rep_matrix,
@@ -250,6 +253,69 @@ class TestRepMatrix:
         assert all(type(x) is Fraction for m in (e[4], f[4]) for row in m for x in row)
 
 
+class TestModuleCache:
+    """An irrep is a constant of its algebra object: built once, shared,
+    and read-only."""
+
+    @pytest.mark.parametrize("rank,weights", [
+        (1, [(0,), (1,), (3,)]),
+        (2, [(1, 0), (0, 1), (1, 1), (2, 1)]),
+    ])
+    def test_one_module_per_algebra_and_weight(self, rank, weights):
+        alg = build_algebra("A", rank)
+        for w in weights:
+            rep = irrep(alg, w)
+            assert irrep(alg, w) is rep and irrep(alg, list(w)) is rep
+        assert len({id(irrep(alg, w)) for w in weights}) == len(weights)
+
+    def test_algebras_share_no_module(self):
+        a, b = build_algebra("A", 2), build_algebra("A", 2)
+        va, vb = irrep(a, (1, 0)), irrep(b, (1, 0))
+        assert va is not vb and va.algebra is a and vb.algebra is b
+        with pytest.raises(DomainError, match="same algebra"):
+            tensor_system([va, vb])
+        # a replaced algebra is another object and starts an empty cache
+        c = dataclasses.replace(a)
+        assert irrep(c, (1, 0)) is not va and irrep(c, (1, 0)).algebra is c
+
+    def test_weight_is_checked_before_the_lookup(self):
+        # (1.0,) == (1,) and hashes alike, so a cached V_1 must not answer it
+        alg = build_algebra("A", 1)
+        irrep(alg, (1,))
+        for bad in [(1.0,), (-1,), (1, 0)]:
+            with pytest.raises(DomainError):
+                irrep(alg, bad)
+
+    @pytest.mark.parametrize("rank,weight", [(1, (2,)), (2, (1, 1)), (3, (1, 0, 1))])
+    def test_handed_out_matrices_are_read_only(self, rank, weight):
+        alg = build_algebra("A", rank)
+        rep = irrep(alg, weight)
+        held = [integer_rep_matrix(rep, lab) for lab in alg.basis_labels]
+        held += [integer_dual_matrix(rep, a) for a in range(alg.dim)]
+        held += list(rep.integer_grams.values())
+        for num, _ in held:
+            with pytest.raises(ValueError, match="read-only"):
+                num[(0,) * num.ndim] = 7
+        # the shared module is unchanged, and a later call gets it again
+        assert irrep(alg, weight) is rep
+        assert all(integer_rep_matrix(rep, lab) is m for lab, m in zip(alg.basis_labels, held))
+
+    def test_build_runs_once_per_algebra(self, monkeypatch):
+        # patched on a fresh algebra: a module already in a shared
+        # algebra's cache would never reach the patched step
+        steps = []
+        real = reps.quotient_step
+        monkeypatch.setattr(reps, "quotient_step", lambda blocks: steps.append(1) or real(blocks))
+        alg = build_algebra("A", 2)
+        irrep(alg, (1, 1))
+        built = len(steps)
+        assert built > 0
+        irrep(alg, (1, 1))
+        assert len(steps) == built
+        irrep(build_algebra("A", 2), (1, 1))
+        assert len(steps) == 2 * built
+
+
 class TestTensorDecompose:
     def test_weights_built_once_per_weight(self, monkeypatch):
         tensor_decompose(build_algebra("A", 2), (2, 0), (1, 1))
@@ -260,6 +326,13 @@ class TestTensorDecompose:
         dec = tensor_decompose(build_algebra("A", 2), (2, 0), (1, 1))
         assert built == []
         assert sum(weyl_dimension(build_algebra("A", 2), nu) * k for nu, k in dec.items()) == 48
+
+    def test_bad_weights_rejected(self, a1):
+        # the multisets are built outside any algebra's cache, and their
+        # weights are checked as irrep checks them
+        for bad in [(-1,), (1.5,), (1, 2)]:
+            with pytest.raises(DomainError, match="nonnegative integers"):
+                tensor_decompose(a1, bad, (1,))
 
     def test_a1_clebsch_gordan(self, a1):
         assert tensor_decompose(a1, (1,), (1,)) == {(2,): 1, (0,): 1}

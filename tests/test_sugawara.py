@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -68,6 +70,20 @@ class TestConstruction:
                 for k, gen, b in mod.graded_bases[deg]:
                     assert (k, gen) in {(1, "f"), (1, "h"), (1, "e")}
                     assert 0 <= b < mod.graded_dims[deg - 1]
+
+    def test_own_algebra_is_freed_without_the_collector(self):
+        # the module builds its algebra for itself, and its top irrep
+        # outside that algebra's cache: no algebra-irrep cycle is left for
+        # the garbage collector
+        mod = truncated_module(2, 1, 2)
+        assert not mod.algebra._cache
+        ref = weakref.ref(mod.algebra)
+        gc.disable()
+        try:
+            del mod
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_gram_blocks_nonsingular(self, vacuum):
         from kzmono.numerics import exact_rank
