@@ -20,9 +20,10 @@ pairs (N, D): N is a numpy integer array, of Python ints (dtype object) or
 int64, and D > 0 a common denominator, so the matrix is N / D; a
 :class:`Held` pair keeps a matrix that is used again with N read-only, int64
 when it fits, and its max|N|. :func:`combine` evaluates every sum of
-products, sum coeff * (F_1 @ F_2 @ ...), in lowest terms, gcd(N, D) = 1
-(:func:`lowest_terms`), and returns N of Python ints (:func:`combine_held` a
-held pair, :func:`combine_max` its max |entry|); :func:`concat` and
+products, sum coeff * (F_1 @ F_2 @ ...), in one pass over its terms and
+then their products, in lowest terms, gcd(N, D) = 1 (:func:`lowest_terms`),
+and returns N of Python ints (:func:`combine_held` a held pair,
+:func:`combine_max` its max |entry|); :func:`concat` and
 :func:`block_matrix` assemble blocks over the lcm of their denominators,
 scaling a block on Python ints where it needs it, and :func:`fraction_rows`
 gives the rows of ``Fraction`` of a pair. Representation matrices, the
@@ -132,6 +133,8 @@ def fraction_rows(num, den):
 def lowest_terms(num, den):
     """(N, D), N of Python ints or int64, divided by gcd(N, D); N comes
     back as it is when that gcd is 1."""
+    if den == 1:
+        return num, den
     if num.dtype == object:
         g = math.gcd(den, *num.flat)
     else:
@@ -162,8 +165,8 @@ def concat(mats, axis):
 
 
 # Work, in multiply-adds (rows * inner * cols summed over the products of a
-# call), from which combine converts factors of Python ints to int64;
-# factors held as int64 need no conversion and skip this gate. Measured on
+# call), from which combine bounds factors of Python ints and runs them on a
+# machine type; factors held as int64 skip this gate. Measured on
 # a 2-vCPU x86-64 VM, CPython 3.11, numpy 2.4, for [A, B] of two n x n
 # factors of Python ints: converted and run on float64 it is 0.56x as fast
 # as on Python ints at n = 2 (work 16), 1.0x at 6 (432), 1.6x at 8 (1024),
@@ -234,77 +237,69 @@ class Held(tuple):
         return tuple(self)
 
 
-def _tier_chains(scales, chains, convert):
-    """The type of :func:`product_dtype` for sum_t scale_t * (product of
-    chain_t), each chain a list of (N, D) factors, and the N of every chain
-    on that type.
+def _sum(terms, shape, ints=True):
+    """The sum of :func:`combine` as (N, D), not in lowest terms, with N on
+    the type that formed it, float64 as int64 when ``ints``.
 
-    Each |entry| of a product of factors with max |F_i| <= M_i and inner
-    dimensions k_j is at most prod M_i * prod k_j, and so is every partial
-    sum the product forms; with every M_i, k_j and |scale| raised to at
-    least 1 the same bound covers each partial product of a chain, and the
-    sum over terms bounds every partial sum of the total. A zero factor or
-    a zero product cannot hide a large intermediate, nor a large scale.
-
-    A :class:`Held` factor brings its M; any other int64 factor is bounded
-    as it is. A factor of Python ints is converted to int64 only when
-    ``convert`` is true; one that is not, or does not fit int64, puts the
-    sum on Python ints. On Python ints every int64 factor is converted to
-    object, so that no int64 product runs without the bound."""
-    ints, bound = {}, 0
-    for scale, chain in zip(scales, chains):
-        term = abs(scale) or 1
-        for i, f in enumerate(chain):
-            n = f[0]
-            got = ints.get(id(n))
-            if got is None:
-                m = as_int64(n) if convert else n
-                if m.dtype == object:
-                    return object, [[f[0].astype(object, copy=False) for f in c] for c in chains]
-                got = ints[id(n)] = m, f.max_abs if type(f) is Held else max_abs(m)
-            term *= got[1] or 1
-            if i:
-                term *= n.shape[0] or 1
-        bound += term
-    dtype = product_dtype(bound)
-    if dtype is not np.int64:
-        ints = {k: (m.astype(dtype), 0) for k, (m, _) in ints.items()}
-    return dtype, [[ints[id(f[0])][0] for f in chain] for chain in chains]
-
-
-def _sum(terms, shape):
-    """The sum of :func:`combine` as (N, D), not in lowest terms, with N as
-    int64 when a machine type formed it."""
+    One pass over the terms checks the chains, takes the denominators and
+    bounds each product: each |entry| of a product of factors with
+    max |F_i| <= M_i and inner dimensions k_j is at most prod M_i * prod k_j,
+    and so is every partial sum the product forms; with every M_i, k_j and
+    |scale| raised to at least 1 the same bound covers each partial product
+    of a chain, and the sum over terms bounds every partial sum of the
+    total. A zero factor or a zero product cannot hide a large intermediate,
+    nor a large scale. A :class:`Held` factor brings its M and any other is
+    read for it, a factor of Python ints only once the products reach
+    ``_INT64_MIN_WORK``: below that it keeps the sum on Python ints, as does
+    a factor that does not fit int64, whose M is at least 2^63. Each factor
+    is converted to the chosen type as it is multiplied, so no int64 product
+    runs without the bound, and the terms accumulate into the first."""
     rows, cols = shape
-    scales, dens, chains, work = [], [], [], 0
+    nums, dens, sizes, chains, loose, work = [], [], [], [], [], 0
     for coeff, factors in terms:
-        den, width = coeff.denominator, rows
+        den, width, size = coeff.denominator, rows, 1
         for k, f in enumerate(factors):
-            r, c = f[0].shape
+            n = f[0]
+            r, c = n.shape
             if r != width:
                 raise ShapeError(f"factor {k} of a product has {r} rows, not {width}")
             if k:
                 work += rows * r * c
+                size *= r or 1
             width = c
             den *= f[1]
+            if type(f) is Held:
+                size *= f.max_abs or 1
+            elif n.dtype == object:
+                loose.append((len(sizes), n))
+            else:
+                size *= max_abs(n) or 1
         if width != cols:
             raise ShapeError(f"a product with {width} columns cannot fill shape {shape}")
-        scales.append(coeff.numerator)
+        nums.append(coeff.numerator)
         dens.append(den)
+        sizes.append(size)
         chains.append(factors)
     den = math.lcm(*dens)
-    scales = [c * (den // d) for c, d in zip(scales, dens)]
-    dtype, chains = _tier_chains(scales, chains, work >= _INT64_MIN_WORK)
-    total = np.zeros(shape, dtype=dtype)
+    scales = [c * (den // d) for c, d in zip(nums, dens)]
+    if loose and work < _INT64_MIN_WORK:
+        bound = INT64_LIMIT
+    else:
+        for t, n in loose:
+            sizes[t] *= max_abs(n) or 1
+        bound = sum((abs(s) or 1) * m for s, m in zip(scales, sizes))
+    dtype = product_dtype(bound)
+    total = np.zeros(shape, dtype=dtype) if not chains else None
     for scale, chain in zip(scales, chains):
-        if not chain:
-            total[np.diag_indices(rows)] += scale
-            continue
-        prod = chain[0]
+        # a fresh first product, as it is scaled and summed into in place
+        first = chain[0][0] if chain else np.eye(rows, dtype=dtype)
+        prod = first.astype(dtype, copy=len(chain) == 1)
         for f in chain[1:]:
-            prod = prod @ f
-        total += prod if scale == 1 else scale * prod
-    return (total.astype(np.int64) if dtype is np.float64 else total), den
+            prod = prod @ f[0].astype(dtype, copy=False)
+        if scale != 1:
+            prod *= scale
+        total = prod if total is None else np.add(total, prod, out=total)
+    return (total.astype(np.int64) if ints and dtype is np.float64 else total), den
 
 
 def combine(terms, shape):
@@ -315,14 +310,17 @@ def combine(terms, shape):
     runs from shape[0] rows to shape[1] columns through agreeing inner
     dimensions (so an identity term needs a square shape).
 
-    With every term scaled to the common denominator D, the sum runs on the
-    type :func:`product_dtype` picks from an a-priori bound, sum_t
-    max(|scale_t|, 1) * prod_i max(max|F_i|, 1) * prod max(inner dim, 1), on
-    every partial product and partial sum: float64 below 2^53, int64 below
-    2^62, Python ints otherwise. Factors of Python ints are converted only
-    when the products do at least ``_INT64_MIN_WORK`` multiply-adds, and a
-    factor that does not fit int64 puts the sum on Python ints. Every type
-    gives the same exact result."""
+    A call walks its terms once, for the shapes, the common denominator D
+    and an a-priori bound, sum_t max(|scale_t|, 1) * prod_i max(max|F_i|, 1)
+    * prod max(inner dim, 1) with every term scaled to D, on every partial
+    product and partial sum; the sum then runs on the type
+    :func:`product_dtype` picks from it: float64 below 2^53, int64 below
+    2^62, Python ints otherwise. Factors of Python ints are read for the
+    bound only when the products do at least ``_INT64_MIN_WORK``
+    multiply-adds, and stay on Python ints below that. Every type gives the
+    same exact result. Beyond its products, a call on small held factors
+    costs about 11 us and 3 to 4 us more per term (2-vCPU x86-64 VM,
+    CPython 3.11, numpy 2.4)."""
     num, den = lowest_terms(*_sum(terms, shape))
     return num.astype(object, copy=False), den
 
@@ -334,9 +332,9 @@ def combine_held(terms, shape):
 
 def combine_max(terms, shape):
     """max |entry| of the sum of :func:`combine`, as a ``Fraction``; read
-    off the sum before it is brought to lowest terms, which ``Fraction``
-    does on the one number."""
-    num, den = _sum(terms, shape)
+    off the sum on the type that formed it, before it is brought to lowest
+    terms, which ``Fraction`` does on the one number."""
+    num, den = _sum(terms, shape, ints=False)
     return Fraction(max_abs(num), den)
 
 

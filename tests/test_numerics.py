@@ -16,6 +16,8 @@ from kzmono.numerics import (
     SparseOperator,
     block_matrix,
     combine,
+    combine_held,
+    combine_max,
     concat,
     fraction_rows,
     gram_select,
@@ -402,19 +404,23 @@ def held_terms(terms, wrap=None):
 
 
 def spy_tiers(monkeypatch):
-    """Record the type every combine call runs on, and check that each
-    factor it multiplies is of that type."""
+    """Record the type every combine call runs on: combine picks it with one
+    call of numerics.product_dtype."""
     tiers = []
-    real = numerics._tier_chains
+    real = numerics.product_dtype
 
-    def spy(*args):
-        dtype, chains = real(*args)
-        assert all(n.dtype == np.dtype(dtype) for chain in chains for n in chain)
+    def spy(bound):
+        dtype = real(bound)
         tiers.append(dtype)
-        return dtype, chains
+        return dtype
 
-    monkeypatch.setattr(numerics, "_tier_chains", spy)
+    monkeypatch.setattr(numerics, "product_dtype", spy)
     return tiers
+
+
+def raw_dtype(terms, shape):
+    """The type of the sum combine forms, before it leaves float64."""
+    return numerics._sum(terms, shape, ints=False)[0].dtype
 
 
 def assert_lowest_terms(num, den):
@@ -461,8 +467,7 @@ class TestDenseExact:
 
         # above the crossover: the type the bound admits, and the same exact
         # result on each; held factors (int64 where they fit) and plain
-        # int64 ones take the same type, and on Python ints every factor is
-        # converted to object before it is multiplied
+        # int64 ones take the same type, and the sum is formed on it
         tiers = spy_tiers(monkeypatch)
         for tier, case in WIDE_CASES:
             terms, ref_terms, shape = wide_terms(rng, case)
@@ -474,6 +479,7 @@ class TestDenseExact:
                 assert num.shape == shape
                 assert_lowest_terms(num, den)
                 assert fraction_rows(num, den) == expected
+                assert raw_dtype(variant, shape) == np.dtype(tier)
 
     def test_gate_converts_only_python_ints(self, monkeypatch):
         # a product under _INT64_MIN_WORK stays on Python ints when its
@@ -564,6 +570,140 @@ class TestDenseExact:
         num, den = block_matrix((2, 3), [([0], [0, 2], (big, 1)), ([1], [1, 2], (small, 4))])
         assert den == 4 and num.tolist() == [[2**64, 0, -12], [0, 1, 5]]
         assert all(type(x) is int for x in num.flat)
+
+
+# (max|A|, max|B|, type): A (rows x 1) @ B (1 x cols) is bounded by their
+# product, at and just below the limits of numerics.product_dtype, 2^53 and
+# 2^62, and runs on the type that bound admits
+BOUNDARIES = [
+    (20394401, 441650591, np.float64),  # 2^53 - 1
+    (2**26, 2**27, np.int64),  # 2^53
+    (2**31 - 1, 2**31 + 1, np.int64),  # 2^62 - 1
+    (2**31, 2**31, object),  # 2^62
+]
+
+
+def boundary_pair(a, b, rows, cols):
+    """Python-int columns A (rows x 1) and rows B (1 x cols) with max|A| = a
+    and max|B| = b, whose product holds a * b at (0, 0) and entries of both
+    signs and parities near it elsewhere, and their Fraction reference."""
+    col = [[(-1) ** i * (a - i)] for i in range(rows)]
+    row = [[(-1) ** j * (b - j) for j in range(cols)]]
+    mats = [(np.array(m, dtype=object).reshape(r, c), 1)
+            for m, r, c in ((col, rows, 1), (row, 1, cols))]
+    ref = [[[Fraction(x) for x in r] for r in m] for m in (col, row)]
+    return mats, [(ref[0], rows, 1), (ref[1], 1, cols)]
+
+
+def factor_kinds(mats):
+    """The same factors of Python ints, as plain int64 and as held."""
+    return {
+        "python": mats,
+        "int64": [(n.astype(np.int64), d) for n, d in mats],
+        "held": [Held(n, d) for n, d in mats],
+    }
+
+
+def max_abs_of(rows):
+    return max((abs(x) for r in rows for x in r), default=0)
+
+
+def assert_exact(terms, shape, expected, tier, tiers):
+    """combine, combine_held and combine_max each on ``tier`` and equal to
+    the Fraction reference ``expected``."""
+    tiers.clear()
+    num, den = combine(terms, shape)
+    assert_lowest_terms(num, den)
+    assert num.shape == shape and fraction_rows(num, den) == expected
+    held = combine_held(terms, shape)
+    assert type(held) is Held and fraction_rows(*held) == expected
+    assert held.max_abs == max_abs_of(held[0].tolist())
+    worst = combine_max(terms, shape)
+    assert type(worst) is Fraction
+    assert worst == max_abs_of(expected)
+    assert tiers == [tier] * 3
+    assert raw_dtype(terms, shape) == np.dtype(tier)
+
+
+class TestTierBoundaries:
+    """combine's three entry points at the bounds where the type changes,
+    against the Fraction reference, for each kind of factor and on either
+    side of the gate that keeps small products of Python ints on them."""
+
+    @pytest.mark.parametrize("a,b,tier", BOUNDARIES)
+    def test_products_at_the_limits(self, monkeypatch, a, b, tier):
+        tiers = spy_tiers(monkeypatch)
+        # work 64 * 64 = 4096 reaches _INT64_MIN_WORK, 63 * 65 = 4095 does not
+        for rows, cols in ((64, 64), (63, 65)):
+            assert (rows * cols >= numerics._INT64_MIN_WORK) == (rows == 64)
+            mats, ref = boundary_pair(a, b, rows, cols)
+            expected = reference_combine([(Fraction(1), ref)], (rows, cols))
+            assert expected[0][0] == a * b
+            for kind, pair in factor_kinds(mats).items():
+                want = object if kind == "python" and rows == 63 else tier
+                assert_exact([(1, tuple(pair))], (rows, cols), expected, want, tiers)
+
+    @pytest.mark.parametrize("a,b,c,tier", [
+        (2**26, 2**27 - 1, 2**26 - 1, np.float64),
+        (2**26, 2**27 - 1, 2**26, np.int64),
+        (2**31, 2**31 - 1, 2**31 - 1, np.int64),
+        (2**31, 2**31 - 1, 2**31, object),
+    ])
+    def test_identity_term_counts_in_the_bound(self, monkeypatch, a, b, c, tier):
+        # a b + c is the bound, and the (0, 0) entry of A B + c 1
+        tiers = spy_tiers(monkeypatch)
+        mats, ref = boundary_pair(a, b, 64, 64)
+        expected = reference_combine([(Fraction(1), ref), (Fraction(c), [])], (64, 64))
+        assert expected[0][0] == a * b + c
+        for pair in factor_kinds(mats).values():
+            assert_exact([(1, tuple(pair)), (c, ())], (64, 64), expected, tier, tiers)
+
+    @pytest.mark.parametrize("entry", [2**63, -2**63])
+    def test_held_factor_past_int64(self, monkeypatch, entry):
+        # 2^63 does not fit int64 and -2^63 does; either way max|N| = 2^63
+        # puts even a small product on Python ints
+        tiers = spy_tiers(monkeypatch)
+        big = Held(np.array([[entry], [3]], dtype=object), 5)
+        assert big.max_abs == 2**63 and big[0].dtype == (object if entry > 0 else np.int64)
+        for cols in (2, 4096):
+            small = Held(np.array([[1] + [-2] * (cols - 1)], dtype=object), 1)
+            expected = [[Fraction(x * y, 5) for y in small[0][0].tolist()] for x in (entry, 3)]
+            assert_exact([(1, (big, small))], (2, cols), expected, object, tiers)
+
+    def test_zero_rows(self, monkeypatch):
+        tiers = spy_tiers(monkeypatch)
+        mats = [(np.zeros((0, 1), dtype=object), 1), (np.full((1, 64), 7, dtype=object), 2)]
+        for kind, pair in factor_kinds(mats).items():
+            # no work: Python ints stay on them, int64 factors run on float64
+            tier = object if kind == "python" else np.float64
+            assert_exact([(Fraction(3), tuple(pair))], (0, 64), [], tier, tiers)
+            num, den = combine([(Fraction(3), tuple(pair))], (0, 64))
+            assert num.shape == (0, 64) and den == 1
+
+    @pytest.mark.parametrize("top,tier", [(2**50, np.float64), (2**55, np.int64),
+                                          (2**61, object)])
+    def test_factors_are_left_as_they_are(self, top, tier):
+        # the sum accumulates into its first product in place, so a first
+        # term of one factor must be a copy, on every type
+        entries = [[top - 7 * i - j for j in range(8)] for i in range(8)]
+        expected = [[Fraction(3 * x + (i == j)) for j, x in enumerate(row)]
+                    for i, row in enumerate(entries)]
+        for n in (np.array(entries, dtype=object), np.array(entries, dtype=np.int64)):
+            terms = [(3, ((n, 1),)), (1, ())]
+            assert fraction_rows(*combine(terms, (8, 8))) == expected
+            assert fraction_rows(*combine_held(terms, (8, 8))) == expected
+            assert combine_max(terms, (8, 8)) == 3 * top + 1
+            assert n.tolist() == entries
+        # the int64 factor, last, runs on the type its bound admits
+        assert raw_dtype(terms, (8, 8)) == np.dtype(tier)
+
+    def test_combine_max_matches_combine(self):
+        rng = random.Random(53)
+        for _, case in WIDE_CASES:
+            terms, _, shape = wide_terms(rng, case)
+            for variant in (terms, held_terms(terms), held_terms(terms, Held)):
+                num, den = combine(variant, shape)
+                assert combine_max(variant, shape) == Fraction(max_abs_of(num.tolist()), den)
 
 
 class TestSparseOperator:

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import weakref
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from kzmono import numerics, sugawara
 from kzmono.errors import DomainError
 from kzmono.numerics import Held, fraction_rows, rat_mul
 from kzmono.sugawara import (
+    GENS,
     affine_bracket_check,
     central_charge,
     conformal_weight,
@@ -93,6 +95,48 @@ class TestConstruction:
                 continue
             rows = integer_rows([{j: x for j, x in enumerate(row) if x} for row in gram])
             assert exact_rank(rows, len(gram)) == vacuum.graded_dims[deg]
+
+
+class TestIndexChecks:
+    """Every mode index and source degree, and the level, weight and depth,
+    is an integer: numpy integers pass as Python ints, and a bool, a float
+    or anything else without __index__ is a DomainError."""
+
+    def test_non_integer_mode_indices(self):
+        mod = truncated_module(1, 1, 3)
+        calls = [
+            lambda: lx_commutator_check(mod, 1, "e", 0.5),
+            lambda: lx_commutator_check(mod, 0.5, "e", 1),
+            lambda: virasoro_bracket_check(mod, 1.0, -1),
+            lambda: virasoro_bracket_check(mod, 1, True),
+            lambda: ln_operator(mod, 1.5),
+            lambda: ln_operator(mod, "1"),
+            lambda: affine_bracket_check(mod, "e", 1.0, "f", -1),
+            lambda: affine_bracket_check(mod, "e", 1, "f", Fraction(-1)),
+            lambda: mod.action_matrix("e", 1.0, 2),
+            lambda: mod.action_matrix("e", 1, 2.0),
+            lambda: mod.action_matrix("e", True, 2),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="must be an integer"):
+                call()
+
+    def test_numpy_integers_pass(self):
+        i = np.int64
+        mod = truncated_module(i(1), np.int32(1), np.uint8(3))
+        assert (mod.level, mod.highest_weight, mod.depth) == (1, 1, 3)
+        assert all(type(x) is int for x in (mod.level, mod.highest_weight, mod.depth))
+        assert mod.action_matrix("e", i(1), i(2)) == mod.action_matrix("e", 1, 2)
+        assert ln_operator(mod, i(1)) is ln_operator(mod, 1)
+        assert lx_commutator_check(mod, i(1), "e", i(-1)) == 0
+        assert virasoro_bracket_check(mod, i(1), i(-1)) == 0
+        assert affine_bracket_check(mod, "e", i(1), "f", i(-1)) == 0
+
+    @pytest.mark.parametrize("args", [(True, True, 2), (1, True, 2), (1, 1, True),
+                                      (2.0, 1, 2), (1, 1, 2.0), (1, "1", 2)])
+    def test_level_weight_and_depth_are_integers(self, args):
+        with pytest.raises(DomainError, match="must be an integer"):
+            truncated_module(*args)
 
 
 class TestModeOperators:
@@ -388,3 +432,37 @@ class TestHeldTables:
         rows = l2m1.action_matrix("e", -1, 1) + fraction_rows(*l2m1._grams[2])
         rows += fraction_rows(*ln_operator(l2m1, 0).blocks[2])
         assert all(type(x) is Fraction for row in rows for x in row)
+
+
+def representation_digest(level, m, depth):
+    """sha256 over every held (N, D) of the truncation, once every mode
+    table inside it and every L_n block are formed: per pair its kind and
+    key, N's shape, dtype and entries as Python ints, and D."""
+    mod = truncated_module(level, m, depth, depth_guard=depth)
+    for n in range(-depth, depth + 1):
+        ln_operator(mod, n)
+        for gen in GENS:
+            for src in range(depth + 1):
+                if 0 <= src - n <= depth:
+                    mod.action_matrix(gen, n, src)
+    held = [("gram", deg, g) for deg, g in enumerate(mod._grams)]
+    held += [("table", key, t) for key, t in sorted(mod._tables.items())]
+    held += [("ln", (n, src), b) for n, op in sorted(mod._ln_cache.items())
+             for src, b in sorted(op.blocks.items())]
+    digest = hashlib.sha256()
+    for kind, key, (num, den) in held:
+        digest.update(repr((kind, key, num.shape, str(num.dtype), num.tolist(), den)).encode())
+    return len(held), digest.hexdigest()
+
+
+class TestPinnedRepresentation:
+    """The stored pairs themselves, pinned: every bracket residual is 0, so
+    the pinned outputs cannot show that a change of the exact kernel left
+    (N, D) or the type N is held on as it was."""
+
+    @pytest.mark.parametrize("case,digest", [
+        ((1, 1, 5), "8e282f17d811b3fee525ec08a572ef89a5660ddcde02587bb63f8e5cd1defee4"),
+        ((2, 2, 5), "61aba5ab7f82fb20a7b89e815e4178c68737d5b47f8beb5192e69c617b32f7f6"),
+    ])
+    def test_held_pairs(self, case, digest):
+        assert representation_digest(*case) == (150, digest)
