@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
 Each class carries a short machine-readable ``kind`` used by the CLI when it
-emits structured error objects.
+emits structured error objects. :func:`integer` is the one check of every
+integer argument of the public API.
 """
+
+import operator
 
 
 class KzmonoError(Exception):
@@ -51,3 +54,23 @@ class ViolationError(KzmonoError):
     """A structural inequality that must hold was observed to fail."""
 
     kind = "violation"
+
+
+def integer(value, what, least=None, below=None):
+    """``value`` as a Python int; numpy integers pass. A bool, anything
+    without ``__index__``, a value below ``least`` and one not below
+    ``below`` are a DomainError, ``what`` naming the argument."""
+    if not isinstance(value, bool):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if least is not None and value < least:
+                kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+                    least, f"at least {least}")
+                raise DomainError(f"{what} must be {kind}, got {value!r}")
+            if below is not None and value >= below:
+                raise DomainError(f"{what} must be below {below}, got {value!r}")
+            return value
+    raise DomainError(f"{what} must be an integer, got {value!r}")

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, integer
 from .numerics import (
     Held, SparseOperator, lowest_terms, np, nullspace_exact_sparse, product_dtype,
 )
@@ -195,11 +195,9 @@ def omega_pair(sys, i, j):
     dual bases so it stays exactly rational. Only its local factor on
     V_i (x) V_j is built and sized, once per pair of irreps
     (``sys._pairs``), then placed; ``.matrix`` gives the ambient operator."""
-    n = len(sys.factors)
+    i, j = (integer(k, "slot index", 0, len(sys.factors)) for k in (i, j))
     if i == j:
         raise DomainError("the two-site operator is defined for distinct slots only")
-    if not (0 <= i < n and 0 <= j < n):
-        raise DomainError(f"slot indices out of range for an {n}-factor system")
     vi, vj = key = sys.factors[i], sys.factors[j]
     if key not in sys._pairs:
         factor = _local_factor([vj.dim, 1], [
@@ -347,6 +345,7 @@ def swap_matrix(inv, a, b):
     = 1 and W_{s(p)} = T_s W_p T_s / L^2 for restrictions W_p.
     """
     sys = inv.ambient
+    a, b = (integer(k, "slot index", 0, len(sys.factors)) for k in (a, b))
     if sys.factors[a].highest_weight != sys.factors[b].highest_weight:
         raise DomainError(f"slots {a} and {b} carry different irreps")
     if not inv.dim:

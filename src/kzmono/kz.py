@@ -34,12 +34,11 @@ import cmath
 import functools
 import itertools
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ConsistencyError, DomainError, SingularityError
+from .errors import ConsistencyError, DomainError, SingularityError, integer
 from .invariants import (
     braid_relations, invariant_basis, omega_pair, restrict, restrict_orbits, tensor_system,
 )
@@ -55,17 +54,6 @@ from .numerics import (
     rat_commutator,
 )
 from .reps import casimir_value, irrep, tensor_decompose
-
-
-def _point_index(k, n):
-    """k as a point index in 0..n-1."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise DomainError(f"point index {k!r} is not an integer") from None
-    if not 0 <= k < n:
-        raise DomainError(f"point index {k} out of range for {n} points")
-    return k
 
 
 @dataclass(eq=False)
@@ -90,7 +78,7 @@ class KZSystem:
         return self.invariant_space.dim
 
     def _point(self, k):
-        return _point_index(k, self.n)
+        return integer(k, "point index", 0, self.n)
 
     def _key(self, i, j):
         """The key (min, max) of distinct point indices i, j in 0..n-1."""
@@ -121,8 +109,9 @@ class KZSystem:
 def kz_system(alg, weights, kappa, level=None):
     """Assemble the connection data for the given factors at parameter kappa.
 
-    ``level``, when given, only triggers a warning for weights outside the
-    level constraint; the connection itself is defined for any weights.
+    ``level``, when given, is a positive integer and only triggers a warning
+    for weights outside the level constraint; the connection itself is
+    defined for any weights.
 
     The permutations of the points that keep every weight in place form a
     group H, and a swap s of two points of one weight is an exact symmetry:
@@ -144,6 +133,7 @@ def kz_system(alg, weights, kappa, level=None):
     weights = [tuple(w) for w in weights]
     distinct = dict.fromkeys(weights)
     if level is not None:
+        level = integer(level, "level", 1)
         for w in distinct:
             if weight_form(alg, w, alg.highest_root) > level:
                 warnings.warn(f"weight {w} exceeds the level-{level} constraint", stacklevel=2)
@@ -472,7 +462,7 @@ def compose(first, second):
 # ---------------------------------------------------------------------------
 
 def default_basepoint(n):
-    return tuple(complex(k) for k in range(1, n + 1))
+    return tuple(complex(k) for k in range(1, integer(n, "number of points") + 1))
 
 
 def _clearance(points, k):
@@ -553,7 +543,7 @@ def braid_generator_path(basepoint, i, j):
     it once counterclockwise at half the nearest-neighbor radius, returns."""
     points = tuple(complex(z) for z in basepoint)
     n = len(points)
-    i, j = _point_index(i, n), _point_index(j, n)
+    i, j = (integer(k, "point index", 0, n) for k in (i, j))
     if i == j:
         raise DomainError("generator needs two distinct valid indices")
     zi, zj = points[i], points[j]

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ConfigurationError, DomainError, ShapeError
+from .errors import ConfigurationError, DomainError, ShapeError, integer
 from .numerics import rat_zeros
 
 
@@ -78,8 +78,7 @@ def build_algebra(series, rank):
         raise ConfigurationError(
             f"unsupported series {series!r}; supported series: A"
         )
-    if not isinstance(rank, int) or rank < 1:
-        raise DomainError(f"rank must be a positive integer, got {rank!r}")
+    rank = integer(rank, "rank", 1)
     n = rank + 1
 
     labels = []
@@ -238,8 +237,7 @@ def dual_pairs(alg):
 
 def level_weights(alg, level):
     """The dominant integral weights with kappa(lambda, theta) <= level."""
-    if not isinstance(level, int) or level < 1:
-        raise DomainError(f"level must be a positive integer, got {level!r}")
+    level = integer(level, "level", 1)
     theta = alg.highest_root
     out = []
 
@@ -277,9 +275,7 @@ def orthonormal_basis(alg, seed=0):
     downstream sums is tested. The basis is not orthonormal; the name is
     kept because the benchmark's tracer reads it.
     """
-    if not isinstance(seed, int):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-    rng = random.Random(seed)
+    rng = random.Random(integer(seed, "seed"))
     n = alg.dim
     g = [[int(a == b) for a in range(n)] for b in range(n)]   # columns x_a
     g_inv_t = [col[:] for col in g]                          # columns of g^-T

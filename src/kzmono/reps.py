@@ -36,7 +36,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, integer
 from .liealg import LieAlgebra, build_algebra, dual_pairs, weight_form
 from .numerics import (
     block_matrix, combine, combine_max, concat, fraction_rows, gram_select, np,
@@ -108,13 +108,9 @@ def irrep(alg, weight):
 
 def _highest_weight(alg, weight):
     weight = tuple(weight)
-    if len(weight) != alg.rank or any(
-        not isinstance(m, int) or m < 0 for m in weight
-    ):
-        raise DomainError(
-            f"highest weight must be {alg.rank} nonnegative integers, got {weight!r}"
-        )
-    return weight
+    if len(weight) != alg.rank:
+        raise DomainError(f"highest weight must have {alg.rank} labels, got {weight!r}")
+    return tuple(integer(m, "highest weight label", 0) for m in weight)
 
 
 def _frozen(m):
@@ -245,7 +241,7 @@ def rep_matrix(rep, label):
 
 def casimir_value(alg, weight):
     """kappa(lambda, lambda + 2 rho), the Casimir scalar on V_lambda."""
-    lam = tuple(weight)
+    lam = tuple(integer(m, "highest weight label") for m in weight)
     shifted = tuple(m + 2 for m in lam)
     return weight_form(alg, lam, shifted)
 
@@ -276,7 +272,7 @@ def weyl_dimension(alg, weight):
     j - i, and the division is exact.
     """
     num = den = 1
-    shifted = [m + 1 for m in weight]
+    shifted = [integer(m, "highest weight label") + 1 for m in weight]
     for i in range(alg.rank):
         pairing = 0
         for j in range(i, alg.rank):
@@ -309,10 +305,10 @@ def tensor_decompose(alg, lam, mu):
     convolved weight multiset; returns {nu: multiplicity}.
     """
     def weights_of(nu):
-        return _weights_of(alg.series, alg.rank, tuple(nu))
+        return _weights_of(alg.series, alg.rank, nu)
 
-    wl = weights_of(lam)
-    wm = weights_of(mu)
+    # checked first: (True,) == (1,), and a cached multiset must not answer it
+    wl, wm = (weights_of(_highest_weight(alg, nu)) for nu in (lam, mu))
     conv = {}
     for w1, m1 in wl:
         for w2, m2 in wm:

@@ -49,11 +49,10 @@ and affine bracket identities are all checked by one residual loop.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, integer
 from .liealg import LieAlgebra, build_algebra
 from .numerics import (
     Held, block_matrix, combine_held, combine_max, concat, fraction_rows, np,
@@ -85,6 +84,7 @@ _DUAL_TERMS = (("e", "f", Fraction(1)), ("f", "e", Fraction(1)), ("h", "h", Frac
 
 def central_charge(level, alg=None):
     """l dim(g) / (l + h_vee); defaults to sl2."""
+    level = integer(level, "level")
     if alg is None:
         dim, hv = 3, 2
     else:
@@ -94,6 +94,7 @@ def central_charge(level, alg=None):
 
 def conformal_weight(level, m):
     """Eigenvalue of the zero-index Virasoro operator on the top space."""
+    level, m = integer(level, "level"), integer(m, "weight")
     return casimir_value(build_algebra("A", 1), (m,)) / (2 * (level + 2))
 
 
@@ -117,9 +118,7 @@ class TruncatedModule:
         block); a genuine zero map (annihilation below degree 0) is an
         all-zero matrix.
         """
-        n, src = _integer(n, "mode index"), _integer(src, "source degree")
-        if not (0 <= src <= self.depth):
-            raise DomainError(f"source degree {src} outside truncation")
+        n, src = integer(n, "mode index"), integer(src, "source degree", 0, self.depth + 1)
         blk = _block(self, _mode(self, gen, n), src)
         return None if blk is None else fraction_rows(*blk)
 
@@ -129,17 +128,12 @@ def truncated_module(level, m, depth, depth_guard=6):
 
     Degrees run 0..depth; degree 0 is the finite module of highest weight m.
     """
-    level, m, depth = _integer(level, "level"), _integer(m, "weight"), _integer(depth, "depth")
-    if level < 1:
-        raise DomainError(f"level must be a positive integer, got {level!r}")
-    if m < 0:
-        raise DomainError(f"weight must be a nonnegative integer, got {m!r}")
+    level, m = integer(level, "level", 1), integer(m, "weight", 0)
+    depth = integer(depth, "depth", 0)
     if m > level:
         raise DomainError(
             f"weight {m} is not integrable at level {level} (needs m <= level)"
         )
-    if depth < 0:
-        raise DomainError(f"depth must be a nonnegative integer, got {depth!r}")
     if depth > depth_guard:
         raise DomainError(
             f"depth {depth} exceeds the guard {depth_guard}; raise depth_guard "
@@ -168,17 +162,6 @@ def truncated_module(level, m, depth, depth_guard=6):
     for deg in range(1, depth + 1):
         _grow_one_degree(mod, deg)
     return mod
-
-
-def _integer(value, what):
-    """``value`` as a Python int; numpy integers pass, and a bool, a float or
-    anything else without ``__index__`` is a DomainError."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
 def graded_weights(mod):
@@ -276,7 +259,7 @@ def ln_operator(mod, n):
     annihilation modes rightmost; on a fixed graded piece the sum is finite.
     Results are cached on the module (it is immutable once built).
     """
-    n = _integer(n, "mode index")
+    n = integer(n, "mode index")
     if abs(n) > mod.depth:
         raise DomainError(f"|n| = {abs(n)} exceeds the truncation depth {mod.depth}")
     cache = mod._ln_cache
@@ -356,7 +339,7 @@ def _bracket_residual(mod, a, b, rhs, central):
 
 def _indices(mod, *indices):
     """The mode indices as Python ints, each checked against the depth."""
-    indices = [_integer(idx, "mode index") for idx in indices]
+    indices = [integer(idx, "mode index") for idx in indices]
     for idx in indices:
         if abs(idx) > mod.depth:
             raise DomainError(f"index {idx} exceeds the truncation depth")

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, integer
 from .liealg import DualBasis, killing_form
 
 
@@ -39,7 +39,7 @@ class LaurentGVector:
                     f"expected {self.algebra.dim}"
                 )
             if any(vec):
-                clean[int(k)] = list(vec)
+                clean[integer(k, "Laurent index")] = list(vec)
         self.support = clean
 
     def coefficient(self, k):
@@ -58,8 +58,7 @@ class FormalField:
 
 def symbol_pairing(phi, m, level):
     """(1 / 2(l + h_vee)) sum_k kappa(X_k, X_{m-k}), exact."""
-    if not isinstance(level, int) or level < 1:
-        raise DomainError(f"level must be a positive integer, got {level!r}")
+    level = integer(level, "level", 1)
     alg = phi.algebra
     norm = Fraction(1, 2 * (level + alg.dual_coxeter))
     return norm * cocycle_evaluation(phi, m)
@@ -74,7 +73,7 @@ def cocycle_cross(phi, psi, n):
     """Two-argument version sum_k kappa(X_k, Y_{n-k}); bilinear companion."""
     if phi.algebra is not psi.algebra:
         raise DomainError("Laurent vectors live over different algebras")
-    alg = phi.algebra
+    alg, n = phi.algebra, integer(n, "index")
     total = Fraction(0)
     for k, xk in phi.support.items():
         yk = psi.support.get(n - k)
@@ -96,8 +95,7 @@ def residue_side(phi, m, level, basis):
         raise DomainError("residue_side needs a DualBasis")
     if basis.algebra is not phi.algebra:
         raise DomainError("basis and Laurent vector use different algebras")
-    if not isinstance(level, int) or level < 1:
-        raise DomainError(f"level must be a positive integer, got {level!r}")
+    level, m = integer(level, "level", 1), integer(m, "index")
     hv = phi.algebra.dual_coxeter
     support = phi.support
 

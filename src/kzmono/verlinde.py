@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ConsistencyError, DomainError, ViolationError
+from .errors import ConsistencyError, ViolationError, integer
 
 SMATRIX_ROUND_TOL = 1e-9
 
@@ -53,14 +53,15 @@ def smatrix_coefficient(level, a, b, c):
     return total
 
 
-@lru_cache(maxsize=None)
 def fusion_ring(level):
-    """Build and cross-validate the level's fusion coefficient table.
+    """Build and cross-validate the level's fusion coefficient table."""
+    return _fusion_ring(integer(level, "level", 1))
 
-    Rings are whole-program constants, so results are cached.
-    """
-    if not isinstance(level, int) or level < 1:
-        raise DomainError(f"level must be a positive integer, got {level!r}")
+
+@lru_cache(maxsize=None)
+def _fusion_ring(level):
+    """Rings are whole-program constants, so results are cached; the level
+    is checked first, as the cache would answer True for 1."""
     coeffs = {}
     for a in range(level + 1):
         for b in range(level + 1):
@@ -79,12 +80,7 @@ def fusion_ring(level):
 def rank(ring, weights):
     """Multi-point rank at genus zero: the unit coefficient of the iterated
     fusion product (labels here are self-dual)."""
-    weights = list(weights)
-    for w in weights:
-        if not isinstance(w, int) or w < 0 or w > ring.level:
-            raise DomainError(
-                f"label {w!r} is not admissible at level {ring.level}"
-            )
+    weights = [integer(w, f"label at level {ring.level}", 0, ring.level + 1) for w in weights]
     if not weights:
         return 1
     vec = {weights[0]: 1}
@@ -101,7 +97,7 @@ def rank(ring, weights):
 
 def rank_smatrix(level, weights):
     """Independent trigonometric evaluation of the same rank."""
-    weights = list(weights)
+    level, weights = integer(level, "level"), [integer(w, "label") for w in weights]
     if not weights:
         return 1.0
     n = len(weights)
@@ -151,17 +147,15 @@ def compare_invariants(level, weights, scan_limit=None):
     exceeding the invariant dimension would falsify the level-truncated
     theory embedding and raises ViolationError.
     """
-    weights = list(weights)
-    for w in weights:
-        if not isinstance(w, int) or w < 0:
-            raise DomainError(f"label {w!r} is not a nonnegative integer")
+    weights = [integer(w, "label", 0) for w in weights]
     dim_a = invariant_dimension_character(weights)
     r = rank(fusion_ring(level), weights)
     if r > dim_a:
         raise ViolationError(
             f"rank {r} exceeds the invariant dimension {dim_a} at level {level}"
         )
-    cap = max(scan_limit if scan_limit is not None else 0, sum(weights) + 2, level)
+    scan_limit = 0 if scan_limit is None else integer(scan_limit, "scan limit")
+    cap = max(scan_limit, sum(weights) + 2, level)
     floor = max([1] + weights)  # labels only exist from their own level up
     stab = None
     for probe in range(floor, cap + 1):

@@ -157,6 +157,20 @@ class TestInvariantsCommand:
             "warning: weight (3,) exceeds the level-1 constraint",
         ]
 
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "--rank", "1", "--weights", "1,1", "--level", "0"],
+        ["kz", "flatness", "--rank", "1", "--weights", "1,1", "--level", "-1"],
+        ["kz", "monodromy", "--rank", "1", "--weights", "1,1,1,1", "--kappa", "3.5",
+         "--braid", "A12", "--level", "0"],
+    ], ids=["invariants", "kz-flatness", "kz-monodromy"])
+    def test_level_below_one_is_domain_error(self, capsys, argv):
+        # as in algebra info, verlinde and sugawara check, not a warning
+        code, out, err = capture(capsys, argv)
+        assert code == 2 and err == ""
+        assert json.loads(out)["error"] == {
+            "kind": "domain", "message": f"level must be a positive integer, got {argv[-1]}",
+        }
+
 
 class TestKzCommands:
     def test_flatness_exact(self, capsys):

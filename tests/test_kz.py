@@ -718,9 +718,9 @@ class TestBraidMonodromy:
         # 0.5 passed 0 <= i < n and died as a bare TypeError at points[0.5]
         sys = kz_system(a1, [(1,)] * 4, 3)
         for i, j in [(0.5, 1), (0, 1.0), ("0", 1)]:
-            with pytest.raises(DomainError, match="not an integer"):
+            with pytest.raises(DomainError, match="must be an integer"):
                 braid_monodromy(sys, i, j, 1e-8)
-            with pytest.raises(DomainError, match="not an integer"):
+            with pytest.raises(DomainError, match="must be an integer"):
                 braid_generator_path(default_basepoint(4), i, j)
         # integer types other than int are indices
         got = braid_monodromy(sys, np.int64(0), np.int64(1), 1e-8).matrix
