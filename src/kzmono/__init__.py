@@ -5,8 +5,7 @@ identities, and fusion-rule rank computations for sl2.
 
 ``import kzmono`` loads only the error classes. Every other public name,
 and every submodule, is imported from its home module on first access
-(PEP 562), so ``kzmono.build_algebra`` loads ``liealg`` and ``numerics``
-alone.
+(PEP 562), so ``kzmono.build_algebra`` loads ``liealg`` alone.
 """
 
 import importlib

@@ -9,8 +9,8 @@ text on stderr); a warning, as of a weight above --level, is one line
 "warning: ..." on stderr.
 
 A command imports only the kzmono modules it calls, as it runs: `algebra
-info` liealg and numerics, `symbols check` also symbols, `verlinde` verlinde
-alone, `selftest` all; the others the layers under them.
+info` liealg alone, `symbols check` also symbols, `verlinde` verlinde alone,
+`selftest` all; the others the layers under them.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConfigurationError, DomainError, ShapeError, integer
-from .numerics import rat_zeros
 
 
 @dataclass(eq=False)
@@ -142,8 +141,8 @@ def build_algebra(series, rank):
     ]
     # tr(xy) pairs E_ij with E_ji alone, with value 1, and is the Cartan
     # matrix on the coroots, so its inverse swaps e and f and is A^-1 there
-    gram = rat_zeros(dim, dim)
-    gram_inv = rat_zeros(dim, dim)
+    gram = [[Fraction(0)] * dim for _ in range(dim)]
+    gram_inv = [[Fraction(0)] * dim for _ in range(dim)]
     for a in range(m):
         gram[a][m + a] = gram[m + a][a] = Fraction(1)
         gram_inv[a][m + a] = gram_inv[m + a][a] = Fraction(1)

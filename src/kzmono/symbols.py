@@ -52,6 +52,10 @@ class FormalField:
 
     index: int
 
+    def __post_init__(self):
+        # frozen, so the checked int is stored past the dataclass's setattr
+        object.__setattr__(self, "index", integer(self.index, "index"))
+
     def evaluate(self, phi):
         return cocycle_evaluation(phi, self.index)
 
@@ -135,6 +139,11 @@ def _pairings(x, forms):
 
 def random_laurent_vector(alg, rng, kmin=-4, kmax=4, max_terms=4, coeff_bound=3):
     """Seeded random Laurent vector for property trials."""
+    kmin, kmax = integer(kmin, "kmin"), integer(kmax, "kmax")
+    if kmin > kmax:
+        raise DomainError(f"kmin must not exceed kmax, got {kmin} > {kmax}")
+    max_terms = integer(max_terms, "max_terms", 1)
+    coeff_bound = integer(coeff_bound, "coeff_bound", 0)
     if not isinstance(rng, random.Random):
         rng = random.Random(rng)
     support = {}

@@ -519,9 +519,10 @@ class TestStartup:
 
     @pytest.mark.parametrize("code, modules", [
         ("import kzmono", []),
-        ("import kzmono; kzmono.build_algebra('A', 2)", ["liealg", "numerics"]),
+        ("import kzmono; kzmono.build_algebra('A', 2)", ["liealg"]),
         ("import kzmono; kzmono.kz", ["invariants", "kz", "liealg", "numerics", "reps"]),
-    ], ids=["import", "build_algebra", "submodule"])
+        ("import kzmono; kzmono.symbols", ["liealg", "symbols"]),
+    ], ids=["import", "build_algebra", "submodule", "symbols"])
     def test_names_load_their_home_modules(self, code, modules):
         # a fresh interpreter, since this one has loaded every module
         code += ("\nimport sys\nprint(','.join(sorted(m for m in sys.modules"
@@ -558,13 +559,13 @@ class TestStartup:
         assert self.probe(self.PROBE, argv) == (0, "True")
 
     @pytest.mark.parametrize("argv, modules", [
-        (["algebra", "info", "--rank", "2"], ["liealg", "numerics"]),
+        (["algebra", "info", "--rank", "2"], ["liealg"]),
         (["verlinde", "--level", "4", "--weights", "1,1,2,2,3,3", "--scan-levels", "8"],
          ["verlinde"]),
         (["symbols", "check", "--rank", "1", "--trials", "10", "--seed", "7"],
-         ["liealg", "numerics", "symbols"]),
+         ["liealg", "symbols"]),
         (["symbols", "check", "--rank", "2", "--trials", "10", "--seed", "7"],
-         ["liealg", "numerics", "symbols"]),
+         ["liealg", "symbols"]),
         (["kz", "monodromy", "--rank", "1", "--weights", "1,1,2", "--kappa", "7/2",
           "--braid", "A13"], ["invariants", "kz", "liealg", "numerics", "reps"]),
     ], ids=["algebra", "verlinde", "symbols-1", "symbols-2", "monodromy"])

@@ -22,6 +22,7 @@ from kzmono.symbols import (
     LaurentGVector,
     cocycle_cross,
     cocycle_evaluation,
+    random_laurent_vector,
     residue_side,
     symbol_pairing,
 )
@@ -79,12 +80,21 @@ SITES = [
     ("symbols.LaurentGVector", lambda x: [*LaurentGVector(A1, {x: [1, 0, 0]}).support][0],
      None, None),
     ("symbols.FormalField", lambda x: FormalField(x).evaluate(PHI), None, None),
+    ("symbols.FormalField.index", lambda x: FormalField(x).index, None, None),
     ("symbols.cocycle_evaluation", lambda x: cocycle_evaluation(PHI, x), None, None),
     ("symbols.cocycle_cross", lambda x: cocycle_cross(PHI, PHI, x), None, None),
     ("symbols.symbol_pairing.index", lambda x: symbol_pairing(PHI, x, 1), None, None),
     ("symbols.symbol_pairing.level", lambda x: symbol_pairing(PHI, 1, x), 1, None),
     ("symbols.residue_side.index", lambda x: residue_side(PHI, x, 1, BASIS), None, None),
     ("symbols.residue_side.level", lambda x: residue_side(PHI, 1, x, BASIS), 1, None),
+    ("symbols.random_laurent_vector.kmin",
+     lambda x: random_laurent_vector(A1, 7, kmin=x, kmax=2).support, None, 3),
+    ("symbols.random_laurent_vector.kmax",
+     lambda x: random_laurent_vector(A1, 7, kmin=0, kmax=x).support, 0, None),
+    ("symbols.random_laurent_vector.max_terms",
+     lambda x: random_laurent_vector(A1, 7, max_terms=x).support, 1, None),
+    ("symbols.random_laurent_vector.coeff_bound",
+     lambda x: random_laurent_vector(A1, 7, coeff_bound=x).support, 0, None),
     ("verlinde.fusion_ring", fusion_ring, 1, None),
     ("verlinde.rank", lambda x: rank(RING, [x, 1]), 0, 3),
     ("verlinde.compare_invariants", lambda x: compare_invariants(2, [x, 1]), 0, None),
