@@ -25,7 +25,7 @@ import warnings
 from fractions import Fraction
 
 from . import _HOME
-from .errors import KzmonoError, DomainError
+from .errors import KzmonoError
 
 USAGE_EXIT = 64
 DOMAIN_EXIT = 2
@@ -329,10 +329,6 @@ def _cmd_kz_flatness(args):
 def _cmd_kz_monodromy(args):
     sys_ = _kz_from_args(args, kappa=args.kappa)
     i, j = args.braid
-    if not (0 <= i < sys_.n and 0 <= j < sys_.n):
-        raise DomainError(
-            f"braid generator indices {i+1},{j+1} out of range for n={sys_.n}"
-        )
     hol = braid_monodromy(sys_, i, j, args.tol)
     mat = [
         [[z.real, z.imag] for z in row]

@@ -38,9 +38,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ConsistencyError, DomainError, integer
 from .numerics import (
-    Held, SparseOperator, lowest_terms, np, nullspace_exact_sparse, product_dtype,
+    Held, SparseOperator, lowest_terms, nullspace_exact_sparse, product_dtype,
 )
 from .reps import integer_dual_matrix, integer_rep_matrix
 

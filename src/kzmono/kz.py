@@ -38,6 +38,8 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ConsistencyError, DomainError, SingularityError, integer
 from .invariants import (
     braid_relations, invariant_basis, omega_pair, restrict, restrict_orbits, tensor_system,
@@ -48,7 +50,6 @@ from .numerics import (
     exact_rank,
     fraction_rows,
     max_abs,
-    np,
     ode_transport,
     product_dtype,
     rat_commutator,

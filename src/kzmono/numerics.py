@@ -35,44 +35,18 @@ whose inverse forms have closed forms and need no solver; ``rat_mul`` has no
 caller in the package and serves the tests and the benchmark. Complex
 numerics use numpy. Nothing here mutates its inputs (a :class:`Held` pair
 takes its N over); scratch space is per call.
-
-numpy is bound lazily: ``np`` here (and in the modules that import it from
-here) loads numpy on its first attribute access, so the commands that never
-touch it start without it. The lazy loader is not thread-safe under CPython
-3.11, which is fine because kzmono is single-threaded.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import operator
-import sys
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import DomainError, ShapeError, SingularityError
 
-
-def _lazy_import(name):
-    """The module ``name``, executed on its first attribute access.
-
-    The recipe "Implementing lazy imports" of the importlib docs; a module
-    already in ``sys.modules`` is returned as it is.
-    """
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    if spec is None:
-        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    loader.exec_module(module)
-    return module
-
-
-np = _lazy_import("numpy")
 
 ZERO = Fraction(0)
 _UNIT_ROUNDOFF = 2.0 ** -53

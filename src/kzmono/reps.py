@@ -36,10 +36,12 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ConsistencyError, DomainError, integer
 from .liealg import LieAlgebra, build_algebra, dual_pairs, weight_form
 from .numerics import (
-    block_matrix, combine, combine_max, concat, fraction_rows, gram_select, np,
+    block_matrix, combine, combine_max, concat, fraction_rows, gram_select,
 )
 # not called here: the benchmark's tracer wraps kzmono.reps.rat_mul
 from .numerics import rat_mul  # noqa: F401
@@ -292,38 +294,39 @@ def weight_multiset(rep):
 
 @functools.lru_cache(maxsize=None)
 def _weights_of(series, rank, weight):
-    """The weight multiset of V_weight as ((weight, multiplicity), ...).
+    """The weight multiset of V_weight as ((weight, multiplicity), ...), read
+    off a :func:`build_irrep` module; :func:`tensor_decompose` takes its
+    second factor's from here.
 
     Multisets are whole-program constants, so results are cached."""
     return tuple(weight_multiset(build_irrep(build_algebra(series, rank), weight)).items())
 
 
 def tensor_decompose(alg, lam, mu):
-    """Multiplicities of irreducibles inside V_lam (x) V_mu.
+    """{nu: multiplicity} of the components of V_lam (x) V_mu, in no set order.
 
-    Works by repeatedly peeling the highest remaining weight off the
-    convolved weight multiset; returns {nu: multiplicity}.
+    Racah-Speiser: each weight kappa of V_mu, counted with its multiplicity,
+    reflects x = lam + kappa + rho into the dominant chamber by simple
+    reflections, flipping its sign at each, and counts at nu = x - rho unless
+    x ends on a wall. Every multiplicity must come out positive and
+    sum dim V_nu * m must equal dim V_lam * dim V_mu, else ConsistencyError.
     """
-    def weights_of(nu):
-        return _weights_of(alg.series, alg.rank, nu)
-
     # checked first: (True,) == (1,), and a cached multiset must not answer it
-    wl, wm = (weights_of(_highest_weight(alg, nu)) for nu in (lam, mu))
-    conv = {}
-    for w1, m1 in wl:
-        for w2, m2 in wm:
-            key = tuple(a + b for a, b in zip(w1, w2))
-            conv[key] = conv.get(key, 0) + m1 * m2
+    lam, mu = _highest_weight(alg, lam), _highest_weight(alg, mu)
     rho = alg.weyl_vector
     out = {}
-    while conv:
-        nu = max(conv, key=lambda w: (weight_form(alg, w, rho), w))
-        mult = conv[nu]
-        if mult <= 0 or any(c < 0 for c in nu):
-            raise DomainError("weight peeling failed; non-dominant leading weight")
-        out[nu] = mult
-        for w, m in weights_of(nu):
-            conv[w] = conv.get(w, 0) - mult * m
-            if conv[w] == 0:
-                del conv[w]
+    for kappa, mult in _weights_of(alg.series, alg.rank, mu):
+        x = [a + b + c for a, b, c in zip(lam, kappa, rho)]
+        while min(x) < 0:
+            # s_i x = x - x_i alpha_i, alpha_i column i of the Cartan matrix
+            i = x.index(min(x))
+            x, mult = [c - x[i] * row[i] for c, row in zip(x, alg.cartan_matrix)], -mult
+        if 0 not in x:
+            nu = tuple(c - p for c, p in zip(x, rho))
+            out[nu] = out.get(nu, 0) + mult
+    out = {nu: m for nu, m in out.items() if m}
+    if (any(m < 0 for m in out.values())
+            or sum(weyl_dimension(alg, nu) * m for nu, m in out.items())
+            != weyl_dimension(alg, lam) * weyl_dimension(alg, mu)):
+        raise ConsistencyError(f"V{lam} (x) V{mu} does not decompose as {out}")
     return out

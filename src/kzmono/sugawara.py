@@ -52,10 +52,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DomainError, integer
 from .liealg import LieAlgebra, build_algebra
 from .numerics import (
-    Held, block_matrix, combine_held, combine_max, concat, fraction_rows, np,
+    Held, block_matrix, combine_held, combine_max, concat, fraction_rows,
 )
 # not called here: the benchmark's tracer wraps kzmono.sugawara.rat_mul and
 # kzmono.sugawara.gram_select
@@ -82,14 +84,10 @@ _KAPPA = {("e", "f"): Fraction(1), ("f", "e"): Fraction(1), ("h", "h"): Fraction
 _DUAL_TERMS = (("e", "f", Fraction(1)), ("f", "e", Fraction(1)), ("h", "h", Fraction(1, 2)))
 
 
-def central_charge(level, alg=None):
-    """l dim(g) / (l + h_vee); defaults to sl2."""
+def central_charge(level):
+    """l dim(g) / (l + h_vee) for sl2: 3l / (l + 2)."""
     level = integer(level, "level")
-    if alg is None:
-        dim, hv = 3, 2
-    else:
-        dim, hv = alg.dim, alg.dual_coxeter
-    return Fraction(level * dim, level + hv)
+    return Fraction(3 * level, level + 2)
 
 
 def conformal_weight(level, m):

@@ -1,7 +1,8 @@
 """Independent oracles used by the tests.
 
 Nothing here reuses the package's construction paths: weight multiplicities
-come from the Freudenthal recursion, graded dimensions of the affine
+come from the Freudenthal recursion, tensor-product multiplicities from
+peeling the convolved Freudenthal multisets, graded dimensions of the affine
 truncations from the alternating character identity over the translation
 orbit, invariant dimensions from hand-written ladder matrices densified with
 numpy, ambient tensor-product operators from ``np.kron`` of their factor
@@ -15,6 +16,7 @@ to its forms, and a batch of transport steps from the per-step stacked
 Taylor recurrence.
 """
 
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -175,6 +177,34 @@ def freudenthal_multiplicities(cartan, lam):
         if not layer:
             break
     return mults
+
+
+def peeled_decomposition(cartan, lam, mu):
+    """{nu: multiplicity} of V_lam (x) V_mu, by peeling: the highest weight
+    left in the convolved Freudenthal multisets, highest by its pairing with
+    rho under the inverse Cartan matrix, is a component, and its multiset
+    comes off with its multiplicity."""
+    r = len(cartan)
+    inv = rat_inverse([[Fraction(x) for x in row] for row in cartan])
+
+    def height(w):
+        return sum(inv[i][j] * w[j] for i in range(r) for j in range(r))
+
+    conv = collections.Counter()
+    right = freudenthal_multiplicities(cartan, mu).items()
+    for w1, m1 in freudenthal_multiplicities(cartan, lam).items():
+        for w2, m2 in right:
+            conv[tuple(a + b for a, b in zip(w1, w2))] += m1 * m2
+    out = {}
+    while conv:
+        nu = max(conv, key=lambda w: (height(w), w))
+        mult = out[nu] = conv[nu]
+        assert min(nu) >= 0, nu
+        for w, m in freudenthal_multiplicities(cartan, nu).items():
+            conv[w] -= mult * m
+        assert min(conv.values()) >= 0
+        conv = +conv
+    return out
 
 
 def rat_inverse(m):

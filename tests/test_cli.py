@@ -273,6 +273,16 @@ class TestKzCommands:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "domain"
 
+    def test_braid_index_out_of_range_is_domain_error(self, capsys):
+        # A15 names point 5 of 4; the KZ system rejects it before transport
+        code, out, _ = capture(
+            capsys,
+            ["kz", "monodromy", "--rank", "1", "--weights", "1,1,1,1",
+             "--kappa", "7/2", "--braid", "A15"],
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "domain"
+
     @pytest.mark.parametrize("kappa", ["1/0", "0/0", "1+1/0i", "1" + "0" * 400 + "/3", "1" + "0" * 400],
                              ids=["1/0", "0/0", "imaginary-1/0", "rational-beyond-float", "beyond-float"])
     def test_kappa_out_of_range_is_usage_error(self, capsys, kappa):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import signal
 import time
@@ -27,7 +28,9 @@ from kzmono.reps import (
     weyl_dimension,
 )
 
-from oracles import freudenthal_multiplicities, integer_rows, rat_add, rat_sub
+from oracles import (
+    freudenthal_multiplicities, integer_rows, peeled_decomposition, rat_add, rat_sub,
+)
 
 
 @pytest.fixture(scope="module")
@@ -343,6 +346,42 @@ class TestTensorDecompose:
         dec = tensor_decompose(a2, (1, 1), (1, 1))
         assert dec[(0, 0)] == 1 and dec[(1, 1)] == 2
         assert sum(weyl_dimension(a2, nu) * k for nu, k in dec.items()) == 64
+
+    def test_matches_freudenthal_peel(self):
+        # every A1 pair with labels <= 7, and samples of the A2 pairs with
+        # labels <= 2 and the A3 pairs with labels <= 1, whose oracle peels
+        # take up to 0.2 s and 1.1 s a pair
+        a2_pairs = list(itertools.product(itertools.product(range(3), repeat=2), repeat=2))
+        cases = [(1, (a,), (b,)) for a in range(8) for b in range(8)]
+        cases += [(2, lam, mu) for lam, mu in random.Random(5).sample(a2_pairs, 10)]
+        cases += [(2, (1, 1), (1, 1)), (2, (2, 1), (1, 2))]
+        cases += [(3, (1, 0, 0), (0, 0, 1)), (3, (0, 1, 0), (0, 1, 0)),
+                  (3, (1, 0, 0), (1, 1, 0)), (3, (0, 0, 1), (1, 0, 1))]
+        for rank, lam, mu in cases:
+            alg = build_algebra("A", rank)
+            assert tensor_decompose(alg, lam, mu) == peeled_decomposition(
+                alg.cartan_matrix, lam, mu), (lam, mu)
+
+    def test_builds_only_the_second_factor(self, monkeypatch):
+        # the components come from V_mu's weights by reflection; neither
+        # V_lam nor any component is built
+        built, real = [], reps.build_irrep
+        monkeypatch.setattr(reps, "build_irrep", lambda alg, w: built.append(w) or real(alg, w))
+        reps._weights_of.cache_clear()
+        dec = tensor_decompose(build_algebra("A", 2), (2, 0), (1, 1))
+        assert built == [(1, 1)]
+        assert dec == {(3, 1): 1, (1, 2): 1, (2, 0): 1, (0, 1): 1}
+
+    @pytest.mark.parametrize("lam, weights", [
+        # V_1 without its lowest weight: the dimensions do not add up
+        ((1,), (((1,), 1),)),
+        # they add up, to 4 - 2, but V_1 comes with multiplicity -1
+        ((0,), (((3,), 1), ((-3,), 1))),
+    ], ids=["dimension", "negative"])
+    def test_corrupt_multiset_fails_certificate(self, monkeypatch, a1, lam, weights):
+        monkeypatch.setattr(reps, "_weights_of", lambda series, rank, weight: weights)
+        with pytest.raises(ConsistencyError, match="does not decompose"):
+            tensor_decompose(a1, lam, (1,))
 
 
 class TestQuotientStep:
